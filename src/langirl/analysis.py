@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -10,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .core import ConfigError
+from .core import ConfigError, write_csv
 
 
 @dataclass(frozen=True)
@@ -247,14 +246,12 @@ def density_to_csv(density: EmpiricalDensity, path) -> None:
         + [f"center_{i + 1}" for i in range(dim)]
         + ["mass", "log_mass"]
     )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerow(["out_of_range"] * dim + [""] * dim + [repr(density.out_of_range_fraction), "NA"])
-        for idx in np.ndindex(*density.grid.shape):
-            row = [int(i) for i in idx]
-            row += [repr(float(centers[d][idx[d]])) for d in range(dim)]
-            m = float(density.mass[idx])
-            lm = logmass[idx]
-            row += [repr(m), "NA" if math.isnan(lm) else repr(float(lm))]
-            writer.writerow(row)
+    rows = [["out_of_range"] * dim + [""] * dim + [float(density.out_of_range_fraction), "NA"]]
+    for idx in np.ndindex(*density.grid.shape):
+        lm = float(logmass[idx])
+        rows.append(
+            [*idx]
+            + [float(centers[d][idx[d]]) for d in range(dim)]
+            + [float(density.mass[idx]), "NA" if math.isnan(lm) else lm]
+        )
+    write_csv(path, header, rows)

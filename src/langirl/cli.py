@@ -9,6 +9,7 @@ between two finished runs. Exit codes: 0 success, 1 runtime failure,
 """
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -36,14 +37,14 @@ from .core import (
     NonFiniteError,
     RngStream,
     SourceExhausted,
+    write_csv,
 )
 from .forward import AgentPoolConfig, InitDensity, run_agent_pool
 from .irl import (
     CLASSICAL,
-    MULTIKERNEL,
-    ORACLE_VARIANTS,
-    POOL_VARIANTS,
-    STREAM_VARIANTS,
+    ORACLE,
+    POOL,
+    STREAM,
     VARIANTS,
     SamplerConfig,
     load_trajectory,
@@ -147,11 +148,15 @@ class _Experiment:
         self.variant = _expect(sampler, "variant", str, "sampler")
         if self.variant not in VARIANTS:
             raise ConfigError(f"sampler.variant: unknown variant {self.variant!r}")
+        # Stream and pool variants read the forward corpus; CMDP pools come
+        # from SPSA instead.
+        self.source_kind = VARIANTS[self.variant].source
         self.forward_cfg = _expect(config, "forward", dict, "config", required=False)
-        if self.variant in STREAM_VARIANTS and self.forward_cfg is None:
-            raise ConfigError(f"forward: required by sampler.variant {self.variant!r}")
-        if self.variant == MULTIKERNEL and self.kind != "cmdp" and self.forward_cfg is None:
-            raise ConfigError("forward: required by sampler.variant 'multikernel' for this problem")
+        needs_corpus = self.source_kind == STREAM or (self.source_kind == POOL and self.kind != "cmdp")
+        if needs_corpus and self.forward_cfg is None:
+            raise ConfigError(
+                f"forward: required by sampler.variant {self.variant!r} for problem.kind {self.kind!r}"
+            )
         self._build_sampler(sampler)
 
         self.baseline = _expect(config, "baseline", dict, "config", required=False)
@@ -183,14 +188,7 @@ class _Experiment:
             noise = float(_expect(problem, "noise_std", (int, float), "problem", required=False, default=0.0))
             self.dim = dim
             self.curvature = curvature
-
-            def stream_oracle(rng):
-                return synthetic.quadratic_oracle(curvature, center, noise, rng)
-
-            def pool_oracle(rng):
-                return synthetic.quadratic_pool_oracle(curvature, center, noise, rng)
-
-            self.stream_oracle, self.pool_oracle = stream_oracle, pool_oracle
+            self.oracle = lambda rng: synthetic.quadratic_oracle(curvature, center, noise, rng)
         elif self.kind == "mixture":
             true_param = _expect(problem, "true_param", list, "problem")
             model = mixture.MixtureModel(
@@ -201,8 +199,7 @@ class _Experiment:
             )
             self.model = model
             self.dim = 2
-            self.stream_oracle = lambda rng: mixture.make_stream_oracle(model, rng)
-            self.pool_oracle = lambda rng: mixture.make_pool_oracle(model, rng)
+            self.oracle = lambda rng: mixture.make_stream_oracle(model, rng)
         elif self.kind == "logistic":
             data = _expect(problem, "data", str, "problem")
             if data == "bundled":
@@ -226,8 +223,7 @@ class _Experiment:
             )
             self.model = model
             self.dim = features.shape[1]
-            self.stream_oracle = lambda rng: logistic.make_stream_oracle(model)
-            self.pool_oracle = lambda rng: logistic.make_pool_oracle(model)
+            self.oracle = lambda rng: logistic.make_stream_oracle(model)
         elif self.kind == "cmdp":
             spec = _expect(problem, "model", str, "problem", required=False, default="two-state")
             model = cmdp.CmdpModel.two_state_example() if spec == "two-state" else cmdp.CmdpModel.from_json(spec)
@@ -235,7 +231,7 @@ class _Experiment:
             self.dim = model.num_angles
             self.horizon = _expect(problem, "horizon", int, "problem")
             self.perturbation = float(_expect(problem, "perturbation", (int, float), "problem"))
-            self.stream_oracle = self.pool_oracle = None
+            self.oracle = None
         else:
             raise ConfigError(f"problem.kind: unknown kind {self.kind!r}")
 
@@ -303,6 +299,14 @@ class _Experiment:
         )
 
 
+@contextlib.contextmanager
+def _timed(timings, phase):
+    """Add the perf_counter seconds the block takes to timings[phase]."""
+    t0 = time.perf_counter()
+    yield
+    timings[phase] = timings.get(phase, 0.0) + time.perf_counter() - t0
+
+
 def _write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -314,18 +318,19 @@ def run_experiment(config):
     exp = _Experiment(config)
     outdir = exp.output
     os.makedirs(outdir, exist_ok=True)
-    _write_json(
-        os.path.join(outdir, "manifest.json"),
-        {
-            "config": config,
-            "seed": exp.seed,
-            "rng_algorithm": RNG_ALGORITHM,
-            "version": __version__,
-        },
-    )
+    timings = {}
+    with _timed(timings, "write"):
+        _write_json(
+            os.path.join(outdir, "manifest.json"),
+            {
+                "config": config,
+                "seed": exp.seed,
+                "rng_algorithm": RNG_ALGORITHM,
+                "version": __version__,
+            },
+        )
 
     metrics = {"experiment": exp.name, "variant": exp.variant, "chains": exp.chains}
-    timings = {}
     phase = "setup"
     try:
         # Forward corpus, when the variant consumes recorded agent data.
@@ -334,57 +339,51 @@ def run_experiment(config):
         density = None
         if exp.forward_cfg is not None:
             phase = "forward"
-            t0 = time.time()
-            fwd = exp.forward_cfg
-            density = exp.forward_density()
-            pool_cfg = AgentPoolConfig(
-                step=float(_expect(fwd, "step", (int, float), "forward")),
-                num_agents=_expect(fwd, "num_agents", int, "forward"),
-                run_length=_expect(fwd, "run_length", int, "forward"),
-            )
-            sweeps = _expect(fwd, "sweeps", int, "forward", required=False, default=1)
-            oracle = exp.stream_oracle(exp.root.child(_RNG_CORPUS_ORACLE))
-            corpus = run_agent_pool(oracle, density, pool_cfg, exp.root.child(_RNG_AGENTS))
-            if fwd.get("shuffle", False):
-                corpus = corpus.shuffled(exp.root.child(_RNG_SHUFFLE))
-            timings["forward"] = round(time.time() - t0, 3)
+            with _timed(timings, "forward"):
+                fwd = exp.forward_cfg
+                density = exp.forward_density()
+                pool_cfg = AgentPoolConfig(
+                    step=float(_expect(fwd, "step", (int, float), "forward")),
+                    num_agents=_expect(fwd, "num_agents", int, "forward"),
+                    run_length=_expect(fwd, "run_length", int, "forward"),
+                )
+                sweeps = _expect(fwd, "sweeps", int, "forward", required=False, default=1)
+                oracle = exp.oracle(exp.root.child(_RNG_CORPUS_ORACLE))
+                corpus = run_agent_pool(oracle, density, pool_cfg, exp.root.child(_RNG_AGENTS))
+                if fwd.get("shuffle", False):
+                    corpus = corpus.shuffled(exp.root.child(_RNG_SHUFFLE))
             metrics["forward_samples"] = len(corpus)
 
         num_steps = exp.num_steps
-        if exp.variant in STREAM_VARIANTS:
-            available = sweeps * len(corpus)
+        if exp.source_kind != ORACLE and corpus is not None:
+            per_sweep = len(corpus) if exp.source_kind == STREAM else len(corpus) // exp.pool_size
+            available = sweeps * per_sweep
             num_steps = num_steps or available
             if num_steps > available:
                 raise ConfigError(
-                    f"sampler.num_steps: {num_steps} exceeds forward corpus x sweeps ({available})"
-                )
-        elif exp.variant == MULTIKERNEL and corpus is not None:
-            available = sweeps * (len(corpus) // exp.pool_size)
-            num_steps = num_steps or available
-            if num_steps > available:
-                raise ConfigError(
-                    f"sampler.num_steps: {num_steps} exceeds available pools x sweeps ({available})"
+                    f"sampler.num_steps: {num_steps} exceeds the forward corpus's "
+                    f"{exp.source_kind} items x sweeps ({available})"
                 )
         elif num_steps is None:
             raise ConfigError(f"sampler.num_steps: required for variant {exp.variant!r}")
 
         # Sampler chains, pooled after burn-in.
         phase = "sampler"
-        t0 = time.time()
         posts = []
         resets = 0
         for chain in range(exp.chains):
-            chain_rng = exp.root.child(_RNG_CHAIN_NOISE + chain)
-            init_vec = density.sample(chain_rng) if isinstance(exp.init, str) else exp.init
-            cfg = exp.sampler_config(init_vec, density)
-            source = _chain_source(exp, corpus, sweeps, num_steps, chain)
-            traj = run_sampler(exp.variant, source, cfg, num_steps, chain_rng, burn_in=exp.burn_in)
+            with _timed(timings, "sampler"):
+                chain_rng = exp.root.child(_RNG_CHAIN_NOISE + chain)
+                init_vec = density.sample(chain_rng) if isinstance(exp.init, str) else exp.init
+                cfg = exp.sampler_config(init_vec, density)
+                source = _chain_source(exp, corpus, sweeps, num_steps, chain)
+                traj = run_sampler(exp.variant, source, cfg, num_steps, chain_rng, burn_in=exp.burn_in)
             stem = "trajectory" if exp.chains == 1 else f"trajectory_c{chain}"
-            save_trajectory(traj, cfg, outdir, stem=stem)
+            with _timed(timings, "write"):
+                save_trajectory(traj, cfg, outdir, stem=stem)
             posts.append(traj.post)
             resets += traj.underflow_resets
         pooled = np.vstack(posts)
-        timings["sampler"] = round(time.time() - t0, 3)
         metrics["post_samples"] = int(pooled.shape[0])
         metrics["underflow_resets"] = resets
 
@@ -392,39 +391,43 @@ def run_experiment(config):
         base_post = None
         if exp.baseline is not None:
             phase = "baseline"
-            t0 = time.time()
             base_chains = int(exp.baseline.get("chains", 1))
             base_init = exp.baseline.get("init", [0.0] * exp.dim)
             base_density = density if density is not None else InitDensity.standard(exp.dim)
             base_posts = []
             for chain in range(base_chains):
-                noise_rng = exp.root.child(_RNG_BASE_NOISE).child(chain)
-                if base_init == "sample":
-                    init_vec = base_density.sample(noise_rng)
-                else:
-                    init_vec = np.asarray(base_init, dtype=np.float64)
-                base_cfg = SamplerConfig(
-                    step=float(exp.baseline["step"]),
-                    beta=float(exp.baseline.get("beta", exp.beta)),
-                    init=init_vec,
-                )
-                oracle = exp.stream_oracle(exp.root.child(_RNG_BASE_ORACLE).child(chain))
-                base = run_sampler(
-                    CLASSICAL,
-                    oracle,
-                    base_cfg,
-                    int(exp.baseline["num_steps"]),
-                    noise_rng,
-                )
+                with _timed(timings, "baseline"):
+                    noise_rng = exp.root.child(_RNG_BASE_NOISE).child(chain)
+                    if base_init == "sample":
+                        init_vec = base_density.sample(noise_rng)
+                    else:
+                        init_vec = np.asarray(base_init, dtype=np.float64)
+                    base_cfg = SamplerConfig(
+                        step=float(exp.baseline["step"]),
+                        beta=float(exp.baseline.get("beta", exp.beta)),
+                        init=init_vec,
+                    )
+                    oracle = exp.oracle(exp.root.child(_RNG_BASE_ORACLE).child(chain))
+                    base = run_sampler(
+                        CLASSICAL,
+                        oracle,
+                        base_cfg,
+                        int(exp.baseline["num_steps"]),
+                        noise_rng,
+                    )
                 stem = "baseline" if base_chains == 1 else f"baseline_c{chain}"
-                save_trajectory(base, base_cfg, outdir, stem=stem)
+                with _timed(timings, "write"):
+                    save_trajectory(base, base_cfg, outdir, stem=stem)
                 base_posts.append(base.post)
             base_post = np.vstack(base_posts)
-            timings["baseline"] = round(time.time() - t0, 3)
 
         phase = "analysis"
-        _analyze(exp, pooled, base_post, outdir, metrics)
-        metrics["timings_seconds"] = timings
+        with _timed(timings, "analysis"):
+            densities = _analyze(exp, pooled, base_post, metrics)
+        with _timed(timings, "write"):
+            for name, dens in densities.items():
+                density_to_csv(dens, os.path.join(outdir, name))
+        metrics["timings_seconds"] = {key: round(sec, 3) for key, sec in timings.items()}
         _write_json(os.path.join(outdir, "metrics.json"), metrics)
     except _RUNTIME_ERRORS as exc:
         _write_json(
@@ -438,24 +441,26 @@ def run_experiment(config):
 
 def _chain_source(exp, corpus, sweeps, num_steps, chain):
     oracle_rng = exp.root.child(_RNG_CHAIN_ORACLE + chain)
-    if exp.variant in STREAM_VARIANTS:
+    if exp.source_kind == ORACLE:
+        return exp.oracle(oracle_rng)
+    if exp.source_kind == STREAM:
         return corpus.iter_sweeps(sweeps)
-    if exp.variant == MULTIKERNEL:
-        if exp.kind == "cmdp":
-            return cmdp.make_angle_pool_source(
-                exp.model,
-                exp.pool_size,
-                num_steps,
-                exp.horizon,
-                exp.perturbation,
-                oracle_rng,
-            )
-        return itertools.chain.from_iterable(corpus.as_pools(exp.pool_size) for _ in range(sweeps))
-    return exp.stream_oracle(oracle_rng)
+    if exp.kind == "cmdp":
+        return cmdp.make_angle_pool_source(
+            exp.model,
+            exp.pool_size,
+            num_steps,
+            exp.horizon,
+            exp.perturbation,
+            oracle_rng,
+        )
+    return itertools.chain.from_iterable(corpus.as_pools(exp.pool_size) for _ in range(sweeps))
 
 
-def _analyze(exp, pooled, base_post, outdir, metrics):
+def _analyze(exp, pooled, base_post, metrics):
+    """Fill `metrics` from the pooled samples; return the densities to write by file name."""
     analysis = exp.analysis
+    densities = {}
     if analysis.get("report_variance", True):
         metrics["variance"] = [float(v) for v in pooled.var(axis=0)]
         metrics["mean"] = [float(v) for v in pooled.mean(axis=0)]
@@ -473,7 +478,7 @@ def _analyze(exp, pooled, base_post, outdir, metrics):
 
     if exp.grid is not None:
         dens = build_density(pooled, exp.grid)
-        density_to_csv(dens, os.path.join(outdir, "density.csv"))
+        densities["density.csv"] = dens
         metrics["out_of_range_fraction"] = dens.out_of_range_fraction
         if analysis.get("find_modes"):
             modes = find_modes(dens)
@@ -483,12 +488,13 @@ def _analyze(exp, pooled, base_post, outdir, metrics):
             ]
         if base_post is not None:
             bdens = build_density(base_post, exp.grid)
-            density_to_csv(bdens, os.path.join(outdir, "baseline_density.csv"))
+            densities["baseline_density.csv"] = bdens
             if analysis.get("compare_marginals"):
                 metrics["variational_distance"] = [
                     variational_distance(marginal(dens, axis), marginal(bdens, axis))
                     for axis in range(exp.dim)
                 ]
+    return densities
 
 
 def _pooled_posts(rundir):
@@ -535,10 +541,11 @@ def compare_runs(dir_a, dir_b):
 
 
 def _write_compare_csv(report, path):
-    with open(path, "w") as fh:
-        fh.write("marginal,w1,variational_distance\n")
-        for i, (w, t) in enumerate(zip(report["w1"], report["variational_distance"])):
-            fh.write(f"{i},{w!r},{t!r}\n")
+    write_csv(
+        path,
+        ["marginal", "w1", "variational_distance"],
+        ([i, w, t] for i, (w, t) in enumerate(zip(report["w1"], report["variational_distance"]))),
+    )
 
 
 def main(argv=None):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 from typing import NamedTuple
 
 import numpy as np
@@ -42,6 +43,19 @@ def check_finite(arr: np.ndarray, context: str) -> None:
     """Raise NonFiniteError naming `context` if `arr` has any non-finite entry."""
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite value in {context}")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write one header row and then `rows` as CSV with CRLF line endings.
+
+    The csv module writes a float as its repr, so rows built with
+    `ndarray.tolist()` keep every value exact and read back bit for bit.
+    `rows` may be a generator; rows are written as they come.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 class GradientSample(NamedTuple):

@@ -15,7 +15,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import ConfigError, GradientPool, GradientSample, NonFiniteError, RngStream
+from .core import ConfigError, GradientPool, GradientSample, NonFiniteError, RngStream, write_csv
 
 PointOracle = Callable[[np.ndarray], np.ndarray]
 PoolOracle = Callable[[np.ndarray], np.ndarray]
@@ -220,14 +220,8 @@ def write_stream_csv(stream: GradientStream, path) -> None:
         + [f"theta_{i + 1}" for i in range(dim)]
         + [f"grad_{i + 1}" for i in range(dim)]
     )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(stream)):
-            row = [int(stream.agent_ids[i]), int(stream.step_ids[i])]
-            row += [repr(float(v)) for v in stream.points[i]]
-            row += [repr(float(v)) for v in stream.gradients[i]]
-            writer.writerow(row)
+    rows = zip(stream.agent_ids.tolist(), stream.step_ids.tolist(), stream.points, stream.gradients)
+    write_csv(path, header, ([a, s, *p.tolist(), *g.tolist()] for a, s, p, g in rows))
 
 
 def read_stream_csv(path) -> GradientStream:

@@ -33,17 +33,25 @@ classical
 naive
     Uses streamed gradients directly at the estimate with no kernel
     correction. Known-bad baseline retained for comparisons.
+
+A variant is declared by one row of the `VARIANTS` table and one step
+function. The row names the step, the kind of source it consumes (a stream of
+GradientSample, a stream of GradientPool, or an oracle callable) and the
+SamplerConfig fields that must be set; `run_sampler` is the only sampling loop
+and reads everything it needs to know about a variant from that row.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
+import os
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -56,6 +64,7 @@ from .core import (
     RngStream,
     SourceExhausted,
     as_param,
+    write_csv,
 )
 from .forward import InitDensity
 from .kernels import Kernel, raw_eval, scaled_eval
@@ -69,10 +78,10 @@ NONREVERSIBLE = "nonreversible"
 CLASSICAL = "classical"
 NAIVE = "naive"
 
-STREAM_VARIANTS = (PASSIVE_GENERALIZED, PASSIVE_GATED, PASSIVE_CLASSICAL, NONREVERSIBLE, NAIVE)
-POOL_VARIANTS = (MULTIKERNEL,)
-ORACLE_VARIANTS = (ACTIVE, CLASSICAL)
-VARIANTS = STREAM_VARIANTS + POOL_VARIANTS + ORACLE_VARIANTS
+# Source kinds: what `run_sampler` hands a step function at every update.
+STREAM = "stream"
+POOL = "pool"
+ORACLE = "oracle"
 
 # Densities below this floor are an error when they appear as divisors.
 DENSITY_FLOOR = 1e-300
@@ -282,6 +291,33 @@ def step_naive(est, sample: GradientSample, cfg: SamplerConfig, rng) -> np.ndarr
 
 
 @dataclass(frozen=True)
+class Variant:
+    """One row of the variant table.
+
+    `step(est, item, cfg, rng)` makes one update from `item`: a GradientSample
+    for a stream source, a GradientPool for a pool source (pool steps also get
+    the run's SamplerStats), or the oracle callable itself. `needs` names the
+    SamplerConfig fields that must not be None.
+    """
+
+    step: Callable
+    source: str
+    needs: tuple = ()
+
+
+VARIANTS = {
+    PASSIVE_GENERALIZED: Variant(step_passive_generalized, STREAM, ("kernel", "init_density")),
+    PASSIVE_GATED: Variant(step_passive_gated, STREAM, ("kernel", "init_density")),
+    PASSIVE_CLASSICAL: Variant(step_passive_classical, STREAM, ("kernel", "init_density")),
+    NONREVERSIBLE: Variant(step_nonreversible, STREAM, ("kernel", "init_density", "skew")),
+    NAIVE: Variant(step_naive, STREAM),
+    MULTIKERNEL: Variant(step_multikernel, POOL, ("conditional_std",)),
+    ACTIVE: Variant(step_active, ORACLE, ("kernel", "conditional_std")),
+    CLASSICAL: Variant(step_classical, ORACLE),
+}
+
+
+@dataclass(frozen=True)
 class Trajectory:
     """A sampler run: every estimate visited, including the starting point."""
 
@@ -322,17 +358,6 @@ def _fingerprint(variant: str, cfg: SamplerConfig, num_steps: int, seed) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _require(cfg: SamplerConfig, variant: str, kernel=False, density=False, cond=False, skew=False):
-    if kernel and cfg.kernel is None:
-        raise ConfigError(f"variant {variant!r} needs a kernel")
-    if density and cfg.init_density is None:
-        raise ConfigError(f"variant {variant!r} needs an init_density")
-    if cond and cfg.conditional_std is None:
-        raise ConfigError(f"variant {variant!r} needs conditional_std")
-    if skew and cfg.skew is None:
-        raise ConfigError(f"variant {variant!r} needs a skew matrix")
-
-
 def run_sampler(
     variant: str,
     source,
@@ -343,31 +368,24 @@ def run_sampler(
 ) -> Trajectory:
     """Drive `variant` for `num_steps` updates and collect the trajectory.
 
-    `source` is an iterable of GradientSample for streamed variants, an
-    iterable of GradientPool for multikernel, and a gradient oracle callable
-    for the active and classical variants. Raises SourceExhausted if an
-    iterable runs out early and NonFiniteError naming the first bad step if
-    the chain leaves the finite range.
+    `source` is an iterable of GradientSample for stream variants, an
+    iterable of GradientPool for pool variants, and a gradient oracle
+    callable, queried by every step, for oracle variants (see `VARIANTS`).
+    Raises SourceExhausted if an iterable runs out early and NonFiniteError
+    naming the first bad step if the chain leaves the finite range.
     """
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    row = VARIANTS.get(variant)
+    if row is None:
+        raise ConfigError(f"unknown variant {variant!r}; expected one of {tuple(VARIANTS)}")
     if num_steps < 0:
         raise ConfigError("num_steps must be non-negative")
     if burn_in is None:
         burn_in = num_steps // 10
     if not 0 <= burn_in <= num_steps:
         raise ConfigError("burn_in must lie in [0, num_steps]")
-
-    if variant in (PASSIVE_GENERALIZED, PASSIVE_GATED):
-        _require(cfg, variant, kernel=True, density=True)
-    elif variant == PASSIVE_CLASSICAL:
-        _require(cfg, variant, kernel=True, density=True)
-    elif variant == NONREVERSIBLE:
-        _require(cfg, variant, kernel=True, density=True, skew=True)
-    elif variant == MULTIKERNEL:
-        _require(cfg, variant, cond=True)
-    elif variant == ACTIVE:
-        _require(cfg, variant, kernel=True, cond=True)
+    for name in row.needs:
+        if getattr(cfg, name) is None:
+            raise ConfigError(f"variant {variant!r} needs {name}")
 
     if variant == PASSIVE_GATED and cfg.gain_ratio >= _GAIN_RATIO_WARN:
         warnings.warn(
@@ -377,53 +395,27 @@ def run_sampler(
             stacklevel=2,
         )
 
-    step_fn = {
-        PASSIVE_GENERALIZED: step_passive_generalized,
-        PASSIVE_GATED: step_passive_gated,
-        PASSIVE_CLASSICAL: step_passive_classical,
-        NONREVERSIBLE: step_nonreversible,
-        NAIVE: step_naive,
-        MULTIKERNEL: step_multikernel,
-        ACTIVE: step_active,
-        CLASSICAL: step_classical,
-    }[variant]
+    if row.source == ORACLE:
+        if not callable(source):
+            raise ConfigError(f"variant {variant!r} expects a gradient oracle callable")
+        items = itertools.repeat(source)
+    else:
+        items = iter(source)
+    stats = SamplerStats()
+    extra = (stats,) if row.source == POOL else ()
 
     est = cfg.init.copy()
     samples = np.empty((num_steps + 1, cfg.dim))
     samples[0] = est
-    stats = SamplerStats()
-
-    if variant in ORACLE_VARIANTS:
-        if not callable(source):
-            raise ConfigError(f"variant {variant!r} expects a gradient oracle callable")
-        advance = lambda est: step_fn(est, source, cfg, rng)  # noqa: E731
-    elif variant in POOL_VARIANTS:
-        pools = iter(source)
-
-        def advance(est):
-            try:
-                pool = next(pools)
-            except StopIteration:
-                raise SourceExhausted(
-                    f"pool source exhausted after {k} of {num_steps} steps"
-                ) from None
-            return step_fn(est, pool, cfg, rng, stats)
-
-    else:
-        stream = iter(source)
-
-        def advance(est):
-            try:
-                sample = next(stream)
-            except StopIteration:
-                raise SourceExhausted(
-                    f"sample source exhausted after {k} of {num_steps} steps"
-                ) from None
-            return step_fn(est, sample, cfg, rng)
-
     checked = 0
     for k in range(num_steps):
-        est = advance(est)
+        try:
+            item = next(items)
+        except StopIteration:
+            raise SourceExhausted(
+                f"{row.source} source exhausted after {k} of {num_steps} steps"
+            ) from None
+        est = row.step(est, item, cfg, rng, *extra)
         samples[k + 1] = est
         if k + 2 - checked >= _FINITE_CHECK_BLOCK:
             _check_block(samples, checked, k + 2)
@@ -452,17 +444,14 @@ def _check_block(samples: np.ndarray, lo: int, hi: int) -> None:
 
 def save_trajectory(traj: Trajectory, cfg: SamplerConfig, directory, stem: str = "trajectory"):
     """Write `{stem}.csv` (step, est_1..est_N) and `{stem}.json` under `directory`."""
-    import os
-
     os.makedirs(directory, exist_ok=True)
     csv_path = os.path.join(directory, f"{stem}.csv")
     meta_path = os.path.join(directory, f"{stem}.json")
-    dim = traj.dim
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step"] + [f"est_{i + 1}" for i in range(dim)])
-        for i, row in enumerate(traj.samples):
-            writer.writerow([i] + [repr(float(v)) for v in row])
+    write_csv(
+        csv_path,
+        ["step"] + [f"est_{i + 1}" for i in range(traj.dim)],
+        ([i, *row.tolist()] for i, row in enumerate(traj.samples)),
+    )
     meta = {
         "variant": traj.variant,
         "seed": traj.seed,
@@ -481,8 +470,6 @@ def save_trajectory(traj: Trajectory, cfg: SamplerConfig, directory, stem: str =
 
 def load_trajectory(directory, stem: str = "trajectory") -> tuple[Trajectory, dict]:
     """Read back a trajectory written by save_trajectory."""
-    import os
-
     csv_path = os.path.join(directory, f"{stem}.csv")
     meta_path = os.path.join(directory, f"{stem}.json")
     with open(meta_path) as fh:

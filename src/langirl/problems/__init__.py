@@ -5,7 +5,7 @@ from .cmdp import CmdpModel
 from .logistic import LogisticModel, parse_libsvm
 from .mixture import MixtureModel
 from .switching import SwitchingReward
-from .synthetic import quadratic_oracle, quadratic_pool_oracle
+from .synthetic import quadratic_oracle
 
 __all__ = [
     "cmdp",
@@ -19,5 +19,4 @@ __all__ = [
     "SwitchingReward",
     "parse_libsvm",
     "quadratic_oracle",
-    "quadratic_pool_oracle",
 ]

@@ -120,7 +120,11 @@ def reward_grad(model: LogisticModel, theta, row: int):
 
 
 def make_stream_oracle(model: LogisticModel):
-    """Point oracle sweeping the dataset one row per call, wrapping around."""
+    """Oracle sweeping the dataset one row per call, wrapping around.
+
+    `reward_grad` is batched, so a (pool_size, dim) block of points queried
+    in one call shares that call's row, as a pool does.
+    """
     counter = {"k": 0}
 
     def oracle(point):
@@ -131,16 +135,7 @@ def make_stream_oracle(model: LogisticModel):
     return oracle
 
 
-def make_pool_oracle(model: LogisticModel):
-    """Pool oracle: each pool shares one data row; rows advance per pool."""
-    counter = {"k": 0}
-
-    def pool_oracle(points):
-        g = reward_grad(model, points, counter["k"])
-        counter["k"] += 1
-        return g
-
-    return pool_oracle
+make_pool_oracle = make_stream_oracle
 
 
 def top_frequency_subset(

@@ -95,7 +95,11 @@ def reward_grad(model: MixtureModel, theta, y):
 
 
 def make_stream_oracle(model: MixtureModel, rng: RngStream):
-    """Point oracle drawing a fresh observation from the truth at every call."""
+    """Oracle drawing a fresh observation from the truth at every call.
+
+    `reward_grad` is batched, so a (pool_size, dim) block of points queried
+    in one call shares that call's observation, as a pool does.
+    """
 
     def oracle(point):
         y = sample_observation(model, rng)
@@ -104,14 +108,7 @@ def make_stream_oracle(model: MixtureModel, rng: RngStream):
     return oracle
 
 
-def make_pool_oracle(model: MixtureModel, rng: RngStream):
-    """Pool oracle: one shared observation per pool, vectorized over points."""
-
-    def pool_oracle(points):
-        y = sample_observation(model, rng)
-        return reward_grad(model, points, y)
-
-    return pool_oracle
+make_pool_oracle = make_stream_oracle
 
 
 def expected_reward(model: MixtureModel, theta, quad_points: int = 2001) -> float:

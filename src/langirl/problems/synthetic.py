@@ -34,8 +34,3 @@ def quadratic_oracle(curvature=1.0, center=0.0, noise_std: float = 0.0, rng: Rng
 
     return oracle
 
-
-def quadratic_pool_oracle(curvature=1.0, center=0.0, noise_std: float = 0.0, rng: RngStream | None = None):
-    """Batched form of quadratic_oracle for (pool_size, dim) point blocks."""
-    single = quadratic_oracle(curvature, center, noise_std, rng)
-    return lambda points: single(points)

@@ -15,41 +15,32 @@ couplings are supported:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, GradientPool, GradientSample, RngStream
+from .core import ConfigError, GradientPool, GradientSample, RngStream, write_csv
 from .irl import (
     ACTIVE,
     CLASSICAL,
     MULTIKERNEL,
+    ORACLE,
     PASSIVE_CLASSICAL,
     PASSIVE_GATED,
     PASSIVE_GENERALIZED,
+    POOL,
+    STREAM,
+    VARIANTS,
     SamplerConfig,
-    SamplerStats,
     Trajectory,
-    _check_block,
-    _fingerprint,
-    step_active,
-    step_classical,
-    step_multikernel,
-    step_passive_classical,
-    step_passive_gated,
-    step_passive_generalized,
+    run_sampler,
 )
 from .analysis import EmpiricalDensity, GridSpec, build_density
 from .problems.switching import SwitchingReward, switching_step
 
 REGIMES = ("matched", "slow_switch", "fast_switch")
 
-_PASSIVE_STEPS = {
-    PASSIVE_GENERALIZED: step_passive_generalized,
-    PASSIVE_GATED: step_passive_gated,
-    PASSIVE_CLASSICAL: step_passive_classical,
-}
+_TRACKED = (PASSIVE_GENERALIZED, PASSIVE_GATED, PASSIVE_CLASSICAL, MULTIKERNEL, ACTIVE, CLASSICAL)
 
 
 @dataclass(frozen=True)
@@ -123,69 +114,60 @@ def run_tracking(
     reward (restarted from the initialization density every
     `forward_run_length` iterations); oracle variants query the active regime
     directly; the multikernel variant draws its pools from the initialization
-    density at every step.
+    density at every step. The hyper-state jumps once per step, just before
+    the step's gradients are taken: before its sample or pool is built, or
+    inside the oracle call (so after the active variant's probe draw).
     """
     if num_steps < 1:
         raise ConfigError("num_steps must be at least 1")
+    if variant not in _TRACKED:
+        raise ConfigError(f"variant {variant!r} is not supported for tracking")
+    kind = VARIANTS[variant].source
+    if kind != ORACLE and cfg.init_density is None:
+        raise ConfigError(f"variant {variant!r} needs an init_density for tracking")
+    if kind == STREAM and (forward_step is None or forward_run_length is None):
+        raise ConfigError("passive tracking needs forward_step and forward_run_length")
     rate = tracking.rate(cfg.step)
+    states = []
 
-    passive = variant in _PASSIVE_STEPS
-    if passive or variant == MULTIKERNEL:
-        if cfg.init_density is None:
-            raise ConfigError(f"variant {variant!r} needs an init_density for tracking")
-    if passive:
-        if forward_step is None or forward_run_length is None:
-            raise ConfigError("passive tracking needs forward_step and forward_run_length")
-        step_fn = _PASSIVE_STEPS[variant]
+    def jump():
+        states.append(switching_step(reward, rate, rng))
+
+    def oracle(point):
+        jump()
+        return reward.gradient(point)
+
+    def pools():
+        while True:
+            jump()
+            pts = cfg.init_density.sample(rng, size=cfg.pool_size)
+            grads = np.stack([np.asarray(reward.gradient(p), dtype=np.float64) for p in pts])
+            yield GradientPool(pts, grads)
+
+    def agent_stream():
         theta = cfg.init_density.sample(rng)
         age = 0
-    elif variant not in (MULTIKERNEL, ACTIVE, CLASSICAL):
-        raise ConfigError(f"variant {variant!r} is not supported for tracking")
-
-    est = cfg.init.copy()
-    samples = np.empty((num_steps + 1, cfg.dim))
-    samples[0] = est
-    hyper = np.empty(num_steps, dtype=np.int64)
-    stats = SamplerStats()
-
-    checked = 0
-    for k in range(num_steps):
-        switching_step(reward, rate, rng)
-        hyper[k] = reward.state
-        if passive:
+        while True:
+            jump()
             if age == forward_run_length:
                 theta = cfg.init_density.sample(rng)
                 age = 0
             grad = np.asarray(reward.gradient(theta), dtype=np.float64)
-            est = step_fn(est, GradientSample(theta, grad), cfg, rng)
+            yield GradientSample(theta, grad)
             theta = theta + forward_step * grad
             age += 1
-        elif variant == MULTIKERNEL:
-            pts = cfg.init_density.sample(rng, size=cfg.pool_size)
-            grads = np.stack([np.asarray(reward.gradient(p), dtype=np.float64) for p in pts])
-            est = step_multikernel(est, GradientPool(pts, grads), cfg, rng, stats)
-        elif variant == ACTIVE:
-            est = step_active(est, reward.gradient, cfg, rng)
-        else:
-            est = step_classical(est, reward.gradient, cfg, rng)
-        samples[k + 1] = est
-        if k + 2 - checked >= 4096:
-            _check_block(samples, checked, k + 2)
-            checked = k + 2
-    _check_block(samples, checked, num_steps + 1)
 
-    traj = Trajectory(
-        samples=samples,
-        burn_in=0,
-        variant=variant,
-        fingerprint=_fingerprint(variant, cfg, num_steps, getattr(rng, "seed", None)),
-        seed=getattr(rng, "seed", None),
-        underflow_resets=stats.underflow_resets,
-        gain_ratio=cfg.gain_ratio,
-    )
+    if kind == ORACLE:
+        source = oracle
+    elif kind == POOL:
+        source = pools()
+    else:
+        source = agent_stream()
+    traj = run_sampler(variant, source, cfg, num_steps, rng, burn_in=0)
+    hyper = np.asarray(states, dtype=np.int64)
 
     windows = []
-    estimates = samples[1:]
+    estimates = traj.samples[1:]
     num_states = reward.num_states
     for w, lo in enumerate(range(0, num_steps - tracking.window + 1, tracking.window)):
         hi = lo + tracking.window
@@ -250,11 +232,8 @@ def write_tracking_csv(result: TrackingResult, path) -> None:
         + [f"est_mean_{i + 1}" for i in range(dim)]
         + [f"est_var_{i + 1}" for i in range(dim)]
     )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for w in result.windows:
-            row = [w.index, w.majority_state]
-            row += [repr(float(v)) for v in w.mean]
-            row += [repr(float(v)) for v in w.var]
-            writer.writerow(row)
+    write_csv(
+        path,
+        header,
+        ([w.index, w.majority_state, *w.mean.tolist(), *w.var.tolist()] for w in result.windows),
+    )

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from langirl.analysis import GridSpec
-from langirl.core import ConfigError, RngStream
+from langirl.core import ConfigError, NonFiniteError, RngStream
 from langirl.forward import InitDensity
-from langirl.irl import CLASSICAL, MULTIKERNEL, PASSIVE_GENERALIZED, SamplerConfig
+from langirl.irl import CLASSICAL, MULTIKERNEL, PASSIVE_GATED, PASSIVE_GENERALIZED, SamplerConfig
 from langirl.kernels import GAUSSIAN, Kernel
 from langirl.problems.switching import SwitchingReward
 from langirl.tracking import (
@@ -217,6 +217,26 @@ class TestRunTracking:
                             pool_size=4, conditional_std=0.5)
         with pytest.raises(ConfigError, match="init_density"):
             run_tracking(MULTIKERNEL, reward, cfg, TrackingConfig("matched"), 100, RngStream(0))
+
+    def test_non_finite_gradient_names_the_step(self):
+        blow_up = lambda p: np.full_like(p, math.inf)  # noqa: E731
+        reward = SwitchingReward(
+            oracles=(blow_up, blow_up), generator=np.array([[-1.0, 1.0], [1.0, -1.0]])
+        )
+        with pytest.raises(NonFiniteError, match="sampler step 1"):
+            run_tracking(CLASSICAL, reward, self.classical_cfg(),
+                         TrackingConfig("matched"), 100, RngStream(0))
+
+    def test_gated_gain_ratio_warning(self):
+        cfg = SamplerConfig(
+            step=0.3, beta=2.0, init=np.zeros(1),
+            kernel=Kernel(GAUSSIAN, 0.5, 1), init_density=InitDensity.standard(1),
+        )
+        assert cfg.gain_ratio == pytest.approx(0.6)
+        with pytest.warns(RuntimeWarning, match="not small"):
+            run_tracking(PASSIVE_GATED, two_mode_reward(), cfg,
+                         TrackingConfig("matched", window=10), 20, RngStream(0),
+                         forward_step=0.05, forward_run_length=5)
 
     def test_zero_steps_rejected(self):
         with pytest.raises(ConfigError):

@@ -7,7 +7,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ConfigError, write_csv
 
@@ -212,6 +212,18 @@ def thin_by_autocorr(series, min_length: int = 1000) -> np.ndarray:
     return x[::stride]
 
 
+def local_max(mass: np.ndarray, radius: int) -> np.ndarray:
+    """The maximum over the (2 * radius + 1)-wide window around each cell.
+
+    Cells outside the grid count as -1, below any mass; this is
+    `scipy.ndimage.maximum_filter(mass, size=2 * radius + 1, mode="constant",
+    cval=-1.0)` without importing scipy.
+    """
+    padded = np.pad(mass, radius, constant_values=-1.0)
+    windows = sliding_window_view(padded, (2 * radius + 1,) * mass.ndim)
+    return windows.max(axis=tuple(range(mass.ndim, 2 * mass.ndim)))
+
+
 def find_modes(density: EmpiricalDensity, neighborhood: int = 2, min_rel_mass: float = 0.25):
     """Locate well separated local maxima of the cell mass.
 
@@ -221,10 +233,8 @@ def find_modes(density: EmpiricalDensity, neighborhood: int = 2, min_rel_mass: f
     mass), ordered by decreasing mass.
     """
     mass = density.mass
-    footprint = 2 * neighborhood + 1
-    local_max = ndimage.maximum_filter(mass, size=footprint, mode="constant", cval=-1.0)
     threshold = min_rel_mass * float(mass.max())
-    hits = np.argwhere((mass == local_max) & (mass >= threshold))
+    hits = np.argwhere((mass == local_max(mass, neighborhood)) & (mass >= threshold))
     modes = []
     for idx in hits:
         idx = tuple(int(i) for i in idx)

@@ -6,6 +6,14 @@ artifact (trajectories, density grids, metrics, manifest) under one output
 directory. `langirl compare dirA dirB` computes per-marginal distances
 between two finished runs. Exit codes: 0 success, 1 runtime failure,
 2 config error.
+
+`--chains N` pools N sampler chains. Chains that read the forward corpus
+advance together in one batched sampler call, and every one of them reads
+the corpus in the same order; they differ only in their noise (and their
+start, with `init: "sample"`). Their spread therefore understates the error
+of the pooled estimate, and a between-chain diagnostic such as R-hat would
+overstate how independent they are. Trajectory files are written only
+once every chain has finished.
 """
 
 import argparse
@@ -48,6 +56,7 @@ from .irl import (
     VARIANTS,
     SamplerConfig,
     load_trajectory,
+    run_chains,
     run_sampler,
     save_trajectory,
 )
@@ -152,6 +161,11 @@ class _Experiment:
         # from SPSA instead.
         self.source_kind = VARIANTS[self.variant].source
         self.forward_cfg = _expect(config, "forward", dict, "config", required=False)
+        if self.oracle is None and (self.source_kind != POOL or "forward" in config or "baseline" in config):
+            raise ConfigError(
+                f"problem.kind {self.kind!r} has no gradient oracle: it runs only the multikernel "
+                "variant on its SPSA pools, with no forward or baseline section"
+            )
         needs_corpus = self.source_kind == STREAM or (self.source_kind == POOL and self.kind != "cmdp")
         if needs_corpus and self.forward_cfg is None:
             raise ConfigError(
@@ -369,23 +383,20 @@ def run_experiment(config):
 
         # Sampler chains, pooled after burn-in.
         phase = "sampler"
-        posts = []
-        resets = 0
-        for chain in range(exp.chains):
-            with _timed(timings, "sampler"):
-                chain_rng = exp.root.child(_RNG_CHAIN_NOISE + chain)
-                init_vec = density.sample(chain_rng) if isinstance(exp.init, str) else exp.init
-                cfg = exp.sampler_config(init_vec, density)
-                source = _chain_source(exp, corpus, sweeps, num_steps, chain)
-                traj = run_sampler(exp.variant, source, cfg, num_steps, chain_rng, burn_in=exp.burn_in)
-            stem = "trajectory" if exp.chains == 1 else f"trajectory_c{chain}"
-            with _timed(timings, "write"):
+        with _timed(timings, "sampler"):
+            rngs = [exp.root.child(_RNG_CHAIN_NOISE + chain) for chain in range(exp.chains)]
+            cfgs = [
+                exp.sampler_config(density.sample(rng) if isinstance(exp.init, str) else exp.init, density)
+                for rng in rngs
+            ]
+            trajs = _run_chains(exp, corpus, sweeps, num_steps, cfgs, rngs)
+        with _timed(timings, "write"):
+            for chain, (traj, cfg) in enumerate(zip(trajs, cfgs)):
+                stem = "trajectory" if exp.chains == 1 else f"trajectory_c{chain}"
                 save_trajectory(traj, cfg, outdir, stem=stem)
-            posts.append(traj.post)
-            resets += traj.underflow_resets
-        pooled = np.vstack(posts)
+        pooled = np.vstack([traj.post for traj in trajs])
         metrics["post_samples"] = int(pooled.shape[0])
-        metrics["underflow_resets"] = resets
+        metrics["underflow_resets"] = sum(traj.underflow_resets for traj in trajs)
 
         # Optional classical-Langevin reference run on the same problem.
         base_post = None
@@ -437,6 +448,28 @@ def run_experiment(config):
         print(f"runtime failure during {phase}: {exc}", file=sys.stderr)
         return 1, outdir
     return 0, outdir
+
+
+def _run_chains(exp, corpus, sweeps, num_steps, cfgs, rngs):
+    """Run every sampler chain; a failure message names the chain and the step.
+
+    Chains that share the forward corpus advance together in one batched
+    call. Oracle variants and CMDP SPSA pools have a source per chain, so
+    those chains run one at a time.
+    """
+    if exp.source_kind != ORACLE and exp.kind != "cmdp":
+        source = _chain_source(exp, corpus, sweeps, num_steps, 0)
+        return run_chains(exp.variant, source, cfgs, num_steps, rngs, burn_in=exp.burn_in)
+    trajs = []
+    for chain, (cfg, rng) in enumerate(zip(cfgs, rngs)):
+        source = _chain_source(exp, corpus, sweeps, num_steps, chain)
+        try:
+            trajs.append(run_sampler(exp.variant, source, cfg, num_steps, rng, burn_in=exp.burn_in))
+        except _RUNTIME_ERRORS as exc:
+            if exp.chains == 1:
+                raise
+            raise type(exc)(f"chain {chain}: {exc}") from exc
+    return trajs
 
 
 def _chain_source(exp, corpus, sweeps, num_steps, chain):

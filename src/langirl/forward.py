@@ -50,15 +50,20 @@ class InitDensity:
     def standard(cls, dim: int) -> "InitDensity":
         return cls(np.zeros(dim), np.ones(dim))
 
-    def density(self, point: np.ndarray) -> float:
+    def density(self, point: np.ndarray):
+        """Density at `point`, batched over leading axes; a NumPy scalar for one point."""
         z = point - self.mean
-        return self._norm * float(np.exp(-0.5 * np.sum(z * z / self.variances)))
+        return self._norm * np.exp(-0.5 * (z * z / self.variances).sum(-1))
 
-    def density_and_grad(self, point: np.ndarray) -> tuple[float, np.ndarray]:
-        """Value and gradient of the density (not the log density) at `point`."""
+    def density_and_grad(self, point: np.ndarray):
+        """Value and gradient of the density (not the log density) at `point`.
+
+        Batched over leading axes like `density`; the gradient has the shape
+        of `point`.
+        """
         z = point - self.mean
-        val = self._norm * float(np.exp(-0.5 * np.sum(z * z / self.variances)))
-        return val, -z / self.variances * val
+        val = self._norm * np.exp(-0.5 * (z * z / self.variances).sum(-1))
+        return val, -z / self.variances * (val[..., None] if z.ndim > 1 else val)
 
     def sample(self, rng: RngStream, size: int | None = None) -> np.ndarray:
         if size is None:

@@ -36,9 +36,21 @@ naive
 
 A variant is declared by one row of the `VARIANTS` table and one step
 function. The row names the step, the kind of source it consumes (a stream of
-GradientSample, a stream of GradientPool, or an oracle callable) and the
-SamplerConfig fields that must be set; `run_sampler` is the only sampling loop
-and reads everything it needs to know about a variant from that row.
+GradientSample, a stream of GradientPool, or an oracle callable), the
+SamplerConfig fields that must be set and how many normal draws a step takes.
+`run_chains` is the only sampling loop and reads everything it needs to know
+about a variant from that row. It advances several chains at once: they share
+the source item of each step, and each draws its noise from its own stream.
+`run_sampler` is its one-chain call.
+
+Each step function is written once for both shapes. For one chain `est` is a
+(dim,) vector and the per-chain factors (kernel weight, density, gate) are
+NumPy scalars; for several chains `est` is (chains, dim) and those factors are
+(chains, 1) columns, while the source item broadcasts against the state.
+Called directly with a (dim,) estimate and an rng, a step function is the
+plain one-chain update, drawing from that rng when it needs noise. A batch
+rounds every chain exactly as that chain would round alone, so a chain's
+samples do not depend on how many chains run beside it.
 """
 
 from __future__ import annotations
@@ -171,15 +183,68 @@ class SamplerConfig:
 
 @dataclass
 class SamplerStats:
-    """Mutable counters a sampler run accumulates."""
+    """Mutable counters a sampler run accumulates.
+
+    `underflow_resets` is a count, or one count per chain once a batched
+    multikernel step has added its (chains,) flags to it.
+    """
 
     underflow_resets: int = 0
 
 
+def _per_chain(x):
+    """Shape a per-chain factor to scale the state: (chains,) becomes (chains, 1).
+
+    One chain's factor stays a NumPy scalar, whose arithmetic costs far less
+    than a one-element array's.
+    """
+    return x[:, None] if x.ndim else x
+
+
+def _any(flags) -> bool:
+    """Whether any flag is set; a NumPy scalar's own `.any()` costs far more than `bool`."""
+    return bool(flags.any() if getattr(flags, "ndim", 0) else flags)
+
+
+def _check_floor(value, what: str, where: str = "") -> None:
+    """Raise DensityFloorError if a density used as a divisor is below DENSITY_FLOOR.
+
+    `value` is a scalar for one chain or a (chains, 1) column; the message
+    then names the first chain below the floor.
+    """
+    if not _any(value < DENSITY_FLOOR):
+        return
+    chain = int(np.argmax(np.ravel(value) < DENSITY_FLOOR))
+    prefix = f"chain {chain}: " if np.ndim(value) else ""
+    raise DensityFloorError(
+        f"{prefix}{what} {float(np.ravel(value)[chain]):.3e}{where} "
+        f"is below floor {DENSITY_FLOOR:.0e}"
+    )
+
+
+def _exp(x):
+    """`math.exp` of a scalar, or of each entry of an array.
+
+    NumPy's exp may round differently from `math.exp`; going entry by entry
+    keeps a batched chain's bits those of the same chain run alone.
+    """
+    if not x.ndim:
+        return math.exp(x)
+    return np.array([math.exp(t) for t in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _query(oracle: Callable, points: np.ndarray) -> np.ndarray:
+    """Oracle gradients at `points`: one call for a (dim,) point, one per row of a batch."""
+    if points.ndim == 1:
+        return np.asarray(oracle(points), dtype=np.float64)
+    return np.stack([np.asarray(oracle(p), dtype=np.float64) for p in points])
+
+
 def step_passive_generalized(est, sample: GradientSample, cfg: SamplerConfig, rng) -> np.ndarray:
     """Density-modulated update from one streamed gradient sample."""
-    kern = float(scaled_eval(cfg.kernel, sample.point - est))
+    kern = _per_chain(scaled_eval(cfg.kernel, sample.point - est))
     pval, pgrad = cfg.init_density.density_and_grad(est)
+    pval = _per_chain(pval)
     drift = (0.5 * cfg.beta * kern) * sample.gradient + pgrad
     w = rng.standard_normal(est.size)
     return est + (cfg.step * pval) * drift + (math.sqrt(cfg.step) * pval) * w
@@ -190,25 +255,23 @@ def step_passive_gated(est, sample: GradientSample, cfg: SamplerConfig, rng) -> 
 
     The noise standard deviation is the square root of the whole gated gain
     ``(step / bandwidth**dim) * K(u) * density(point)``, which is what makes
-    the accumulated noise match the density-modulated diffusion limit.
+    the accumulated noise match the density-modulated diffusion limit. The
+    density factors are those of the observed point, so chains share them.
     """
     band = cfg.kernel.bandwidth
     u = (sample.point - est) / band
-    kraw = float(raw_eval(cfg.kernel, u))
+    kraw = _per_chain(raw_eval(cfg.kernel, u))
     pval, pgrad = cfg.init_density.density_and_grad(sample.point)
     ratio = cfg.step / band**cfg.kernel.dim
     gate = ratio * kraw
     drift = gate * ((0.5 * cfg.beta * pval) * sample.gradient + pgrad)
     w = rng.standard_normal(est.size)
-    return est + drift + math.sqrt(gate * pval) * w
+    return est + drift + np.sqrt(gate * pval) * w
 
 
 def _classical_form_update(est, kern, gradient, cfg, rng) -> np.ndarray:
-    pval = cfg.init_density.density(est)
-    if pval < DENSITY_FLOOR:
-        raise DensityFloorError(
-            f"initialization density {pval:.3e} below floor {DENSITY_FLOOR:.0e} at the estimate"
-        )
+    pval = _per_chain(cfg.init_density.density(est))
+    _check_floor(pval, "initialization density", " at the estimate")
     w = rng.standard_normal(est.size)
     gain = cfg.step * kern * 0.5 * cfg.beta / pval
     return est + gain * gradient + math.sqrt(cfg.step) * w
@@ -216,7 +279,7 @@ def _classical_form_update(est, kern, gradient, cfg, rng) -> np.ndarray:
 
 def step_passive_classical(est, sample: GradientSample, cfg: SamplerConfig, rng) -> np.ndarray:
     """Kernel-weighted gradient over the initialization density, plain noise."""
-    kern = float(scaled_eval(cfg.kernel, sample.point - est))
+    kern = _per_chain(scaled_eval(cfg.kernel, sample.point - est))
     return _classical_form_update(est, kern, sample.gradient, cfg, rng)
 
 
@@ -225,7 +288,7 @@ def step_nonreversible(est, sample: GradientSample, cfg: SamplerConfig, rng) -> 
 
     With S = 0 this reproduces step_passive_classical exactly, draw for draw.
     """
-    kern = float(scaled_eval(cfg.kernel, sample.point - est))
+    kern = _per_chain(scaled_eval(cfg.kernel, sample.point - est))
     gradient = sample.gradient + cfg.skew @ sample.gradient
     return _classical_form_update(est, kern, gradient, cfg, rng)
 
@@ -234,26 +297,35 @@ def normalized_weights(est, points, sigma: float) -> tuple[np.ndarray, bool]:
     """Pool weights from the Gaussian conditional density, in the log domain.
 
     Returns (weights, underflowed). When every unnormalized weight underflows
-    double precision the weights come back uniform and the flag is set.
+    double precision the weights come back uniform and the flag is set. A
+    (chains, dim) `est` gives (chains, pool) weights and (chains,) flags.
     """
-    d = points - est
-    logw = np.einsum("ij,ij->i", d, d) / (-2.0 * sigma * sigma)
-    m = float(logw.max())
-    if m < _UNDERFLOW_LOG:
-        n = len(points)
-        return np.full(n, 1.0 / n), True
-    w = np.exp(logw - m)
-    return w / w.sum(), False
+    d = points - est[..., None, :]
+    logw = np.einsum("...ij,...ij->...i", d, d) / (-2.0 * sigma * sigma)
+    m = logw.max(-1)
+    underflowed = m < _UNDERFLOW_LOG
+    w = np.exp(logw - _per_chain(m))
+    w = w / _per_chain(w.sum(-1))
+    if _any(underflowed):
+        w = np.where(_per_chain(underflowed), 1.0 / points.shape[-2], w)
+    return w, underflowed
 
 
 def step_multikernel(
     est, pool: GradientPool, cfg: SamplerConfig, rng, stats: SamplerStats | None = None
 ) -> np.ndarray:
-    """Average a pool of gradients under conditional-density weights."""
+    """Average a pool of gradients under conditional-density weights.
+
+    A batch takes one vector-matrix product per chain: a single
+    (chains, pool) @ (pool, dim) product would sum in another order.
+    """
     weights, underflowed = normalized_weights(est, pool.points, cfg.conditional_std)
-    if underflowed and stats is not None:
-        stats.underflow_resets += 1
-    drift = weights @ pool.gradients
+    if stats is not None:
+        stats.underflow_resets += underflowed
+    if weights.ndim == 1:
+        drift = weights @ pool.gradients
+    else:
+        drift = np.matmul(weights[:, None, :], pool.gradients)[:, 0]
     w = rng.standard_normal(est.size)
     return est + (cfg.step * 0.5 * cfg.beta) * drift + math.sqrt(cfg.step) * w
 
@@ -261,25 +333,22 @@ def step_multikernel(
 def step_active(est, oracle: Callable, cfg: SamplerConfig, rng) -> np.ndarray:
     """Probe a Gaussian displacement of the estimate and reweight its gradient."""
     sigma = cfg.conditional_std
-    dim = est.size
-    v = sigma * rng.standard_normal(dim)
-    gradient = np.asarray(oracle(est + v), dtype=np.float64)
-    kern = float(scaled_eval(cfg.kernel, v))
-    pden = (2.0 * math.pi) ** (-0.5 * dim) * sigma**-dim * math.exp(
-        -0.5 * float(v @ v) / (sigma * sigma)
-    )
-    if pden < DENSITY_FLOOR:
-        raise DensityFloorError(
-            f"probe density {pden:.3e} below floor {DENSITY_FLOOR:.0e}"
-        )
-    w = rng.standard_normal(dim)
+    dim = est.shape[-1]
+    v = sigma * rng.standard_normal(est.size)
+    gradient = _query(oracle, est + v)
+    kern = _per_chain(scaled_eval(cfg.kernel, v))
+    # v @ v per chain; an einsum would sum in another order than the 1-D product.
+    vv = v @ v if v.ndim == 1 else np.matmul(v[:, None, :], v[:, :, None])[:, 0]
+    pden = (2.0 * math.pi) ** (-0.5 * dim) * sigma**-dim * _exp(-0.5 * vv / (sigma * sigma))
+    _check_floor(pden, "probe density")
+    w = rng.standard_normal(est.size)
     gain = cfg.step * kern * 0.5 * cfg.beta / pden
     return est + gain * gradient + math.sqrt(cfg.step) * w
 
 
 def step_classical(est, oracle: Callable, cfg: SamplerConfig, rng) -> np.ndarray:
     """Reference chain: direct oracle gradient at the estimate."""
-    gradient = np.asarray(oracle(est), dtype=np.float64)
+    gradient = _query(oracle, est)
     w = rng.standard_normal(est.size)
     return est + (cfg.step * 0.5 * cfg.beta) * gradient + math.sqrt(cfg.step) * w
 
@@ -297,12 +366,14 @@ class Variant:
     `step(est, item, cfg, rng)` makes one update from `item`: a GradientSample
     for a stream source, a GradientPool for a pool source (pool steps also get
     the run's SamplerStats), or the oracle callable itself. `needs` names the
-    SamplerConfig fields that must not be None.
+    SamplerConfig fields that must not be None, and `draws` the normal vectors
+    a step draws from its rng.
     """
 
     step: Callable
     source: str
     needs: tuple = ()
+    draws: int = 1
 
 
 VARIANTS = {
@@ -312,7 +383,7 @@ VARIANTS = {
     NONREVERSIBLE: Variant(step_nonreversible, STREAM, ("kernel", "init_density", "skew")),
     NAIVE: Variant(step_naive, STREAM),
     MULTIKERNEL: Variant(step_multikernel, POOL, ("conditional_std",)),
-    ACTIVE: Variant(step_active, ORACLE, ("kernel", "conditional_std")),
+    ACTIVE: Variant(step_active, ORACLE, ("kernel", "conditional_std"), draws=2),
     CLASSICAL: Variant(step_classical, ORACLE),
 }
 
@@ -358,21 +429,66 @@ def _fingerprint(variant: str, cfg: SamplerConfig, num_steps: int, seed) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def run_sampler(
+class _ChainNoise:
+    """The rng the driver hands a step: each draw is one normal vector per chain.
+
+    Chain c's numbers come from `rngs[c]` in the order it would draw them
+    alone. `fill(count)` draws the next `count` ahead in one call per chain,
+    which gives the same PCG64 numbers; without a fill, each draw is taken
+    when the step asks for it.
+    """
+
+    def __init__(self, rngs, shape):
+        self._rngs = rngs
+        self._shape = shape
+        self._rows = iter(())
+
+    def fill(self, count: int) -> None:
+        if len(self._rngs) == 1:
+            block = self._rngs[0].standard_normal((count, *self._shape))
+        else:
+            block = np.stack([r.standard_normal((count, self._shape[-1])) for r in self._rngs], axis=1)
+        self._rows = iter(block)
+
+    def standard_normal(self, size=None) -> np.ndarray:
+        row = next(self._rows, None)
+        if row is None:
+            self.fill(1)
+            row = next(self._rows)
+        return row
+
+
+def _shared_settings(cfg: SamplerConfig) -> dict:
+    return {key: val for key, val in cfg.to_dict().items() if key != "init"}
+
+
+def run_chains(
     variant: str,
     source,
-    cfg: SamplerConfig,
+    cfgs,
     num_steps: int,
-    rng: RngStream,
+    rngs,
     burn_in: int | None = None,
-) -> Trajectory:
-    """Drive `variant` for `num_steps` updates and collect the trajectory.
+    *,
+    block_noise: bool = True,
+) -> list[Trajectory]:
+    """Drive one chain of `variant` per config for `num_steps` updates, all at once.
 
     `source` is an iterable of GradientSample for stream variants, an
     iterable of GradientPool for pool variants, and a gradient oracle
-    callable, queried by every step, for oracle variants (see `VARIANTS`).
-    Raises SourceExhausted if an iterable runs out early and NonFiniteError
-    naming the first bad step if the chain leaves the finite range.
+    callable, queried by every step at every chain's point, for oracle
+    variants (see `VARIANTS`). Every chain takes the same item at each step.
+    Chain c starts at `cfgs[c].init` and draws its noise from `rngs[c]`; the
+    configs may differ in nothing else.
+
+    With `block_noise` each chain's noise is drawn ahead, one block of steps
+    at a time, which gives the same numbers as drawing at every step only
+    if nothing else draws from the chain's rng during the run. Pass False
+    when the source draws from it too.
+
+    Raises SourceExhausted if an iterable runs out early, and NonFiniteError
+    or DensityFloorError naming the sampler step (and, for several chains,
+    the first chain) at which a chain failed. Returns one Trajectory per chain.
     """
     row = VARIANTS.get(variant)
     if row is None:
@@ -383,6 +499,11 @@ def run_sampler(
         burn_in = num_steps // 10
     if not 0 <= burn_in <= num_steps:
         raise ConfigError("burn_in must lie in [0, num_steps]")
+    if not cfgs or len(cfgs) != len(rngs):
+        raise ConfigError("run_chains needs at least one config and one rng per config")
+    cfg = cfgs[0]
+    if any(_shared_settings(other) != _shared_settings(cfg) for other in cfgs[1:]):
+        raise ConfigError("the chains' sampler configs may differ only in init")
     for name in row.needs:
         if getattr(cfg, name) is None:
             raise ConfigError(f"variant {variant!r} needs {name}")
@@ -404,42 +525,71 @@ def run_sampler(
     stats = SamplerStats()
     extra = (stats,) if row.source == POOL else ()
 
-    est = cfg.init.copy()
-    samples = np.empty((num_steps + 1, cfg.dim))
-    samples[0] = est
-    checked = 0
-    for k in range(num_steps):
-        try:
-            item = next(items)
-        except StopIteration:
-            raise SourceExhausted(
-                f"{row.source} source exhausted after {k} of {num_steps} steps"
-            ) from None
-        est = row.step(est, item, cfg, rng, *extra)
-        samples[k + 1] = est
-        if k + 2 - checked >= _FINITE_CHECK_BLOCK:
-            _check_block(samples, checked, k + 2)
-            checked = k + 2
-    _check_block(samples, checked, num_steps + 1)
+    # One chain keeps a (dim,) state; `rows[k]` is every chain's sample k.
+    est = cfg.init.copy() if len(cfgs) == 1 else np.stack([c.init for c in cfgs])
+    samples = np.empty((len(cfgs), num_steps + 1, cfg.dim))
+    rows = samples.swapaxes(0, 1)
+    rows[0] = est
+    noise = _ChainNoise(rngs, est.shape)
+    # Sample rows are checked for finiteness in blocks; step k makes row k + 1.
+    for lo in range(0, num_steps + 1, _FINITE_CHECK_BLOCK):
+        hi = min(lo + _FINITE_CHECK_BLOCK, num_steps + 1)
+        steps = range(max(lo - 1, 0), hi - 1)
+        if block_noise:
+            noise.fill(len(steps) * row.draws)
+        for k in steps:
+            try:
+                item = next(items)
+            except StopIteration:
+                raise SourceExhausted(
+                    f"{row.source} source exhausted after {k} of {num_steps} steps"
+                ) from None
+            try:
+                est = row.step(est, item, cfg, noise, *extra)
+            except DensityFloorError as exc:
+                raise DensityFloorError(f"{exc} at sampler step {k + 1}") from exc
+            rows[k + 1] = est
+        _check_block(rows, lo, hi)
 
-    seed = getattr(rng, "seed", None)
-    return Trajectory(
-        samples=samples,
-        burn_in=burn_in,
-        variant=variant,
-        fingerprint=_fingerprint(variant, cfg, num_steps, seed),
-        seed=seed,
-        underflow_resets=stats.underflow_resets,
-        gain_ratio=cfg.gain_ratio,
-    )
+    resets = np.broadcast_to(stats.underflow_resets, len(cfgs))
+    trajectories = []
+    for chain, (chain_cfg, rng) in enumerate(zip(cfgs, rngs)):
+        seed = getattr(rng, "seed", None)
+        trajectories.append(
+            Trajectory(
+                samples=samples[chain],
+                burn_in=burn_in,
+                variant=variant,
+                fingerprint=_fingerprint(variant, chain_cfg, num_steps, seed),
+                seed=seed,
+                underflow_resets=int(resets[chain]),
+                gain_ratio=cfg.gain_ratio,
+            )
+        )
+    return trajectories
 
 
-def _check_block(samples: np.ndarray, lo: int, hi: int) -> None:
-    block = samples[lo:hi]
-    if np.isfinite(block).all():
+def run_sampler(
+    variant: str,
+    source,
+    cfg: SamplerConfig,
+    num_steps: int,
+    rng: RngStream,
+    burn_in: int | None = None,
+    *,
+    block_noise: bool = True,
+) -> Trajectory:
+    """Drive `variant` for `num_steps` updates: `run_chains` with one chain."""
+    return run_chains(variant, source, [cfg], num_steps, [rng], burn_in, block_noise=block_noise)[0]
+
+
+def _check_block(rows: np.ndarray, lo: int, hi: int) -> None:
+    finite = np.isfinite(rows[lo:hi]).all(axis=-1)
+    if finite.all():
         return
-    bad = lo + int(np.flatnonzero(~np.isfinite(block).all(axis=1))[0])
-    raise NonFiniteError(f"estimate became non-finite at sampler step {bad}")
+    step, chain = np.argwhere(~finite)[0]
+    prefix = f"chain {chain}: " if finite.shape[1] > 1 else ""
+    raise NonFiniteError(f"{prefix}estimate became non-finite at sampler step {lo + step}")
 
 
 def save_trajectory(traj: Trajectory, cfg: SamplerConfig, directory, stem: str = "trajectory"):

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
 
 from .core import ConfigError
 
@@ -45,7 +44,10 @@ class Kernel:
             raise ConfigError("kernel dim must be at least 1")
         norm = (2.0 * math.pi) ** (-0.5 * self.dim)
         if self.family == TRUNCATED_GAUSSIAN:
-            # Renormalize by the chi-square mass inside the cutoff ball.
+            # Renormalize by the chi-square mass inside the cutoff ball. scipy.stats
+            # is slow to import and no other family needs it.
+            from scipy import stats
+
             norm /= stats.chi2.cdf(TRUNCATION_RADIUS**2, df=self.dim)
         object.__setattr__(self, "_norm", norm)
 

@@ -7,7 +7,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from ..core import ConfigError, RngStream
 
@@ -111,6 +110,9 @@ def reward_grad(model: LogisticModel, theta, row: int):
     The prior contributes -sign(theta) per coordinate, with sign(0) taken as
     zero. Batched over leading axes of `theta`.
     """
+    # Imported here: scipy.special is slow to import and only logistic runs need it.
+    from scipy.special import expit
+
     theta = np.asarray(theta, dtype=np.float64)
     psi = model.features[row % model.num_rows]
     y = model.labels[row % model.num_rows]

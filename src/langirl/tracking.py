@@ -163,7 +163,9 @@ def run_tracking(
         source = pools()
     else:
         source = agent_stream()
-    traj = run_sampler(variant, source, cfg, num_steps, rng, burn_in=0)
+    # The sources draw from `rng` too, so the sampler must draw its noise
+    # step by step, in turn with them.
+    traj = run_sampler(variant, source, cfg, num_steps, rng, burn_in=0, block_noise=False)
     hyper = np.asarray(states, dtype=np.int64)
 
     windows = []

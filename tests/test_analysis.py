@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import ndimage, stats
 
 from langirl.analysis import (
     Ecdf,
@@ -15,6 +15,7 @@ from langirl.analysis import (
     build_density,
     density_to_csv,
     find_modes,
+    local_max,
     log_density,
     marginal,
     thin_by_autocorr,
@@ -227,6 +228,17 @@ class TestFindModes:
         mass[8, 12] = 90.0
         assert len(find_modes(self.build(mass), neighborhood=2)) == 2
         assert len(find_modes(self.build(mass), neighborhood=4)) == 1
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_local_max_matches_ndimage_maximum_filter(self, dim):
+        rng = RngStream(50 + dim)
+        for trial in range(20):
+            shape = tuple(int(n) for n in rng.integers(1, 12, size=dim))
+            # Small integer masses make ties between neighbouring cells common.
+            mass = rng.integers(0, 4, size=shape) / 4.0 if trial % 2 else rng.uniform(size=shape)
+            for radius in (1, 2, 3):
+                want = ndimage.maximum_filter(mass, size=2 * radius + 1, mode="constant", cval=-1.0)
+                np.testing.assert_array_equal(local_max(mass, radius), want)
 
 
 def test_density_csv_lists_every_cell(tmp_path):

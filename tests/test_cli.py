@@ -2,10 +2,17 @@
 
 import filecmp
 import json
+import re
 
+import numpy as np
 import pytest
 
 from langirl.cli import main
+from langirl.core import RngStream
+from langirl.forward import AgentPoolConfig, InitDensity, run_agent_pool
+from langirl.irl import PASSIVE_GENERALIZED, SamplerConfig, load_trajectory, run_sampler
+from langirl.kernels import GAUSSIAN, Kernel
+from langirl.problems import synthetic
 
 
 def quadratic_config(output, **sampler):
@@ -103,3 +110,81 @@ def test_compare_counts_match_post_samples(tmp_path, capsys):
     assert lines[0] == "marginal,w1,variational_distance"
     assert len(lines) == 3
     assert float(lines[1].split(",")[1]) == pytest.approx(report["w1"][0])
+
+
+def test_batched_chains_match_one_chain_runs(tmp_path):
+    out = tmp_path / "run"
+    assert main(["run", write_config(tmp_path, quadratic_config(out)), "--chains", "3"]) == 0
+    # The corpus as the runner builds it: oracle stream 0, agents 5, shuffle 1.
+    root = RngStream(3)
+    density = InitDensity.standard(2)
+    oracle = synthetic.quadratic_oracle(1.0, 0.0, 0.0, root.child(0))
+    corpus = run_agent_pool(oracle, density, AgentPoolConfig(0.05, 200, 1), root.child(5))
+    corpus = corpus.shuffled(root.child(1))
+    cfg = SamplerConfig(step=0.2, beta=1.0, init=np.zeros(2), kernel=Kernel(GAUSSIAN, 0.5, 2),
+                        init_density=density)
+    for chain in range(3):
+        want = run_sampler(PASSIVE_GENERALIZED, corpus, cfg, len(corpus), root.child(10 + chain))
+        got, _ = load_trajectory(out, stem=f"trajectory_c{chain}")
+        np.testing.assert_array_equal(got.samples, want.samples)
+        assert got.fingerprint == want.fingerprint
+
+
+def test_divergence_failure_is_recorded(tmp_path):
+    # Classical Langevin with step * curvature / 2 = 25 multiplies the
+    # estimate by about -24 per step until it overflows. Oracle chains run one
+    # at a time, so the first chain fails first.
+    out = tmp_path / "run"
+    config = quadratic_config(out, variant="classical", step=50.0, num_steps=500)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", write_config(tmp_path, config), "--chains", "2"]) == 1
+    failure = read_json(out / "failure.json")
+    assert failure["phase"] == "sampler"
+    assert failure["error"] == "NonFiniteError"
+    assert re.fullmatch(r"chain 0: estimate became non-finite at sampler step \d+", failure["message"])
+    assert not (out / "metrics.json").exists()
+
+
+def test_failure_in_a_later_chain_names_it(tmp_path):
+    # At this step size the classical form's noise carries some chain into
+    # the density floor within a few steps; with seed 3 chain 0 is not first.
+    out = tmp_path / "run"
+    config = quadratic_config(out, variant="passive_classical", step=50.0)
+    assert main(["run", write_config(tmp_path, config), "--chains", "3"]) == 1
+    failure = read_json(out / "failure.json")
+    assert failure["phase"] == "sampler"
+    assert failure["error"] == "DensityFloorError"
+    assert re.fullmatch(r"chain [12]: initialization density .* at sampler step \d+", failure["message"])
+    # Chains run together, so no chain's trajectory is written.
+    assert not list(out.glob("trajectory*"))
+
+
+def cmdp_config(output):
+    return {
+        "schema": 1,
+        "experiment": "cli-cmdp",
+        "seed": 0,
+        "output": str(output),
+        "problem": {"kind": "cmdp", "horizon": 20, "perturbation": 0.05},
+        "sampler": {"variant": "multikernel", "step": 1e-6, "beta": 1.0, "pool_size": 2,
+                    "conditional_std": 0.3, "init": [0.8, 0.8], "num_steps": 5},
+    }
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"sampler": {"variant": "classical"}},
+        {"sampler": {"variant": "active", "kernel": {"bandwidth": 0.5}}},
+        {"baseline": {"step": 0.1, "num_steps": 10}},
+        {"forward": {"step": 0.1, "num_agents": 10, "run_length": 1}},
+    ],
+)
+def test_cmdp_needing_a_gradient_oracle_is_a_config_error(tmp_path, capsys, change):
+    out = tmp_path / "run"
+    config = cmdp_config(out)
+    for section, fields in change.items():
+        config[section] = {**config.get(section, {}), **fields}
+    assert main(["run", write_config(tmp_path, config)]) == 2
+    assert "has no gradient oracle" in capsys.readouterr().err
+    assert not (out / "failure.json").exists()

@@ -245,6 +245,10 @@ class _Experiment:
             self.dim = model.num_angles
             self.horizon = _expect(problem, "horizon", int, "problem")
             self.perturbation = float(_expect(problem, "perturbation", (int, float), "problem"))
+            if self.horizon < 1:
+                raise ConfigError(f"problem.horizon: must be at least 1, got {self.horizon}")
+            if not self.perturbation > 0:
+                raise ConfigError(f"problem.perturbation: must be positive, got {self.perturbation}")
             self.oracle = None
         else:
             raise ConfigError(f"problem.kind: unknown kind {self.kind!r}")

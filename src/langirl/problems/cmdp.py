@@ -149,34 +149,71 @@ def policy_to_spherical(policy) -> np.ndarray:
     return angles
 
 
-def _sample_categorical(prob_rows: np.ndarray, rng: RngStream) -> np.ndarray:
-    """One draw per row of a stack of probability vectors."""
-    cdf = np.cumsum(prob_rows, axis=1)
-    r = rng.uniform(size=(len(prob_rows), 1))
-    return np.minimum((r > cdf).sum(axis=1), prob_rows.shape[1] - 1)
+def _cdf_columns(stack: np.ndarray) -> np.ndarray:
+    """CDFs along the last axis of a (lead, rows, n) stack, without their last column.
+
+    Returns a (n - 1, lead * rows) table: column j of the CDF of row i under
+    lead index a is entry [j, a * rows + i].
+    """
+    lead, rows, n = stack.shape
+    cdf = np.cumsum(stack, axis=2)[:, :, :-1]
+    return cdf.transpose(2, 0, 1).reshape(n - 1, lead * rows)
+
+
+def _categorical(r: np.ndarray, cdf_columns: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Category of each uniform in `r`: the number of its CDF columns below it."""
+    k = np.zeros(len(r), dtype=np.intp)
+    for column in cdf_columns:
+        k += r > column[index]
+    return k
 
 
 def simulate_batch(model: CmdpModel, policies: np.ndarray, horizon: int, rng: RngStream):
     """Run one sample path per policy; returns average (rewards, costs).
 
-    `policies` is (batch, states, actions). All paths start at the model's
-    start state and share the step loop, so the cost is one vectorized sweep.
+    `policies` is (batch, states, actions), each row a probability vector. All
+    paths start at the model's start state and share the step loop, so the
+    cost is one vectorized sweep.
+
+    Draws: every step takes one ``rng.uniform(size=batch)`` for the actions,
+    then one for the next states, so a call consumes 2 * horizon * batch
+    uniforms. A path takes the first category whose CDF value is not below its
+    uniform, or the last category if none is.
+
+    The CDFs of the policies and of the transition stack are summed once,
+    before the loop. A cumulative sum is the same whichever rows are later
+    gathered from it, so these tables hold the bits a per-step sum would.
+    Only the first n - 1 CDF columns are kept: a CDF of non-negative terms
+    never decreases, so the count of those below the uniform is the category,
+    and a last column that rounds below 1 cannot pick a category past the
+    last. One-state and one-action models have no column to compare; their
+    index is always 0, yet they still draw both uniforms each step.
+
+    Uniforms are not drawn in blocks over the horizon: the per-call cost of a
+    draw is small next to its per-number cost, and a 64-step block for 4000
+    paths alone is 4 MiB, a sizable rise in an SPSA run's peak memory.
     """
     policies = np.asarray(policies, dtype=np.float64)
-    if policies.ndim != 3:
-        raise ConfigError("policies must be a (batch, states, actions) stack")
+    num_states, num_actions = model.num_states, model.num_actions
+    if policies.ndim != 3 or policies.shape[1:] != (num_states, num_actions):
+        raise ConfigError("policies must be a (batch, states, actions) stack matching the model")
     if horizon < 1:
         raise ConfigError("horizon must be at least 1")
     m = len(policies)
-    batch_idx = np.arange(m)
-    x = np.full(m, model.start_state, dtype=np.int64)
+    policy_cdf = _cdf_columns(policies)
+    transition_cdf = _cdf_columns(model.transitions)
+    rewards = model.rewards.ravel()
+    costs = model.constraint_cost.ravel()
+    rows = np.arange(m) * num_states
+    x = np.full(m, model.start_state, dtype=np.intp)
     reward_sum = np.zeros(m)
     cost_sum = np.zeros(m)
     for _ in range(horizon):
-        u = _sample_categorical(policies[batch_idx, x], rng)
-        reward_sum += model.rewards[x, u]
-        cost_sum += model.constraint_cost[x, u]
-        x = _sample_categorical(model.transitions[u, x], rng)
+        u = _categorical(rng.uniform(size=m), policy_cdf, rows + x)
+        pair = x * num_actions + u
+        reward_sum += rewards[pair]
+        cost_sum += costs[pair]
+        x = _categorical(rng.uniform(size=m), transition_cdf, u * num_states + x)
     return reward_sum / horizon, cost_sum / horizon
 
 

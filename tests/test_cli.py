@@ -188,3 +188,13 @@ def test_cmdp_needing_a_gradient_oracle_is_a_config_error(tmp_path, capsys, chan
     assert main(["run", write_config(tmp_path, config)]) == 2
     assert "has no gradient oracle" in capsys.readouterr().err
     assert not (out / "failure.json").exists()
+
+
+@pytest.mark.parametrize("field, value", [("horizon", 0), ("perturbation", 0.0), ("perturbation", -0.05)])
+def test_cmdp_bad_horizon_or_perturbation_fails_before_any_output(tmp_path, capsys, field, value):
+    out = tmp_path / "run"
+    config = cmdp_config(out)
+    config["problem"][field] = value
+    assert main(["run", write_config(tmp_path, config)]) == 2
+    assert f"problem.{field}" in capsys.readouterr().err
+    assert not out.exists()

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from langirl.core import ConfigError, GradientPool, RngStream
 from langirl.problems.cmdp import (
@@ -30,6 +33,44 @@ MODEL = CmdpModel.two_state_example()
 def random_policies(rng, n, states=2, actions=2):
     p = rng.uniform(0.05, 0.95, size=(n, states, 1))
     return np.concatenate([p, 1.0 - p], axis=-1)
+
+
+def reference_simulate_batch(model, policies, horizon, rng):
+    """Per-step simulator: a fresh CDF block per step, the last column clipped.
+
+    This is the loop simulate_batch replaced; it must agree bit for bit.
+    """
+
+    def sample_categorical(prob_rows):
+        cdf = np.cumsum(prob_rows, axis=1)
+        r = rng.uniform(size=(len(prob_rows), 1))
+        return np.minimum((r > cdf).sum(axis=1), prob_rows.shape[1] - 1)
+
+    m = len(policies)
+    batch_idx = np.arange(m)
+    x = np.full(m, model.start_state, dtype=np.int64)
+    reward_sum = np.zeros(m)
+    cost_sum = np.zeros(m)
+    for _ in range(horizon):
+        u = sample_categorical(policies[batch_idx, x])
+        reward_sum += model.rewards[x, u]
+        cost_sum += model.constraint_cost[x, u]
+        x = sample_categorical(model.transitions[u, x])
+    return reward_sum / horizon, cost_sum / horizon
+
+
+def assert_matches_reference(model, policies, horizon, ref_rng, rng):
+    """simulate_batch equals the reference and leaves its stream at the same place."""
+    want_J, want_B = reference_simulate_batch(model, policies, horizon, ref_rng)
+    J, B = simulate_batch(model, policies, horizon, rng)
+    np.testing.assert_array_equal(J, want_J)
+    np.testing.assert_array_equal(B, want_B)
+    assert rng.uniform() == ref_rng.uniform()
+
+
+def random_rows(rng, shape):
+    rows = rng.uniform(size=shape)
+    return rows / rows.sum(axis=-1, keepdims=True)
 
 
 def eig_stationary(chain):
@@ -71,6 +112,22 @@ class TestSphericalChart:
     def test_boundary_policy_not_invertible(self):
         with pytest.raises(ConfigError, match="strictly positive"):
             policy_to_spherical(np.array([[1.0, 0.0], [0.5, 0.5]]))
+
+    @settings(max_examples=300, derandomize=True, database=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 3), st.integers(1, 3)),
+            # Small leading angles cost the inverse precision (three angles of
+            # 1e-3 come back 3e-8 off), so angles keep 0.01 from the edges.
+            elements=st.floats(0.01, math.pi / 2 - 0.01),
+        )
+    )
+    def test_round_trip_property(self, angles):
+        phi = spherical_to_policy(angles)
+        assert np.all(phi >= 0)
+        np.testing.assert_allclose(phi.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(policy_to_spherical(phi), angles, rtol=0, atol=1e-9)
 
     def test_shape_validation(self):
         with pytest.raises(ConfigError):
@@ -195,9 +252,66 @@ class TestSimulation:
     def test_penalized_value_formula(self):
         assert penalized_value(MODEL, 10.0, 1.2) == pytest.approx(10.0 - 1e5 * 0.04)
 
+    @pytest.mark.parametrize("kind", ["two-state", "one-state", "one-action", "random-3x4"])
+    def test_matches_reference_simulator_bit_for_bit(self, kind):
+        rng = RngStream(52)
+        if kind == "two-state":
+            model = MODEL
+            policies = random_policies(rng, 30)
+        elif kind == "one-state":
+            model = CmdpModel(
+                transitions=np.ones((2, 1, 1)),
+                rewards=np.array([[3.0, 7.0]]),
+                constraint_cost=np.array([[1.0, 2.0]]),
+                constraint_bound=1.0,
+                penalty_weight=1.0,
+            )
+            policies = random_policies(rng, 30, states=1)
+        elif kind == "one-action":
+            model = CmdpModel(
+                transitions=random_rows(rng, (1, 3, 3)),
+                rewards=rng.uniform(0.0, 5.0, size=(3, 1)),
+                constraint_cost=rng.uniform(0.0, 2.0, size=(3, 1)),
+                constraint_bound=1.0,
+                penalty_weight=1.0,
+                start_state=2,
+            )
+            policies = np.ones((30, 3, 1))
+        else:
+            model = CmdpModel(
+                transitions=random_rows(rng, (4, 3, 3)),
+                rewards=rng.uniform(0.0, 5.0, size=(3, 4)),
+                constraint_cost=rng.uniform(0.0, 2.0, size=(3, 4)),
+                constraint_bound=1.0,
+                penalty_weight=1.0,
+                start_state=1,
+            )
+            angles = rng.uniform(0.0, math.pi / 2, size=(30, 3, 3))
+            # Edge angles give exact zeros, so some CDF steps are flat.
+            angles[:5, :, 0] = 0.0
+            angles[5:10, :, 1] = math.pi / 2
+            policies = spherical_to_policy(angles)
+        assert_matches_reference(model, policies, 200, RngStream(53), RngStream(53))
+
+    def test_uniform_equal_to_a_cdf_value_matches_reference(self):
+        class TieRng:
+            """Uniforms drawn from CDF values of the model and policies below."""
+
+            def __init__(self, seed):
+                self.rng = RngStream(seed)
+                self.values = np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.6, 0.75, 0.8])
+
+            def uniform(self, size=None):
+                return self.values[self.rng.integers(0, len(self.values), size=size)]
+
+        policies = np.array([[[0.5, 0.5], [0.25, 0.75]], [[0.75, 0.25], [0.5, 0.5]]] * 10)
+        assert_matches_reference(MODEL, policies, 100, TieRng(54), TieRng(54))
+
     def test_shape_and_horizon_validation(self):
         with pytest.raises(ConfigError):
             simulate_batch(MODEL, np.zeros((2, 2)), 10, RngStream(0))
+        with pytest.raises(ConfigError, match="matching the model"):
+            simulate_batch(MODEL, np.full((1, 3, 2), 0.5), 10, RngStream(0))
         with pytest.raises(ConfigError):
             simulate_batch(MODEL, np.full((1, 2, 2), 0.5), 0, RngStream(0))
 

@@ -14,6 +14,9 @@ start, with `init: "sample"`). Their spread therefore understates the error
 of the pooled estimate, and a between-chain diagnostic such as R-hat would
 overstate how independent they are. Trajectory files are written only
 once every chain has finished.
+
+Regime tracking is library-only: call `tracking.run_tracking`; a config has
+no tracking section.
 """
 
 import argparse

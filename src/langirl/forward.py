@@ -5,6 +5,14 @@ fixed-step gradient ascent for a bounded number of iterations, and emits the
 (point, gradient) pair seen at every iteration. The emitted stream is the only
 coupling between the forward process and the estimators: downstream code never
 sees the reward itself.
+
+The agent pool advances every live agent in one step, so its oracle is called
+on (n, dim) blocks. The block contract: on an (n, dim) block a forward oracle
+returns n gradients that are, bit for bit, those of n successive calls on the
+single rows, and it uses its rng or row counter in row order. Blocks come in
+iteration-major order (iteration 0 of every agent, then iteration 1 of every
+agent still running, ...), so a noisy oracle's draws follow that order; with a
+run length of 1 it is the same as agent order.
 """
 
 from __future__ import annotations
@@ -76,15 +84,14 @@ class AgentPoolConfig:
     """Settings for one batch of forward agents.
 
     `run_length` is either a fixed iteration count or an inclusive (low, high)
-    pair from which each agent's count is drawn uniformly. `shuffle` permutes
-    the emitted stream so that consecutive rows no longer follow single-agent
-    trajectories.
+    pair from which each agent's count is drawn uniformly. The emitted stream
+    is agent-major; shuffle it with `GradientStream.shuffled` and a stream of
+    its own when consecutive rows should not follow single-agent trajectories.
     """
 
     step: float
     num_agents: int
     run_length: int | tuple[int, int]
-    shuffle: bool = False
 
     def __post_init__(self):
         if not self.step > 0:
@@ -156,44 +163,47 @@ def run_agent_pool(
 ) -> GradientStream:
     """Run the configured agents to completion and return the emitted stream.
 
-    Raises NonFiniteError naming the agent and iteration at which an iterate or
-    gradient first left the finite range.
+    `rng` draws the run lengths (for a range) and then every start point in one
+    block. Each iteration makes one `oracle` call on the (live, dim) block of
+    agents still running, in agent order; the oracle must meet the block
+    contract in the module docstring. Rows are stored agent-major: agent a's
+    iteration k is row `starts[a] + k`.
+
+    Raises NonFiniteError naming the lowest-index agent whose iterate or
+    gradient left the finite range, and that agent's first bad iteration.
     """
-    dim = init.dim
+    num = cfg.num_agents
     if isinstance(cfg.run_length, tuple):
         lo, hi = cfg.run_length
-        lengths = rng.integers(lo, hi + 1, size=cfg.num_agents)
+        lengths = rng.integers(lo, hi + 1, size=num)
     else:
-        lengths = np.full(cfg.num_agents, cfg.run_length, dtype=np.int64)
-    total = int(lengths.sum())
+        lengths = np.full(num, cfg.run_length, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    total = int(ends[-1])
 
-    points = np.empty((total, dim))
-    grads = np.empty((total, dim))
-    agent_ids = np.repeat(np.arange(cfg.num_agents), lengths)
-    step_ids = np.concatenate([np.arange(n) for n in lengths])
+    points = np.empty((total, init.dim))
+    grads = np.empty((total, init.dim))
+    agent_ids = np.repeat(np.arange(num), lengths)
+    step_ids = np.arange(total) - np.repeat(starts, lengths)
 
-    eps = cfg.step
-    row = 0
-    for agent, n in enumerate(lengths):
-        theta = init.sample(rng)
-        start = row
-        for _ in range(n):
-            g = oracle(theta)
-            points[row] = theta
-            grads[row] = g
-            theta = theta + eps * g
-            row += 1
-        block = slice(start, row)
-        if not (np.isfinite(points[block]).all() and np.isfinite(grads[block]).all()):
-            bad = np.flatnonzero(
-                ~(np.isfinite(points[block]).all(axis=1) & np.isfinite(grads[block]).all(axis=1))
-            )[0]
-            raise NonFiniteError(f"agent {agent} diverged at iteration {int(bad)}")
+    live = np.arange(num)
+    theta = init.sample(rng, size=num)
+    for k in range(int(lengths.max())):
+        running = lengths[live] > k
+        if not running.all():
+            live, theta = live[running], theta[running]
+        g = oracle(theta)
+        rows = starts[live] + k
+        points[rows] = theta
+        grads[rows] = g
+        theta = theta + cfg.step * g
 
-    stream = GradientStream(points, grads, agent_ids, step_ids)
-    if cfg.shuffle:
-        stream = stream.shuffled(rng)
-    return stream
+    finite = np.isfinite(points).all(axis=1) & np.isfinite(grads).all(axis=1)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)[0]
+        raise NonFiniteError(f"agent {agent_ids[bad]} diverged at iteration {step_ids[bad]}")
+    return GradientStream(points, grads, agent_ids, step_ids)
 
 
 def pool_stream(

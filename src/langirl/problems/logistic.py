@@ -122,22 +122,37 @@ def reward_grad(model: LogisticModel, theta, row: int):
 
 
 def make_stream_oracle(model: LogisticModel):
-    """Oracle sweeping the dataset one row per call, wrapping around.
+    """Oracle sweeping the dataset one data row per point, wrapping around.
+
+    A (n, dim) block of points takes the next n data rows, one per point in
+    row order, and returns the bits of n single-point calls (the forward
+    block contract): each row is a `reward_grad` call at its own data row.
+    """
+    counter = {"k": 0}
+
+    def oracle(point):
+        block = np.atleast_2d(point)
+        g = np.stack([reward_grad(model, p, counter["k"] + i) for i, p in enumerate(block)])
+        counter["k"] += len(block)
+        return g.reshape(np.shape(point))
+
+    return oracle
+
+
+def make_pool_oracle(model: LogisticModel):
+    """Oracle sweeping the dataset one data row per call, wrapping around.
 
     `reward_grad` is batched, so a (pool_size, dim) block of points queried
     in one call shares that call's row, as a pool does.
     """
     counter = {"k": 0}
 
-    def oracle(point):
-        g = reward_grad(model, point, counter["k"])
+    def oracle(points):
+        g = reward_grad(model, points, counter["k"])
         counter["k"] += 1
         return g
 
     return oracle
-
-
-make_pool_oracle = make_stream_oracle
 
 
 def top_frequency_subset(

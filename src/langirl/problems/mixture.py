@@ -95,20 +95,34 @@ def reward_grad(model: MixtureModel, theta, y):
 
 
 def make_stream_oracle(model: MixtureModel, rng: RngStream):
-    """Oracle drawing a fresh observation from the truth at every call.
+    """Oracle drawing a fresh observation from the truth for every point.
 
-    `reward_grad` is batched, so a (pool_size, dim) block of points queried
-    in one call shares that call's observation, as a pool does.
+    A (n, 2) block draws n observations, one per row in row order, and so
+    returns the bits of n single-point calls (the forward block contract).
+    The observations are drawn one at a time through `sample_observation`:
+    its `integers`/`standard_normal` interleave has no bit-equal block draw.
     """
 
     def oracle(point):
-        y = sample_observation(model, rng)
+        if point.ndim == 1:
+            return reward_grad(model, point, sample_observation(model, rng))
+        y = np.array([sample_observation(model, rng) for _ in range(len(point))])
         return reward_grad(model, point, y)
 
     return oracle
 
 
-make_pool_oracle = make_stream_oracle
+def make_pool_oracle(model: MixtureModel, rng: RngStream):
+    """Oracle drawing one observation per call, shared by every point queried.
+
+    `reward_grad` is batched, so a (pool_size, dim) block of points queried
+    in one call shares that call's observation, as a pool does.
+    """
+
+    def oracle(points):
+        return reward_grad(model, points, sample_observation(model, rng))
+
+    return oracle
 
 
 def expected_reward(model: MixtureModel, theta, quad_points: int = 2001) -> float:

@@ -54,17 +54,27 @@ class SwitchingReward:
 
 
 def switching_step(reward: SwitchingReward, rate: float, rng: RngStream) -> int:
-    """Advance the hyper-state one step under I + rate * Q and return it."""
-    row = np.eye(reward.num_states)[reward.state] + rate * reward.generator[reward.state]
-    if np.any(row < 0):
+    """Advance the hyper-state one step under I + rate * Q and return it.
+
+    One `rng.uniform()` per step picks the first state whose running sum of
+    the row exceeds it. The row and its running sum are plain float
+    arithmetic: a step is a few scalar operations, on which NumPy calls
+    would spend most of the time.
+    """
+    current = reward.state
+    q = reward.generator[current].tolist()
+    row = [(1.0 if j == current else 0.0) + rate * qj for j, qj in enumerate(q)]
+    if any(p < 0 for p in row):
         raise ConfigError(
             f"rate {rate} makes I + rate * Q leave the probability simplex"
         )
-    cdf = np.cumsum(row)
     draw = float(rng.uniform())
-    state = int(np.searchsorted(cdf, draw, side="right"))
-    reward.state = min(state, reward.num_states - 1)
-    return reward.state
+    state, cdf = 0, row[0]
+    while state < len(row) - 1 and cdf <= draw:
+        state += 1
+        cdf += row[state]
+    reward.state = state
+    return state
 
 
 def stationary_distribution(Q) -> np.ndarray:

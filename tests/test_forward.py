@@ -1,7 +1,13 @@
 """Forward agents: initialization density, gradient streams, CSV round trips."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from langirl.core import ConfigError, NonFiniteError, RngStream
 from langirl.forward import (
@@ -13,7 +19,10 @@ from langirl.forward import (
     run_agent_pool,
     write_stream_csv,
 )
+from langirl.problems import logistic, mixture
 from langirl.problems.synthetic import quadratic_oracle
+from strategies import EDGE_FLOATS
+
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -62,6 +71,126 @@ class TestInitDensity:
             InitDensity(np.zeros(2), np.ones(3))
         with pytest.raises(ConfigError):
             InitDensity(np.array([np.inf, 0.0]), np.ones(2))
+
+
+def reference_run_agent_pool(oracle, init, cfg, rng):
+    """The agent pool as a loop over agents and then iterations, one oracle call per row."""
+    if isinstance(cfg.run_length, tuple):
+        lo, hi = cfg.run_length
+        lengths = rng.integers(lo, hi + 1, size=cfg.num_agents)
+    else:
+        lengths = np.full(cfg.num_agents, cfg.run_length, dtype=np.int64)
+    total = int(lengths.sum())
+    points = np.empty((total, init.dim))
+    grads = np.empty((total, init.dim))
+    agent_ids = np.repeat(np.arange(cfg.num_agents), lengths)
+    step_ids = np.concatenate([np.arange(n) for n in lengths])
+    row = 0
+    for agent, n in enumerate(lengths):
+        theta = init.sample(rng)
+        start = row
+        for _ in range(n):
+            g = oracle(theta)
+            points[row] = theta
+            grads[row] = g
+            theta = theta + cfg.step * g
+            row += 1
+        block = slice(start, row)
+        finite = np.isfinite(points[block]).all(axis=1) & np.isfinite(grads[block]).all(axis=1)
+        if not finite.all():
+            raise NonFiniteError(f"agent {agent} diverged at iteration {int(np.flatnonzero(~finite)[0])}")
+    return GradientStream(points, grads, agent_ids, step_ids)
+
+
+def small_logistic_model():
+    rng = RngStream(50)
+    feats = rng.standard_normal((13, 4))
+    feats[:, 0] = 1.0
+    return logistic.LogisticModel(feats, (rng.uniform(size=13) < 0.5).astype(float))
+
+
+MIXTURE = mixture.MixtureModel(true_param=np.array([-1.0, 2.0]), likelihood_weight=100.0)
+
+# name -> (oracle factory given a fresh seed, dimension)
+ORACLES = {
+    "quadratic": (lambda seed: quadratic_oracle(curvature=np.array([1.0, 2.5]), center=0.3), 2),
+    "noisy-quadratic": (lambda seed: quadratic_oracle(1.5, 0.0, 0.7, RngStream(seed)), 3),
+    "mixture": (lambda seed: mixture.make_stream_oracle(MIXTURE, RngStream(seed)), 2),
+    "logistic": (lambda seed: logistic.make_stream_oracle(small_logistic_model()), 4),
+}
+
+
+class TestAgentPoolMatchesReference:
+    """The batched pool against the per-agent loop, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "name, run_length",
+        [
+            ("quadratic", 1),
+            ("quadratic", 5),
+            ("quadratic", (3, 9)),
+            ("noisy-quadratic", 1),
+            ("mixture", 1),
+            ("logistic", 1),
+        ],
+    )
+    def test_bit_identical_stream(self, name, run_length):
+        factory, dim = ORACLES[name]
+        init = InitDensity(np.linspace(-0.5, 0.5, dim), np.full(dim, 2.0))
+        cfg = AgentPoolConfig(step=0.05, num_agents=97, run_length=run_length)
+        got_rng, ref_rng = RngStream(60), RngStream(60)
+        got = run_agent_pool(factory(61), init, cfg, got_rng)
+        ref = reference_run_agent_pool(factory(61), init, cfg, ref_rng)
+        for field in ("points", "gradients", "agent_ids", "step_ids"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+        assert got_rng.uniform() == ref_rng.uniform()
+
+    @pytest.mark.parametrize("name", ["noisy-quadratic", "mixture"])
+    def test_noisy_oracle_draws_iteration_major(self, name):
+        """At run length > 1 a noisy oracle's draws go iteration by iteration, live agents in order."""
+        factory, dim = ORACLES[name]
+        init = InitDensity(np.linspace(-0.5, 0.5, dim), np.full(dim, 2.0))
+        cfg = AgentPoolConfig(step=0.05, num_agents=41, run_length=(3, 9))
+        got_rng, ref_rng = RngStream(62), RngStream(62)
+        got = run_agent_pool(factory(63), init, cfg, got_rng)
+
+        oracle = factory(63)
+        lengths = ref_rng.integers(3, 10, size=cfg.num_agents)
+        theta = [init.sample(ref_rng) for _ in range(cfg.num_agents)]
+        rows = {}
+        for k in range(lengths.max()):
+            for agent in np.flatnonzero(lengths > k):
+                g = oracle(theta[agent])
+                rows[agent, k] = (theta[agent], g)
+                theta[agent] = theta[agent] + cfg.step * g
+        order = sorted(rows)  # agent-major, as the stream stores them
+        assert np.array_equal(got.points, np.array([rows[key][0] for key in order]))
+        assert np.array_equal(got.gradients, np.array([rows[key][1] for key in order]))
+        assert got_rng.uniform() == ref_rng.uniform()
+
+    def test_divergence_names_the_lowest_agent_not_the_earliest_iteration(self):
+        # Each iterate moves up by 1; the gradient is infinite once it passes 3,
+        # so an agent starting higher blows up at an earlier iteration.
+        oracle = lambda p: np.where(p > 3.0, np.inf, 1.0)  # noqa: E731
+        init = InitDensity.standard(1)
+        cfg = AgentPoolConfig(step=1.0, num_agents=12, run_length=4)
+
+        def first_bad(x):
+            k = 0
+            while k < 4 and not x > 3.0:
+                x, k = x + 1.0, k + 1
+            return k if k < 4 else None
+
+        starts = init.sample(RngStream(9), size=cfg.num_agents)[:, 0]
+        bad = [first_bad(x) for x in starts]
+        lowest = next(a for a, k in enumerate(bad) if k is not None)
+        assert min(k for k in bad if k is not None) < bad[lowest]
+
+        with pytest.raises(NonFiniteError) as ref:
+            reference_run_agent_pool(oracle, init, cfg, RngStream(9))
+        with pytest.raises(NonFiniteError) as got:
+            run_agent_pool(oracle, init, cfg, RngStream(9))
+        assert str(got.value) == str(ref.value) == f"agent {lowest} diverged at iteration {bad[lowest]}"
 
 
 class TestAgentPool:
@@ -163,6 +292,20 @@ class TestStreamSlicing:
         np.testing.assert_array_equal(back.agent_ids, self.stream.agent_ids)
         write_stream_csv(back, tmp_path / "again.csv")
         assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+    @settings(max_examples=150, derandomize=True, database=None)
+    @given(st.data())
+    def test_csv_round_trip_is_bit_exact(self, data):
+        n, dim = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
+        floats = arrays(np.float64, (n, dim), elements=EDGE_FLOATS)
+        ids = arrays(np.int64, n, elements=st.integers(-(2**63), 2**63 - 1))
+        stream = GradientStream(data.draw(floats), data.draw(floats), data.draw(ids), data.draw(ids))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "stream.csv")
+            write_stream_csv(stream, path)
+            back = read_stream_csv(path)
+        for field in ("points", "gradients", "agent_ids", "step_ids"):
+            assert getattr(back, field).tobytes() == getattr(stream, field).tobytes(), field
 
     def test_csv_header_check(self, tmp_path):
         bad = tmp_path / "bad.csv"

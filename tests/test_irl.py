@@ -2,9 +2,13 @@
 
 import filecmp
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from langirl.core import (
     ConfigError,
@@ -42,6 +46,7 @@ from langirl.irl import (
     step_passive_generalized,
 )
 from langirl.kernels import GAUSSIAN, Kernel
+from strategies import EDGE_FLOATS
 
 
 class QueuedRng:
@@ -407,6 +412,22 @@ class TestTrajectoryStorage:
         save_trajectory(back, cfg, tmp_path / "b", stem="run")
         assert filecmp.cmp(tmp_path / "a" / "run.csv", tmp_path / "b" / "run.csv", shallow=False)
         assert filecmp.cmp(tmp_path / "a" / "run.json", tmp_path / "b" / "run.json", shallow=False)
+
+    @settings(max_examples=150, derandomize=True, database=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(1, 3)),
+            elements=EDGE_FLOATS,
+        )
+    )
+    def test_round_trip_is_bit_exact(self, samples):
+        traj = Trajectory(samples=samples, burn_in=0, variant=CLASSICAL, fingerprint="x")
+        cfg = SamplerConfig(step=1e-3, beta=2.0, init=np.zeros(samples.shape[1]))
+        with tempfile.TemporaryDirectory() as tmp:
+            save_trajectory(traj, cfg, tmp, stem="run")
+            back, _ = load_trajectory(tmp, stem="run")
+        assert back.samples.tobytes() == traj.samples.tobytes()
 
     def test_fingerprint_tracks_run_identity(self):
         one, _ = self.make(seed=5)

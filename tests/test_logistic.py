@@ -157,6 +157,24 @@ class TestGradient:
         np.testing.assert_array_equal(second, reward_grad(model, points, 1))
 
 
+    def test_stream_oracle_block_equals_row_calls(self):
+        """A (n, dim) block takes n data rows and gives the bits of n single-point calls."""
+        rng = RngStream(34)
+        feats = rng.standard_normal((7, 11))
+        feats[:, 0] = 1.0
+        model = LogisticModel(feats, (rng.uniform(size=7) < 0.5).astype(float), likelihood_weight=10.0)
+        points = rng.standard_normal((17, 11))
+        block_oracle, row_oracle = make_stream_oracle(model), make_stream_oracle(model)
+        block = block_oracle(points)
+        rows = np.stack([row_oracle(p) for p in points])
+        ref = np.stack([reward_grad(model, p, k) for k, p in enumerate(points)])
+        assert block.shape == points.shape
+        assert block.tobytes() == rows.tobytes() == ref.tobytes()
+        # Both oracles now stand at data row 17 (= 3 after wrapping).
+        assert block_oracle(points[0]).tobytes() == row_oracle(points[0]).tobytes()
+        np.testing.assert_array_equal(block_oracle(points[0]), reward_grad(model, points[0], 18))
+
+
 class TestModelAndSubset:
     def test_validation(self):
         with pytest.raises(ConfigError):

@@ -154,6 +154,19 @@ class TestSampling:
         np.testing.assert_allclose(got, reward_grad(MODEL, points, y), rtol=1e-14)
 
 
+    def test_stream_oracle_block_equals_row_calls(self):
+        """A (n, 2) block gives the bits of n single-point calls and draws as they do."""
+        model = MixtureModel(true_param=np.array([-1.0, 2.0]), likelihood_weight=100.0)
+        points = 3.0 * RngStream(40).standard_normal((257, 2))
+        block_rng, row_rng = RngStream(41), RngStream(41)
+        block = make_stream_oracle(model, block_rng)(points)
+        row_oracle = make_stream_oracle(model, row_rng)
+        rows = np.stack([row_oracle(p) for p in points])
+        assert block.shape == points.shape
+        assert block.tobytes() == rows.tobytes()
+        assert block_rng.uniform() == row_rng.uniform()
+
+
 class TestModelValidation:
     def test_bad_fields_rejected(self):
         with pytest.raises(ConfigError):

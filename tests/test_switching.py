@@ -21,6 +21,26 @@ def two_regime(rate_up=1.0, rate_down=1.0, state=0):
     )
 
 
+def reference_switching_step(reward, rate, rng):
+    """The NumPy form of one hyper-state step: identity row, cumsum, searchsorted."""
+    row = np.eye(reward.num_states)[reward.state] + rate * reward.generator[reward.state]
+    if np.any(row < 0):
+        raise ConfigError(f"rate {rate} makes I + rate * Q leave the probability simplex")
+    cdf = np.cumsum(row)
+    draw = float(rng.uniform())
+    state = int(np.searchsorted(cdf, draw, side="right"))
+    reward.state = min(state, reward.num_states - 1)
+    return reward.state
+
+
+def random_generator(rng, k):
+    """A k-state generator with some zero rates, some states possibly absorbing."""
+    Q = rng.uniform(0.0, 3.0, size=(k, k)) * (rng.uniform(size=(k, k)) < 0.7)
+    np.fill_diagonal(Q, 0.0)
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    return Q
+
+
 def null_space_stationary(Q):
     """Eigen-decomposition cross-check for nu Q = 0."""
     vals, vecs = np.linalg.eig(np.asarray(Q, dtype=np.float64).T)
@@ -82,6 +102,48 @@ class TestSwitchingStep:
         for _ in range(300_000):
             visits[switching_step(reward, 0.02, rng)] += 1
         np.testing.assert_allclose(visits / visits.sum(), nu, atol=0.02)
+
+    def test_matches_reference_step(self):
+        """Same states and the same next draw as the NumPy form, over random generators."""
+        gen_rng = RngStream(70)
+        for trial in range(60):
+            k = 2 + int(gen_rng.integers(0, 4))
+            Q = random_generator(gen_rng, k)
+            top = float(np.max(-np.diag(Q)))
+            edge = 1.0 / top if top > 0 else 1.0
+            # Up to the largest simplex rate; the last trials sit on its edge.
+            rate = edge if trial >= 50 else float(gen_rng.uniform(0.0, edge))
+            start = int(gen_rng.integers(0, k))
+            got = SwitchingReward((lambda p: p,) * k, Q, rng_state=start)
+            ref = SwitchingReward((lambda p: p,) * k, Q, rng_state=start)
+            got_rng, ref_rng = RngStream(100 + trial), RngStream(100 + trial)
+            for _ in range(300):
+                assert switching_step(got, rate, got_rng) == reference_switching_step(ref, rate, ref_rng)
+            assert got_rng.uniform() == ref_rng.uniform()
+            if top > 0:
+                got.state = ref.state = int(np.argmax(-np.diag(Q)))
+                with pytest.raises(ConfigError, match="simplex") as got_err:
+                    switching_step(got, 2.0 * edge, got_rng)
+                with pytest.raises(ConfigError, match="simplex") as ref_err:
+                    reference_switching_step(ref, 2.0 * edge, ref_rng)
+                assert str(got_err.value) == str(ref_err.value)
+
+    def test_draw_equal_to_a_running_sum_matches_reference(self):
+        class Draws:
+            def __init__(self, values):
+                self.values = list(values)
+
+            def uniform(self):
+                return self.values.pop(0)
+
+        # From state 0 at rate 0.25 the row is [0.5, 0.25, 0.25], running sums 0.5, 0.75, 1.0.
+        Q = np.array([[-2.0, 1.0, 1.0], [1.0, -1.0, 0.0], [2.0, 0.0, -2.0]])
+        for draw in (0.0, 0.5, 0.75, np.nextafter(0.75, 0.0), np.nextafter(1.0, 0.0)):
+            got = SwitchingReward((lambda p: p,) * 3, Q)
+            ref = SwitchingReward((lambda p: p,) * 3, Q)
+            assert switching_step(got, 0.25, Draws([draw])) == reference_switching_step(
+                ref, 0.25, Draws([draw])
+            )
 
     def test_rate_leaving_simplex_rejected(self):
         reward = two_regime(rate_up=4.0)

@@ -202,16 +202,6 @@ def autocorr_time(series, min_length: int = 1000) -> float:
     return max(2.0 * total - 1.0, 1e-12)
 
 
-def thin_by_autocorr(series, min_length: int = 1000) -> np.ndarray:
-    """Subsample a series at its integrated autocorrelation time.
-
-    The result is close enough to independent for rank and KS style tests.
-    """
-    x = np.asarray(series, dtype=np.float64).ravel()
-    stride = max(1, int(math.ceil(autocorr_time(x, min_length=min_length))))
-    return x[::stride]
-
-
 def local_max(mass: np.ndarray, radius: int) -> np.ndarray:
     """The maximum over the (2 * radius + 1)-wide window around each cell.
 

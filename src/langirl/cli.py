@@ -7,13 +7,17 @@ directory. `langirl compare dirA dirB` computes per-marginal distances
 between two finished runs. Exit codes: 0 success, 1 runtime failure,
 2 config error.
 
-`--chains N` pools N sampler chains. Chains that read the forward corpus
-advance together in one batched sampler call, and every one of them reads
-the corpus in the same order; they differ only in their noise (and their
-start, with `init: "sample"`). Their spread therefore understates the error
-of the pooled estimate, and a between-chain diagnostic such as R-hat would
-overstate how independent they are. Trajectory files are written only
-once every chain has finished.
+`--chains N` pools N sampler chains, and `baseline.chains` sets the number of
+baseline chains. Each set of chains advances together in one batched
+`run_chains` call, whatever its source. Oracle chains (the baseline's too)
+and CMDP chains each read a source of their own. Chains that read the forward
+corpus all read it in the same order; they differ only in their noise (and
+their start, with `init: "sample"`). Their spread therefore understates the
+error of the pooled estimate, and a between-chain diagnostic such as R-hat
+would overstate how independent they are. A failure reports the earliest
+failing step of any chain of the set (the lowest chain on a tie), naming the
+chain when there are several. A set's trajectory files are written only once
+every chain of the set has finished.
 
 Regime tracking is library-only: call `tracking.run_tracking`; a config has
 no tracking section.
@@ -21,9 +25,9 @@ no tracking section.
 
 import argparse
 import contextlib
+import dataclasses
 import itertools
 import json
-import math
 import os
 import sys
 import time
@@ -45,11 +49,13 @@ from .core import (
     RNG_ALGORITHM,
     ConfigError,
     DensityFloorError,
+    GradientPool,
     NonFiniteError,
     RngStream,
     SourceExhausted,
     write_csv,
 )
+from .core import write_json as _write_json
 from .forward import AgentPoolConfig, InitDensity, run_agent_pool
 from .irl import (
     CLASSICAL,
@@ -60,7 +66,7 @@ from .irl import (
     SamplerConfig,
     load_trajectory,
     run_chains,
-    run_sampler,
+    run_sampler,  # not called here, but bench/tracer.py wraps cli.run_sampler
     save_trajectory,
 )
 from .kernels import GAUSSIAN, Kernel
@@ -97,7 +103,8 @@ def _expect(section, field, kinds, path, required=True, default=None):
             raise ConfigError(f"{path}.{field}: missing required field")
         return default
     value = section[field]
-    if kinds is not None and not isinstance(value, kinds):
+    # JSON true and false load as bools, which Python also counts as ints.
+    if isinstance(value, bool) and kinds is not bool or not isinstance(value, kinds):
         raise ConfigError(f"{path}.{field}: expected {kinds}, got {type(value).__name__}")
     return value
 
@@ -140,7 +147,14 @@ def resolve_config(doc, scale="desk", seed=None, out=None, chains=None):
 
 
 class _Experiment:
-    """Everything `run` needs, derived from one validated config."""
+    """Everything `run` needs, derived from one validated config.
+
+    Every config error is raised here, before anything is written. The
+    sampler chains share `sampler_cfg` and the baseline chains share
+    `baseline_cfg`, each chain differing only in its start: the config's own
+    init, or a draw from `sample_init` (the density to draw from) when the
+    config asks for `init: "sample"`.
+    """
 
     def __init__(self, config):
         self.config = config
@@ -163,36 +177,35 @@ class _Experiment:
         # Stream and pool variants read the forward corpus; CMDP pools come
         # from SPSA instead.
         self.source_kind = VARIANTS[self.variant].source
-        self.forward_cfg = _expect(config, "forward", dict, "config", required=False)
-        if self.oracle is None and (self.source_kind != POOL or "forward" in config or "baseline" in config):
+        forward = _expect(config, "forward", dict, "config", required=False)
+        baseline = _expect(config, "baseline", dict, "config", required=False)
+        if self.oracle is None and (self.source_kind != POOL or forward is not None or baseline is not None):
             raise ConfigError(
                 f"problem.kind {self.kind!r} has no gradient oracle: it runs only the multikernel "
                 "variant on its SPSA pools, with no forward or baseline section"
             )
         needs_corpus = self.source_kind == STREAM or (self.source_kind == POOL and self.kind != "cmdp")
-        if needs_corpus and self.forward_cfg is None:
+        if needs_corpus and forward is None:
             raise ConfigError(
                 f"forward: required by sampler.variant {self.variant!r} for problem.kind {self.kind!r}"
             )
+        self._build_forward(forward)
         self._build_sampler(sampler)
-
-        self.baseline = _expect(config, "baseline", dict, "config", required=False)
-        if self.baseline is not None:
-            _expect(self.baseline, "step", (int, float), "baseline")
-            _expect(self.baseline, "num_steps", int, "baseline")
+        self._build_baseline(baseline)
 
         self.analysis = _expect(config, "analysis", dict, "config", required=False, default={})
-        grid = self.analysis.get("grid")
+        grid = _expect(self.analysis, "grid", list, "analysis", required=False)
         self.grid = None
         if grid is not None:
-            axes = tuple((float(a[0]), float(a[1]), int(a[2])) for a in grid)
-            if len(axes) != self.dim:
+            if not all(isinstance(axis, list) and len(axis) == 3 for axis in grid):
+                raise ConfigError(f"analysis.grid: expected one [low, high, bins] per axis, got {grid!r}")
+            self.grid = GridSpec(tuple(grid))
+            if self.grid.dim != self.dim:
                 raise ConfigError(
-                    f"analysis.grid: {len(axes)} axes do not match problem dimension "
+                    f"analysis.grid: {self.grid.dim} axes do not match problem dimension "
                     f"{self.dim} (problem.kind {self.kind!r})"
                 )
-            self.grid = GridSpec(axes)
-        if self.analysis.get("compare_marginals") and self.baseline is None:
+        if self.analysis.get("compare_marginals") and baseline is None:
             raise ConfigError("analysis.compare_marginals: requires a baseline section")
 
     # -- problem ---------------------------------------------------------
@@ -256,68 +269,120 @@ class _Experiment:
         else:
             raise ConfigError(f"problem.kind: unknown kind {self.kind!r}")
 
-    # -- sampler ---------------------------------------------------------
+    # -- forward, sampler and baseline -----------------------------------
 
-    def _build_sampler(self, sampler):
-        self.sampler_step = float(_expect(sampler, "step", (int, float), "sampler"))
-        self.beta = float(_expect(sampler, "beta", (int, float), "sampler"))
-        self.pool_size = _expect(sampler, "pool_size", int, "sampler", required=False, default=1)
-        self.conditional_std = sampler.get("conditional_std")
-        if self.conditional_std is not None:
-            self.conditional_std = float(self.conditional_std)
-        self.burn_in = _expect(sampler, "burn_in", int, "sampler", required=False)
-
-        kernel = sampler.get("kernel")
-        self.kernel = None
-        if kernel is not None:
-            family = _expect(kernel, "family", str, "sampler.kernel", required=False, default=GAUSSIAN)
-            bandwidth = float(_expect(kernel, "bandwidth", (int, float), "sampler.kernel"))
-            self.kernel = Kernel(family, bandwidth, self.dim)
-
-        skew = sampler.get("skew")
-        self.skew = np.asarray(skew, dtype=np.float64) if skew is not None else None
-
-        init = _expect(sampler, "init", (list, str), "sampler")
-        if isinstance(init, str):
-            if init != "sample":
-                raise ConfigError(f"sampler.init: expected a vector or 'sample', got {init!r}")
-            if self.forward_cfg is None:
-                raise ConfigError("sampler.init: 'sample' requires a forward section")
-            self.init = "sample"
-        else:
-            vec = np.asarray(init, dtype=np.float64)
-            if vec.size != self.dim:
-                raise ConfigError(
-                    f"sampler.init: length {vec.size} does not match problem dimension "
-                    f"{self.dim} (problem.kind {self.kind!r})"
-                )
-            self.init = vec
-        self.num_steps = _expect(sampler, "num_steps", int, "sampler", required=False)
-
-    def forward_density(self):
-        fwd = self.forward_cfg or {}
-        init = fwd.get("init")
-        if init is None:
-            return InitDensity.standard(self.dim)
+    def _build_forward(self, fwd):
+        """The agent pool and its initialization density; None without a forward section."""
+        self.agents = self.density = None
+        self.sweeps = 1
+        self.shuffle = False
+        if fwd is None:
+            return
+        self.agents = AgentPoolConfig(
+            step=float(_expect(fwd, "step", (int, float), "forward")),
+            num_agents=_expect(fwd, "num_agents", int, "forward"),
+            run_length=_expect(fwd, "run_length", int, "forward"),
+        )
+        self.sweeps = _expect(fwd, "sweeps", int, "forward", required=False, default=1)
+        if self.sweeps < 1:
+            raise ConfigError(f"forward.sweeps: must be at least 1, got {self.sweeps}")
+        self.shuffle = _expect(fwd, "shuffle", bool, "forward", required=False, default=False)
+        init = _expect(fwd, "init", dict, "forward", required=False, default={})
         mean = np.asarray(init.get("mean", np.zeros(self.dim)), dtype=np.float64)
         variances = np.asarray(init.get("variances", np.ones(self.dim)), dtype=np.float64)
         if mean.size != self.dim or variances.size != self.dim:
             raise ConfigError(
                 f"forward.init: dimension does not match problem dimension {self.dim}"
             )
-        return InitDensity(mean, variances)
+        self.density = InitDensity(mean, variances)
 
-    def sampler_config(self, init_vec, density):
-        return SamplerConfig(
-            step=self.sampler_step,
-            beta=self.beta,
-            init=init_vec,
-            kernel=self.kernel,
-            init_density=density,
-            pool_size=self.pool_size,
-            conditional_std=self.conditional_std,
-            skew=self.skew,
+    def _start(self, section, path, density, default=None):
+        """(init vector, density to draw each chain's start from or None) of a section."""
+        init = _expect(section, "init", (list, str), path, required=default is None, default=default)
+        if isinstance(init, str):
+            if init != "sample":
+                raise ConfigError(f"{path}.init: expected a vector or 'sample', got {init!r}")
+            if density is None:
+                raise ConfigError(f"{path}.init: 'sample' requires a forward section")
+            return np.zeros(self.dim), density
+        vec = np.asarray(init, dtype=np.float64)
+        if vec.size != self.dim:
+            raise ConfigError(
+                f"{path}.init: length {vec.size} does not match problem dimension "
+                f"{self.dim} (problem.kind {self.kind!r})"
+            )
+        return vec, None
+
+    def _build_sampler(self, sampler):
+        kernel = _expect(sampler, "kernel", dict, "sampler", required=False)
+        if kernel is not None:
+            family = _expect(kernel, "family", str, "sampler.kernel", required=False, default=GAUSSIAN)
+            bandwidth = float(_expect(kernel, "bandwidth", (int, float), "sampler.kernel"))
+            kernel = Kernel(family, bandwidth, self.dim)
+        conditional_std = sampler.get("conditional_std")
+        skew = sampler.get("skew")
+        init, self.sample_init = self._start(sampler, "sampler", self.density)
+        self.sampler_cfg = _sampler_config(
+            "sampler",
+            step=float(_expect(sampler, "step", (int, float), "sampler")),
+            beta=float(_expect(sampler, "beta", (int, float), "sampler")),
+            init=init,
+            kernel=kernel,
+            init_density=self.density,
+            pool_size=_expect(sampler, "pool_size", int, "sampler", required=False, default=1),
+            conditional_std=None if conditional_std is None else float(conditional_std),
+            skew=None if skew is None else np.asarray(skew, dtype=np.float64),
         )
+        for name in VARIANTS[self.variant].needs:
+            if getattr(self.sampler_cfg, name) is None:
+                raise ConfigError(f"sampler: variant {self.variant!r} needs {name}")
+
+        # Corpus readers take at most what the corpus holds over its sweeps.
+        num_steps = _expect(sampler, "num_steps", int, "sampler", required=False)
+        if self.source_kind != ORACLE and self.agents is not None:
+            rows = self.agents.num_agents * self.agents.run_length
+            available = self.sweeps * (rows if self.source_kind == STREAM else rows // self.sampler_cfg.pool_size)
+            num_steps = num_steps or available
+            if num_steps > available:
+                raise ConfigError(
+                    f"sampler.num_steps: {num_steps} exceeds the forward corpus's "
+                    f"{self.source_kind} items x sweeps ({available})"
+                )
+        elif num_steps is None:
+            raise ConfigError(f"sampler.num_steps: required for variant {self.variant!r}")
+        self.num_steps = num_steps
+        self.burn_in = _expect(sampler, "burn_in", int, "sampler", required=False)
+        _check_steps("sampler", num_steps, self.burn_in)
+
+    def _build_baseline(self, baseline):
+        self.baseline_cfg = None
+        if baseline is None:
+            return
+        self.baseline_chains = _expect(baseline, "chains", int, "baseline", required=False, default=1)
+        if self.baseline_chains < 1:
+            raise ConfigError("baseline.chains: must be at least 1")
+        self.baseline_steps = _expect(baseline, "num_steps", int, "baseline")
+        _check_steps("baseline", self.baseline_steps)
+        density = self.density if self.density is not None else InitDensity.standard(self.dim)
+        init, self.baseline_sample_init = self._start(baseline, "baseline", density, default=[0.0] * self.dim)
+        beta = _expect(baseline, "beta", (int, float), "baseline", required=False, default=self.sampler_cfg.beta)
+        step = float(_expect(baseline, "step", (int, float), "baseline"))
+        self.baseline_cfg = _sampler_config("baseline", step=step, beta=float(beta), init=init)
+
+
+def _sampler_config(path, **fields):
+    """A SamplerConfig whose validation errors name the config section."""
+    try:
+        return SamplerConfig(**fields)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _check_steps(path, num_steps, burn_in=None):
+    if num_steps < 0:
+        raise ConfigError(f"{path}.num_steps: must be non-negative, got {num_steps}")
+    if burn_in is not None and not 0 <= burn_in <= num_steps:
+        raise ConfigError(f"{path}.burn_in: must lie in [0, num_steps], got {burn_in}")
 
 
 @contextlib.contextmanager
@@ -326,12 +391,6 @@ def _timed(timings, phase):
     t0 = time.perf_counter()
     yield
     timings[phase] = timings.get(phase, 0.0) + time.perf_counter() - t0
-
-
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def run_experiment(config):
@@ -356,88 +415,43 @@ def run_experiment(config):
     try:
         # Forward corpus, when the variant consumes recorded agent data.
         corpus = None
-        sweeps = 1
-        density = None
-        if exp.forward_cfg is not None:
+        if exp.agents is not None:
             phase = "forward"
             with _timed(timings, "forward"):
-                fwd = exp.forward_cfg
-                density = exp.forward_density()
-                pool_cfg = AgentPoolConfig(
-                    step=float(_expect(fwd, "step", (int, float), "forward")),
-                    num_agents=_expect(fwd, "num_agents", int, "forward"),
-                    run_length=_expect(fwd, "run_length", int, "forward"),
-                )
-                sweeps = _expect(fwd, "sweeps", int, "forward", required=False, default=1)
                 oracle = exp.oracle(exp.root.child(_RNG_CORPUS_ORACLE))
-                corpus = run_agent_pool(oracle, density, pool_cfg, exp.root.child(_RNG_AGENTS))
-                if fwd.get("shuffle", False):
+                corpus = run_agent_pool(oracle, exp.density, exp.agents, exp.root.child(_RNG_AGENTS))
+                if exp.shuffle:
                     corpus = corpus.shuffled(exp.root.child(_RNG_SHUFFLE))
             metrics["forward_samples"] = len(corpus)
-
-        num_steps = exp.num_steps
-        if exp.source_kind != ORACLE and corpus is not None:
-            per_sweep = len(corpus) if exp.source_kind == STREAM else len(corpus) // exp.pool_size
-            available = sweeps * per_sweep
-            num_steps = num_steps or available
-            if num_steps > available:
-                raise ConfigError(
-                    f"sampler.num_steps: {num_steps} exceeds the forward corpus's "
-                    f"{exp.source_kind} items x sweeps ({available})"
-                )
-        elif num_steps is None:
-            raise ConfigError(f"sampler.num_steps: required for variant {exp.variant!r}")
 
         # Sampler chains, pooled after burn-in.
         phase = "sampler"
         with _timed(timings, "sampler"):
             rngs = [exp.root.child(_RNG_CHAIN_NOISE + chain) for chain in range(exp.chains)]
-            cfgs = [
-                exp.sampler_config(density.sample(rng) if isinstance(exp.init, str) else exp.init, density)
-                for rng in rngs
-            ]
-            trajs = _run_chains(exp, corpus, sweeps, num_steps, cfgs, rngs)
+            cfgs = _chain_configs(exp.sampler_cfg, exp.sample_init, rngs)
+            oracle_rngs = [exp.root.child(_RNG_CHAIN_ORACLE + chain) for chain in range(exp.chains)]
+            source = _chain_source(exp, exp.source_kind, corpus, oracle_rngs)
+            trajs = run_chains(exp.variant, source, cfgs, exp.num_steps, rngs, burn_in=exp.burn_in)
         with _timed(timings, "write"):
-            for chain, (traj, cfg) in enumerate(zip(trajs, cfgs)):
-                stem = "trajectory" if exp.chains == 1 else f"trajectory_c{chain}"
-                save_trajectory(traj, cfg, outdir, stem=stem)
+            _save_chains(trajs, cfgs, outdir, "trajectory")
         pooled = np.vstack([traj.post for traj in trajs])
         metrics["post_samples"] = int(pooled.shape[0])
         metrics["underflow_resets"] = sum(traj.underflow_resets for traj in trajs)
 
-        # Optional classical-Langevin reference run on the same problem.
+        # Optional classical-Langevin reference chains on the same problem.
         base_post = None
-        if exp.baseline is not None:
+        if exp.baseline_cfg is not None:
             phase = "baseline"
-            base_chains = int(exp.baseline.get("chains", 1))
-            base_init = exp.baseline.get("init", [0.0] * exp.dim)
-            base_density = density if density is not None else InitDensity.standard(exp.dim)
-            base_posts = []
-            for chain in range(base_chains):
-                with _timed(timings, "baseline"):
-                    noise_rng = exp.root.child(_RNG_BASE_NOISE).child(chain)
-                    if base_init == "sample":
-                        init_vec = base_density.sample(noise_rng)
-                    else:
-                        init_vec = np.asarray(base_init, dtype=np.float64)
-                    base_cfg = SamplerConfig(
-                        step=float(exp.baseline["step"]),
-                        beta=float(exp.baseline.get("beta", exp.beta)),
-                        init=init_vec,
-                    )
-                    oracle = exp.oracle(exp.root.child(_RNG_BASE_ORACLE).child(chain))
-                    base = run_sampler(
-                        CLASSICAL,
-                        oracle,
-                        base_cfg,
-                        int(exp.baseline["num_steps"]),
-                        noise_rng,
-                    )
-                stem = "baseline" if base_chains == 1 else f"baseline_c{chain}"
-                with _timed(timings, "write"):
-                    save_trajectory(base, base_cfg, outdir, stem=stem)
-                base_posts.append(base.post)
-            base_post = np.vstack(base_posts)
+            with _timed(timings, "baseline"):
+                chains = range(exp.baseline_chains)
+                rngs = [exp.root.child(_RNG_BASE_NOISE).child(chain) for chain in chains]
+                cfgs = _chain_configs(exp.baseline_cfg, exp.baseline_sample_init, rngs)
+                oracle_rngs = [exp.root.child(_RNG_BASE_ORACLE).child(chain) for chain in chains]
+                source = _chain_source(exp, ORACLE, None, oracle_rngs)
+                bases = run_chains(CLASSICAL, source, cfgs, exp.baseline_steps, rngs)
+            with _timed(timings, "write"):
+                _save_chains(bases, cfgs, outdir, "baseline")
+            base_post = np.vstack([base.post for base in bases])
 
         phase = "analysis"
         with _timed(timings, "analysis"):
@@ -457,44 +471,46 @@ def run_experiment(config):
     return 0, outdir
 
 
-def _run_chains(exp, corpus, sweeps, num_steps, cfgs, rngs):
-    """Run every sampler chain; a failure message names the chain and the step.
+def _chain_configs(template, sample_init, rngs):
+    """One config per chain: `template`, or a copy started at a draw from `sample_init`."""
+    if sample_init is None:
+        return [template] * len(rngs)
+    return [dataclasses.replace(template, init=sample_init.sample(rng)) for rng in rngs]
 
-    Chains that share the forward corpus advance together in one batched
-    call. Oracle variants and CMDP SPSA pools have a source per chain, so
-    those chains run one at a time.
+
+def _chain_source(exp, kind, corpus, rngs):
+    """The one source `run_chains` reads for a set of chains reading a `kind` source.
+
+    Chains that read the forward corpus share one reader of it. Otherwise
+    chain c has a source of its own, made from `rngs[c]`: a gradient oracle
+    or a stream of CMDP SPSA pools. Several chains' oracles become one block
+    oracle that answers row c from chain c's oracle, and their pools are
+    stacked to (chains, pool, dim) with chain c's pool in row c. One chain's
+    source is passed unchanged.
     """
-    if exp.source_kind != ORACLE and exp.kind != "cmdp":
-        source = _chain_source(exp, corpus, sweeps, num_steps, 0)
-        return run_chains(exp.variant, source, cfgs, num_steps, rngs, burn_in=exp.burn_in)
-    trajs = []
-    for chain, (cfg, rng) in enumerate(zip(cfgs, rngs)):
-        source = _chain_source(exp, corpus, sweeps, num_steps, chain)
-        try:
-            trajs.append(run_sampler(exp.variant, source, cfg, num_steps, rng, burn_in=exp.burn_in))
-        except _RUNTIME_ERRORS as exc:
-            if exp.chains == 1:
-                raise
-            raise type(exc)(f"chain {chain}: {exc}") from exc
-    return trajs
+    pool_size = exp.sampler_cfg.pool_size
+    if kind == STREAM:
+        return corpus.iter_sweeps(exp.sweeps)
+    if kind == POOL and exp.kind != "cmdp":
+        return itertools.chain.from_iterable(corpus.as_pools(pool_size) for _ in range(exp.sweeps))
+    if kind == ORACLE:
+        sources = [exp.oracle(rng) for rng in rngs]
+    else:
+        sources = [
+            cmdp.make_angle_pool_source(exp.model, pool_size, exp.num_steps, exp.horizon, exp.perturbation, rng)
+            for rng in rngs
+        ]
+    if len(sources) == 1:
+        return sources[0]
+    if kind == ORACLE:
+        return lambda points: np.stack([oracle(point) for oracle, point in zip(sources, points)])
+    return (GradientPool(*map(np.stack, zip(*pools))) for pools in zip(*sources))
 
 
-def _chain_source(exp, corpus, sweeps, num_steps, chain):
-    oracle_rng = exp.root.child(_RNG_CHAIN_ORACLE + chain)
-    if exp.source_kind == ORACLE:
-        return exp.oracle(oracle_rng)
-    if exp.source_kind == STREAM:
-        return corpus.iter_sweeps(sweeps)
-    if exp.kind == "cmdp":
-        return cmdp.make_angle_pool_source(
-            exp.model,
-            exp.pool_size,
-            num_steps,
-            exp.horizon,
-            exp.perturbation,
-            oracle_rng,
-        )
-    return itertools.chain.from_iterable(corpus.as_pools(exp.pool_size) for _ in range(sweeps))
+def _save_chains(trajs, cfgs, outdir, name):
+    """Write chain c as `name`, or as `name_c<c>` when there are several chains."""
+    for chain, (traj, cfg) in enumerate(zip(trajs, cfgs)):
+        save_trajectory(traj, cfg, outdir, stem=name if len(trajs) == 1 else f"{name}_c{chain}")
 
 
 def _analyze(exp, pooled, base_post, metrics):
@@ -505,7 +521,7 @@ def _analyze(exp, pooled, base_post, metrics):
         metrics["variance"] = [float(v) for v in pooled.var(axis=0)]
         metrics["mean"] = [float(v) for v in pooled.mean(axis=0)]
     if exp.kind == "quadratic":
-        metrics["analytic_variance_target"] = 1.0 / (exp.curvature * exp.beta)
+        metrics["analytic_variance_target"] = 1.0 / (exp.curvature * exp.sampler_cfg.beta)
     if exp.kind == "cmdp":
         tol = float(analysis.get("constraint_tolerance", 0.15))
         policies = cmdp.spherical_to_policy(

@@ -1,8 +1,9 @@
-"""Shared primitives: parameter vectors, gradient samples, seeded RNG streams."""
+"""Shared primitives: parameter vectors, gradient samples, seeded RNG streams, artifact writers."""
 
 from __future__ import annotations
 
 import csv
+import json
 from typing import NamedTuple
 
 import numpy as np
@@ -39,12 +40,6 @@ def as_param(values) -> np.ndarray:
     return arr
 
 
-def check_finite(arr: np.ndarray, context: str) -> None:
-    """Raise NonFiniteError naming `context` if `arr` has any non-finite entry."""
-    if not np.isfinite(arr).all():
-        raise NonFiniteError(f"non-finite value in {context}")
-
-
 def write_csv(path, header, rows) -> None:
     """Write one header row and then `rows` as CSV with CRLF line endings.
 
@@ -56,6 +51,13 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_json(path, payload) -> None:
+    """Write `payload` as JSON with sorted keys, two-space indents and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 class GradientSample(NamedTuple):
@@ -116,9 +118,3 @@ class RngStream:
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, algorithm={self.algorithm!r})"
 
-
-def gaussian_vector(rng: RngStream, dim: int) -> np.ndarray:
-    """Draw one standard normal vector of length `dim`."""
-    if dim < 1:
-        raise ConfigError("dim must be at least 1")
-    return rng.standard_normal(dim)

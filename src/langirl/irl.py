@@ -39,18 +39,25 @@ function. The row names the step, the kind of source it consumes (a stream of
 GradientSample, a stream of GradientPool, or an oracle callable), the
 SamplerConfig fields that must be set and how many normal draws a step takes.
 `run_chains` is the only sampling loop and reads everything it needs to know
-about a variant from that row. It advances several chains at once: they share
-the source item of each step, and each draws its noise from its own stream.
-`run_sampler` is its one-chain call.
+about a variant from that row. It advances several chains at once: they read
+one source, and each draws its noise from its own stream. `run_sampler` is
+its one-chain call.
 
 Each step function is written once for both shapes. For one chain `est` is a
 (dim,) vector and the per-chain factors (kernel weight, density, gate) are
 NumPy scalars; for several chains `est` is (chains, dim) and those factors are
-(chains, 1) columns, while the source item broadcasts against the state.
-Called directly with a (dim,) estimate and an rng, a step function is the
-plain one-chain update, drawing from that rng when it needs noise. A batch
-rounds every chain exactly as that chain would round alone, so a chain's
-samples do not depend on how many chains run beside it.
+(chains, 1) columns. A stream sample is shared and broadcasts against the
+state; a pool is shared or carries one pool per chain. Called directly with a
+(dim,) estimate and an rng, a step function is the plain one-chain update,
+drawing from that rng when it needs noise. A batch rounds every chain exactly
+as that chain would round alone, so a chain's samples do not depend on how
+many chains run beside it.
+
+An oracle is called once per step on the whole state: a (dim,) point for one
+chain, a (chains, dim) block for several. On a block it must meet the forward
+block contract (see `forward`): n gradients bit for bit those of n successive
+single-point calls, its rng or row counter used in row order. Every shipped
+oracle meets it.
 """
 
 from __future__ import annotations
@@ -77,6 +84,7 @@ from .core import (
     SourceExhausted,
     as_param,
     write_csv,
+    write_json,
 )
 from .forward import InitDensity
 from .kernels import Kernel, raw_eval, scaled_eval
@@ -234,10 +242,8 @@ def _exp(x):
 
 
 def _query(oracle: Callable, points: np.ndarray) -> np.ndarray:
-    """Oracle gradients at `points`: one call for a (dim,) point, one per row of a batch."""
-    if points.ndim == 1:
-        return np.asarray(oracle(points), dtype=np.float64)
-    return np.stack([np.asarray(oracle(p), dtype=np.float64) for p in points])
+    """Oracle gradients at a (dim,) point or a (chains, dim) block, in one call."""
+    return np.asarray(oracle(points), dtype=np.float64)
 
 
 def step_passive_generalized(est, sample: GradientSample, cfg: SamplerConfig, rng) -> np.ndarray:
@@ -476,10 +482,15 @@ def run_chains(
 
     `source` is an iterable of GradientSample for stream variants, an
     iterable of GradientPool for pool variants, and a gradient oracle
-    callable, queried by every step at every chain's point, for oracle
-    variants (see `VARIANTS`). Every chain takes the same item at each step.
-    Chain c starts at `cfgs[c].init` and draws its noise from `rngs[c]`; the
-    configs may differ in nothing else.
+    callable for oracle variants (see `VARIANTS`). Every chain takes the
+    same stream sample at each step. A pool is shared too, unless its arrays
+    are (chains, pool, dim): then chain c takes pool row c, so each chain can
+    read pools of its own. The oracle is called once per step on every
+    chain's point as one (chains, dim) block, under the block contract in the
+    module docstring; an oracle that answers row c from chain c's own oracle
+    gives each chain an oracle of its own. Chain c starts at `cfgs[c].init`
+    and draws its noise from `rngs[c]`; the configs may differ in nothing
+    else.
 
     With `block_noise` each chain's noise is drawn ahead, one block of steps
     at a time, which gives the same numbers as drawing at every step only
@@ -612,9 +623,7 @@ def save_trajectory(traj: Trajectory, cfg: SamplerConfig, directory, stem: str =
         "fingerprint": traj.fingerprint,
         "config": cfg.to_dict(),
     }
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(meta_path, meta)
     return csv_path, meta_path
 
 

@@ -217,21 +217,10 @@ def simulate_batch(model: CmdpModel, policies: np.ndarray, horizon: int, rng: Rn
     return reward_sum / horizon, cost_sum / horizon
 
 
-def simulate(model: CmdpModel, policy: np.ndarray, horizon: int, rng: RngStream):
-    """Sample-path averages (J, B) for a single policy."""
-    J, B = simulate_batch(model, np.asarray(policy)[None], horizon, rng)
-    return float(J[0]), float(B[0])
-
-
 def penalized_value(model: CmdpModel, avg_reward, avg_cost):
     """Fold average reward and constraint cost into the penalized objective."""
     gap = np.asarray(avg_cost) - model.constraint_bound
     return np.asarray(avg_reward) - model.penalty_weight * gap * gap
-
-
-def simulate_penalized(model: CmdpModel, policy: np.ndarray, horizon: int, rng: RngStream) -> float:
-    J, B = simulate(model, policy, horizon, rng)
-    return float(penalized_value(model, J, B))
 
 
 def angle_barrier(angles: np.ndarray, weight: float, low: float = 0.0, high: float = math.pi / 2) -> np.ndarray:
@@ -276,13 +265,6 @@ def spsa_gradient_batch(
         values = values - angle_barrier(probes, barrier_weight)
     scale = (values[:m] - values[m:]) / (2.0 * perturbation)
     return scale[:, None, None] * delta
-
-
-def spsa_gradient(
-    model: CmdpModel, angles: np.ndarray, horizon: int, perturbation: float, rng: RngStream
-) -> np.ndarray:
-    """Single-matrix convenience wrapper around spsa_gradient_batch."""
-    return spsa_gradient_batch(model, np.asarray(angles)[None], horizon, perturbation, rng)[0]
 
 
 def make_angle_pool_source(

@@ -18,7 +18,6 @@ from langirl.analysis import (
     local_max,
     log_density,
     marginal,
-    thin_by_autocorr,
     variational_distance,
     wasserstein1,
 )
@@ -192,11 +191,10 @@ class TestAutocorrTime:
             autocorr_time(np.ones(5000))
 
     def test_thin_by_autocorr_stride(self):
-        # Block-repeated white noise has integrated time exactly 10, so the
-        # thinning stride should land near that.
+        # Block-repeated white noise has integrated time exactly 10, so a
+        # thinning stride of ceil(tau) should land near that.
         x = np.repeat(RngStream(48).standard_normal(2000), 10)
-        thinned = thin_by_autocorr(x)
-        assert len(x) / 40 <= len(thinned) <= len(x) / 8
+        assert 8 <= math.ceil(autocorr_time(x)) <= 40
 
 
 class TestFindModes:

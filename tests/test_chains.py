@@ -24,6 +24,7 @@ from langirl.irl import (
     run_sampler,
 )
 from langirl.kernels import FAMILIES, GAUSSIAN, Kernel
+from langirl.problems import synthetic
 
 # More steps than one noise and finite-check block, so a block boundary is crossed.
 STEPS = 1100
@@ -73,13 +74,42 @@ def chain_rngs(count=len(INITS)):
     return [root.child(10 + chain) for chain in range(count)]
 
 
+def per_chain_sources(variant):
+    """One source per chain, each drawn from its own stream: noisy oracles or pools."""
+    if VARIANTS[variant].source == "oracle":
+        return [synthetic.quadratic_oracle(1.0, 0.0, 0.3, RngStream(30 + chain)) for chain in range(len(INITS))]
+    return [pools(seed=30 + chain) for chain in range(len(INITS))]
+
+
+def combined(sources):
+    """The one source that gives chain c its own source's item in row c."""
+    if callable(sources[0]):
+        return lambda points: np.stack([oracle(p) for oracle, p in zip(sources, points)])
+    return [GradientPool(*map(np.stack, zip(*row))) for row in zip(*sources)]
+
+
+SHARED = [pytest.param(variant, False, id=variant) for variant in sorted(VARIANTS)]
+OWN = [
+    pytest.param(variant, True, id=f"{variant}-own-sources")
+    for variant in sorted(VARIANTS)
+    if VARIANTS[variant].source != "stream"
+]
+
+
 @pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("variant", sorted(VARIANTS))
-def test_batch_matches_chains_run_one_at_a_time(variant, family):
+@pytest.mark.parametrize("variant, own_sources", SHARED + OWN)
+def test_batch_matches_chains_run_one_at_a_time(variant, own_sources, family):
+    # With own sources, stacked pools or a block oracle answering row c from
+    # chain c's own oracle give each chain in the batch a source of its own.
     cfgs = configs(family)
-    source = source_for(variant)
+    if own_sources:
+        source = combined(per_chain_sources(variant))
+        sources = per_chain_sources(variant)
+    else:
+        source = source_for(variant)
+        sources = [source] * len(cfgs)
     batch = run_chains(variant, source, cfgs, STEPS, chain_rngs())
-    alone = [run_sampler(variant, source, cfg, STEPS, rng) for cfg, rng in zip(cfgs, chain_rngs())]
+    alone = [run_sampler(variant, src, cfg, STEPS, rng) for src, cfg, rng in zip(sources, cfgs, chain_rngs())]
     assert len(batch) == len(alone)
     for got, want in zip(batch, alone):
         np.testing.assert_array_equal(got.samples, want.samples)
@@ -111,7 +141,7 @@ def test_density_floor_names_chain_and_step():
 
 def test_non_finite_estimate_names_chain_and_step():
     def oracle(point):
-        return np.full(2, np.inf) if point[0] > 5.0 else -point
+        return np.where(point[..., :1] > 5.0, np.inf, -point)
 
     cfgs = configs(inits=([0.0, 0.0], [0.0, 0.0], [6.0, 0.0]))
     with pytest.raises(NonFiniteError, match=r"^chain 2: estimate became non-finite at sampler step 1$"):

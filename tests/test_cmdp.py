@@ -17,11 +17,8 @@ from langirl.problems.cmdp import (
     make_angle_pool_source,
     penalized_value,
     policy_to_spherical,
-    simulate,
     simulate_batch,
-    simulate_penalized,
     spherical_to_policy,
-    spsa_gradient,
     spsa_gradient_batch,
     stationary_joint,
     stationary_joint_batch,
@@ -234,9 +231,9 @@ class TestSimulation:
             constraint_bound=1.0,
             penalty_weight=1.0,
         )
-        J, B = simulate(tiny, np.array([[0.5, 0.5]]), 100, RngStream(0))
-        assert J == 4.0
-        assert B == 1.0
+        J, B = simulate_batch(tiny, np.array([[[0.5, 0.5]]]), 100, RngStream(0))
+        assert J.tolist() == [4.0]
+        assert B.tolist() == [1.0]
 
     def test_penalty_zero_when_cost_meets_bound(self):
         tiny = CmdpModel(
@@ -246,8 +243,8 @@ class TestSimulation:
             constraint_bound=1.0,
             penalty_weight=9e9,
         )
-        val = simulate_penalized(tiny, np.array([[0.5, 0.5]]), 50, RngStream(1))
-        assert val == 4.0
+        J, B = simulate_batch(tiny, np.array([[[0.5, 0.5]]]), 50, RngStream(1))
+        assert penalized_value(tiny, J, B).tolist() == [4.0]
 
     def test_penalized_value_formula(self):
         assert penalized_value(MODEL, 10.0, 1.2) == pytest.approx(10.0 - 1e5 * 0.04)
@@ -379,12 +376,6 @@ class TestSpsa:
         mean = grads.mean(axis=0)
         se = grads.std(axis=0, ddof=1) / math.sqrt(draws)
         assert np.all(np.abs(mean - want) < 3.5 * se + 0.05 * np.abs(want))
-
-    def test_single_matrix_wrapper(self):
-        angles = np.array([[0.5], [0.8]])
-        a = spsa_gradient(MODEL, angles, horizon=50, perturbation=0.1, rng=RngStream(7))
-        b = spsa_gradient_batch(MODEL, angles[None], horizon=50, perturbation=0.1, rng=RngStream(7))[0]
-        np.testing.assert_array_equal(a, b)
 
     def test_perturbation_validation(self):
         with pytest.raises(ConfigError):

@@ -8,8 +8,6 @@ from langirl.core import (
     NonFiniteError,
     RngStream,
     as_param,
-    check_finite,
-    gaussian_vector,
 )
 
 
@@ -80,19 +78,6 @@ def test_as_param_rejects_non_finite():
         as_param([1.0, np.nan])
     with pytest.raises(NonFiniteError):
         as_param([np.inf])
-
-
-def test_check_finite_names_context():
-    with pytest.raises(NonFiniteError, match="gradient block"):
-        check_finite(np.array([1.0, np.inf]), "gradient block")
-    check_finite(np.ones(5), "fine")
-
-
-def test_gaussian_vector_shape_and_validation():
-    v = gaussian_vector(RngStream(0), 6)
-    assert v.shape == (6,)
-    with pytest.raises(ConfigError):
-        gaussian_vector(RngStream(0), 0)
 
 
 def test_error_types_are_catchable_as_builtins():

@@ -50,9 +50,6 @@ class GridSpec:
         e = self.edges(axis)
         return 0.5 * (e[:-1] + e[1:])
 
-    def cell_volume(self) -> float:
-        return float(np.prod([(h - l) / b for l, h, b in self.axes]))
-
 
 @dataclass(frozen=True)
 class EmpiricalDensity:
@@ -97,14 +94,11 @@ def build_density(samples, grid: GridSpec) -> EmpiricalDensity:
     return EmpiricalDensity(grid, counts / total, oor, total)
 
 
-def log_density(density: EmpiricalDensity, zero_policy: str = "mask") -> np.ndarray:
+def log_density(density: EmpiricalDensity) -> np.ndarray:
     """Natural log of the cell masses with empty cells masked as NaN.
 
-    The only supported policy is "mask"; empty cells are reported as missing
-    rather than flooring them to a fake value.
+    Empty cells are reported as missing rather than floored to a fake value.
     """
-    if zero_policy != "mask":
-        raise ConfigError(f"unsupported zero policy {zero_policy!r}")
     out = np.full(density.mass.shape, np.nan)
     positive = density.mass > 0
     out[positive] = np.log(density.mass[positive])
@@ -124,38 +118,24 @@ def marginal(density: EmpiricalDensity, axis: int) -> EmpiricalDensity:
     )
 
 
-class Ecdf:
-    """Empirical CDF of a 1-D sample."""
-
-    def __init__(self, values):
-        values = np.asarray(values, dtype=np.float64).ravel()
-        if len(values) == 0:
-            raise ConfigError("Ecdf needs at least one value")
-        if not np.isfinite(values).all():
-            raise ConfigError("Ecdf values must be finite")
-        self.values = np.sort(values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def evaluate(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return np.searchsorted(self.values, x, side="right") / len(self.values)
-
-
 def wasserstein1(a, b) -> float:
     """Exact order-1 transport distance between two 1-D empirical laws.
 
     Integrates |F_a - F_b| over the merged breakpoint set of the two ECDFs,
-    which is exact for step functions.
+    which is exact for step functions. Each sample must be non-empty and
+    finite.
     """
-    a = a if isinstance(a, Ecdf) else Ecdf(a)
-    b = b if isinstance(b, Ecdf) else Ecdf(b)
-    support = np.concatenate([a.values, b.values])
+    a, b = (np.asarray(x, dtype=np.float64).ravel() for x in (a, b))
+    if not (len(a) and len(b)):
+        raise ConfigError("wasserstein1 needs at least one value in each sample")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ConfigError("wasserstein1 values must be finite")
+    a, b = np.sort(a), np.sort(b)
+    support = np.concatenate([a, b])
     support.sort(kind="mergesort")
     deltas = np.diff(support)
-    fa = np.searchsorted(a.values, support[:-1], side="right") / len(a)
-    fb = np.searchsorted(b.values, support[:-1], side="right") / len(b)
+    fa = np.searchsorted(a, support[:-1], side="right") / len(a)
+    fb = np.searchsorted(b, support[:-1], side="right") / len(b)
     return float(np.sum(np.abs(fa - fb) * deltas))
 
 

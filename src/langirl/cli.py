@@ -28,6 +28,7 @@ import contextlib
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -64,6 +65,7 @@ from .irl import (
     STREAM,
     VARIANTS,
     SamplerConfig,
+    check_run,
     load_trajectory,
     run_chains,
     run_sampler,  # not called here, but bench/tracer.py wraps cli.run_sampler
@@ -107,6 +109,28 @@ def _expect(section, field, kinds, path, required=True, default=None):
     if isinstance(value, bool) and kinds is not bool or not isinstance(value, kinds):
         raise ConfigError(f"{path}.{field}: expected {kinds}, got {type(value).__name__}")
     return value
+
+
+def _number(section, field, path, required=True, default=None):
+    """A number field as a float, or `default` when it is absent."""
+    value = _expect(section, field, (int, float), path, required, default)
+    return None if value is None else float(value)
+
+
+def _vector(section, field, path, required=True, default=None):
+    """A list of finite numbers (or a list of such lists) as a float64 array, or `default` when absent.
+
+    Every entry's type is checked: `np.asarray(x, dtype=float)` would also
+    take strings such as "1" and JSON true. JSON NaN and Infinity are
+    rejected here too, not later as a runtime failure.
+    """
+    value = _expect(section, field, list, path, required, default)
+    if value is None:
+        return None
+    entries = np.asarray(value, dtype=object).flat
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) for x in entries):
+        raise ConfigError(f"{path}.{field}: expected a list of finite numbers, got {value!r}")
+    return np.asarray(value, dtype=np.float64)
 
 
 def load_config(path):
@@ -193,39 +217,44 @@ class _Experiment:
         self._build_sampler(sampler)
         self._build_baseline(baseline)
 
-        self.analysis = _expect(config, "analysis", dict, "config", required=False, default={})
-        grid = _expect(self.analysis, "grid", list, "analysis", required=False)
+        analysis = _expect(config, "analysis", dict, "config", required=False, default={})
+        grid = _vector(analysis, "grid", "analysis", required=False)
         self.grid = None
         if grid is not None:
-            if not all(isinstance(axis, list) and len(axis) == 3 for axis in grid):
-                raise ConfigError(f"analysis.grid: expected one [low, high, bins] per axis, got {grid!r}")
-            self.grid = GridSpec(tuple(grid))
+            if grid.ndim != 2 or grid.shape[1] != 3:
+                raise ConfigError(f"analysis.grid: expected one [low, high, bins] per axis, got {grid.tolist()!r}")
+            self.grid = GridSpec(tuple(map(tuple, grid.tolist())))
             if self.grid.dim != self.dim:
                 raise ConfigError(
                     f"analysis.grid: {self.grid.dim} axes do not match problem dimension "
                     f"{self.dim} (problem.kind {self.kind!r})"
                 )
-        if self.analysis.get("compare_marginals") and baseline is None:
+        self.find_modes, self.compare_marginals = (
+            _expect(analysis, field, bool, "analysis", required=False, default=False)
+            for field in ("find_modes", "compare_marginals")
+        )
+        if self.compare_marginals and baseline is None:
             raise ConfigError("analysis.compare_marginals: requires a baseline section")
+        self.constraint_tolerance = _number(
+            analysis, "constraint_tolerance", "analysis", required=False, default=0.15
+        )
 
     # -- problem ---------------------------------------------------------
 
     def _build_problem(self, problem):
         if self.kind == "quadratic":
-            dim = _expect(problem, "dim", int, "problem", required=False, default=1)
-            curvature = float(_expect(problem, "curvature", (int, float), "problem", required=False, default=1.0))
-            center = float(_expect(problem, "center", (int, float), "problem", required=False, default=0.0))
-            noise = float(_expect(problem, "noise_std", (int, float), "problem", required=False, default=0.0))
-            self.dim = dim
-            self.curvature = curvature
+            self.dim = _expect(problem, "dim", int, "problem", required=False, default=1)
+            curvature = self.curvature = _number(problem, "curvature", "problem", required=False, default=1.0)
+            center = _number(problem, "center", "problem", required=False, default=0.0)
+            noise = _number(problem, "noise_std", "problem", required=False, default=0.0)
             self.oracle = lambda rng: synthetic.quadratic_oracle(curvature, center, noise, rng)
         elif self.kind == "mixture":
-            true_param = _expect(problem, "true_param", list, "problem")
+            variances = _vector(problem, "prior_variances", "problem", required=False, default=[10.0, 2.0])
             model = mixture.MixtureModel(
-                np.asarray(true_param, dtype=np.float64),
-                likelihood_weight=float(problem.get("likelihood_weight", 20.0)),
-                prior_variances=tuple(problem.get("prior_variances", (10.0, 2.0))),
-                component_var=float(problem.get("component_var", 2.0)),
+                _vector(problem, "true_param", "problem"),
+                likelihood_weight=_number(problem, "likelihood_weight", "problem", required=False, default=20.0),
+                prior_variances=tuple(variances.tolist()),
+                component_var=_number(problem, "component_var", "problem", required=False, default=2.0),
             )
             self.model = model
             self.dim = 2
@@ -248,9 +277,8 @@ class _Experiment:
                     cols if cols is not None else features.shape[1] - 1,
                     self.root.child(_RNG_DATA_SUBSET),
                 )
-            model = logistic.LogisticModel(
-                features, labels, likelihood_weight=float(problem.get("likelihood_weight", 10.0))
-            )
+            weight = _number(problem, "likelihood_weight", "problem", required=False, default=10.0)
+            model = logistic.LogisticModel(features, labels, likelihood_weight=weight)
             self.model = model
             self.dim = features.shape[1]
             self.oracle = lambda rng: logistic.make_stream_oracle(model)
@@ -260,7 +288,7 @@ class _Experiment:
             self.model = model
             self.dim = model.num_angles
             self.horizon = _expect(problem, "horizon", int, "problem")
-            self.perturbation = float(_expect(problem, "perturbation", (int, float), "problem"))
+            self.perturbation = _number(problem, "perturbation", "problem")
             if self.horizon < 1:
                 raise ConfigError(f"problem.horizon: must be at least 1, got {self.horizon}")
             if not self.perturbation > 0:
@@ -279,7 +307,7 @@ class _Experiment:
         if fwd is None:
             return
         self.agents = AgentPoolConfig(
-            step=float(_expect(fwd, "step", (int, float), "forward")),
+            step=_number(fwd, "step", "forward"),
             num_agents=_expect(fwd, "num_agents", int, "forward"),
             run_length=_expect(fwd, "run_length", int, "forward"),
         )
@@ -288,8 +316,8 @@ class _Experiment:
             raise ConfigError(f"forward.sweeps: must be at least 1, got {self.sweeps}")
         self.shuffle = _expect(fwd, "shuffle", bool, "forward", required=False, default=False)
         init = _expect(fwd, "init", dict, "forward", required=False, default={})
-        mean = np.asarray(init.get("mean", np.zeros(self.dim)), dtype=np.float64)
-        variances = np.asarray(init.get("variances", np.ones(self.dim)), dtype=np.float64)
+        mean = _vector(init, "mean", "forward.init", required=False, default=[0.0] * self.dim)
+        variances = _vector(init, "variances", "forward.init", required=False, default=[1.0] * self.dim)
         if mean.size != self.dim or variances.size != self.dim:
             raise ConfigError(
                 f"forward.init: dimension does not match problem dimension {self.dim}"
@@ -305,7 +333,7 @@ class _Experiment:
             if density is None:
                 raise ConfigError(f"{path}.init: 'sample' requires a forward section")
             return np.zeros(self.dim), density
-        vec = np.asarray(init, dtype=np.float64)
+        vec = _vector(section, "init", path, required=False, default=default)
         if vec.size != self.dim:
             raise ConfigError(
                 f"{path}.init: length {vec.size} does not match problem dimension "
@@ -317,32 +345,18 @@ class _Experiment:
         kernel = _expect(sampler, "kernel", dict, "sampler", required=False)
         if kernel is not None:
             family = _expect(kernel, "family", str, "sampler.kernel", required=False, default=GAUSSIAN)
-            bandwidth = float(_expect(kernel, "bandwidth", (int, float), "sampler.kernel"))
-            kernel = Kernel(family, bandwidth, self.dim)
-        conditional_std = sampler.get("conditional_std")
-        skew = sampler.get("skew")
+            kernel = Kernel(family, _number(kernel, "bandwidth", "sampler.kernel"), self.dim)
         init, self.sample_init = self._start(sampler, "sampler", self.density)
-        self.sampler_cfg = _sampler_config(
-            "sampler",
-            step=float(_expect(sampler, "step", (int, float), "sampler")),
-            beta=float(_expect(sampler, "beta", (int, float), "sampler")),
-            init=init,
-            kernel=kernel,
-            init_density=self.density,
-            pool_size=_expect(sampler, "pool_size", int, "sampler", required=False, default=1),
-            conditional_std=None if conditional_std is None else float(conditional_std),
-            skew=None if skew is None else np.asarray(skew, dtype=np.float64),
-        )
-        for name in VARIANTS[self.variant].needs:
-            if getattr(self.sampler_cfg, name) is None:
-                raise ConfigError(f"sampler: variant {self.variant!r} needs {name}")
+        pool_size = _expect(sampler, "pool_size", int, "sampler", required=False, default=1)
 
         # Corpus readers take at most what the corpus holds over its sweeps.
         num_steps = _expect(sampler, "num_steps", int, "sampler", required=False)
         if self.source_kind != ORACLE and self.agents is not None:
             rows = self.agents.num_agents * self.agents.run_length
-            available = self.sweeps * (rows if self.source_kind == STREAM else rows // self.sampler_cfg.pool_size)
-            num_steps = num_steps or available
+            # A pool_size below 1 is the SamplerConfig error raised below.
+            available = self.sweeps * (rows if self.source_kind == STREAM else rows // max(pool_size, 1))
+            if num_steps is None:
+                num_steps = available
             if num_steps > available:
                 raise ConfigError(
                     f"sampler.num_steps: {num_steps} exceeds the forward corpus's "
@@ -352,7 +366,20 @@ class _Experiment:
             raise ConfigError(f"sampler.num_steps: required for variant {self.variant!r}")
         self.num_steps = num_steps
         self.burn_in = _expect(sampler, "burn_in", int, "sampler", required=False)
-        _check_steps("sampler", num_steps, self.burn_in)
+        self.sampler_cfg = _sampler_config(
+            "sampler",
+            self.variant,
+            num_steps,
+            self.burn_in,
+            step=_number(sampler, "step", "sampler"),
+            beta=_number(sampler, "beta", "sampler"),
+            init=init,
+            kernel=kernel,
+            init_density=self.density,
+            pool_size=pool_size,
+            conditional_std=_number(sampler, "conditional_std", "sampler", required=False),
+            skew=_vector(sampler, "skew", "sampler", required=False),
+        )
 
     def _build_baseline(self, baseline):
         self.baseline_cfg = None
@@ -362,27 +389,26 @@ class _Experiment:
         if self.baseline_chains < 1:
             raise ConfigError("baseline.chains: must be at least 1")
         self.baseline_steps = _expect(baseline, "num_steps", int, "baseline")
-        _check_steps("baseline", self.baseline_steps)
         density = self.density if self.density is not None else InitDensity.standard(self.dim)
         init, self.baseline_sample_init = self._start(baseline, "baseline", density, default=[0.0] * self.dim)
-        beta = _expect(baseline, "beta", (int, float), "baseline", required=False, default=self.sampler_cfg.beta)
-        step = float(_expect(baseline, "step", (int, float), "baseline"))
-        self.baseline_cfg = _sampler_config("baseline", step=step, beta=float(beta), init=init)
+        self.baseline_cfg = _sampler_config(
+            "baseline",
+            CLASSICAL,
+            self.baseline_steps,
+            step=_number(baseline, "step", "baseline"),
+            beta=_number(baseline, "beta", "baseline", required=False, default=self.sampler_cfg.beta),
+            init=init,
+        )
 
 
-def _sampler_config(path, **fields):
-    """A SamplerConfig whose validation errors name the config section."""
+def _sampler_config(path, variant, num_steps, burn_in=None, **fields):
+    """A SamplerConfig that `check_run` passes for a run of `variant`; errors name the config section."""
     try:
-        return SamplerConfig(**fields)
+        cfg = SamplerConfig(**fields)
+        check_run(variant, cfg, num_steps, burn_in)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-
-
-def _check_steps(path, num_steps, burn_in=None):
-    if num_steps < 0:
-        raise ConfigError(f"{path}.num_steps: must be non-negative, got {num_steps}")
-    if burn_in is not None and not 0 <= burn_in <= num_steps:
-        raise ConfigError(f"{path}.burn_in: must lie in [0, num_steps], got {burn_in}")
+    return cfg
 
 
 @contextlib.contextmanager
@@ -489,10 +515,9 @@ def _chain_source(exp, kind, corpus, rngs):
     source is passed unchanged.
     """
     pool_size = exp.sampler_cfg.pool_size
-    if kind == STREAM:
-        return corpus.iter_sweeps(exp.sweeps)
-    if kind == POOL and exp.kind != "cmdp":
-        return itertools.chain.from_iterable(corpus.as_pools(pool_size) for _ in range(exp.sweeps))
+    if kind != ORACLE and exp.kind != "cmdp":
+        passes = (corpus if kind == STREAM else corpus.as_pools(pool_size) for _ in range(exp.sweeps))
+        return itertools.chain.from_iterable(passes)
     if kind == ORACLE:
         sources = [exp.oracle(rng) for rng in rngs]
     else:
@@ -515,28 +540,25 @@ def _save_chains(trajs, cfgs, outdir, name):
 
 def _analyze(exp, pooled, base_post, metrics):
     """Fill `metrics` from the pooled samples; return the densities to write by file name."""
-    analysis = exp.analysis
     densities = {}
-    if analysis.get("report_variance", True):
-        metrics["variance"] = [float(v) for v in pooled.var(axis=0)]
-        metrics["mean"] = [float(v) for v in pooled.mean(axis=0)]
+    metrics["variance"] = [float(v) for v in pooled.var(axis=0)]
+    metrics["mean"] = [float(v) for v in pooled.mean(axis=0)]
     if exp.kind == "quadratic":
         metrics["analytic_variance_target"] = 1.0 / (exp.curvature * exp.sampler_cfg.beta)
     if exp.kind == "cmdp":
-        tol = float(analysis.get("constraint_tolerance", 0.15))
         policies = cmdp.spherical_to_policy(
             pooled.reshape(-1, exp.model.num_states, exp.model.num_actions - 1)
         )
         _, _, avg_cost = cmdp.stationary_joint_batch(exp.model, policies)
-        near = np.abs(avg_cost - exp.model.constraint_bound) < tol
-        metrics["constraint_tolerance"] = tol
+        near = np.abs(avg_cost - exp.model.constraint_bound) < exp.constraint_tolerance
+        metrics["constraint_tolerance"] = exp.constraint_tolerance
         metrics["constraint_near_fraction"] = float(near.mean())
 
     if exp.grid is not None:
         dens = build_density(pooled, exp.grid)
         densities["density.csv"] = dens
         metrics["out_of_range_fraction"] = dens.out_of_range_fraction
-        if analysis.get("find_modes"):
+        if exp.find_modes:
             modes = find_modes(dens)
             metrics["modes"] = [
                 {"center": [float(c) for c in center], "mass": float(mass)}
@@ -545,7 +567,7 @@ def _analyze(exp, pooled, base_post, metrics):
         if base_post is not None:
             bdens = build_density(base_post, exp.grid)
             densities["baseline_density.csv"] = bdens
-            if analysis.get("compare_marginals"):
+            if exp.compare_marginals:
                 metrics["variational_distance"] = [
                     variational_distance(marginal(dens, axis), marginal(bdens, axis))
                     for axis in range(exp.dim)

@@ -17,13 +17,12 @@ run length of 1 it is the same as agent order.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import ConfigError, GradientPool, GradientSample, NonFiniteError, RngStream, write_csv
+from .core import ConfigError, GradientPool, GradientSample, NonFiniteError, RngStream
 
 PointOracle = Callable[[np.ndarray], np.ndarray]
 PoolOracle = Callable[[np.ndarray], np.ndarray]
@@ -133,11 +132,6 @@ class GradientStream:
         for i in range(len(points)):
             yield GradientSample(points[i], gradients[i])
 
-    def iter_sweeps(self, sweeps: int) -> Iterator[GradientSample]:
-        """Iterate the stream end to end `sweeps` times."""
-        for _ in range(sweeps):
-            yield from self
-
     def as_pools(self, pool_size: int) -> Iterator[GradientPool]:
         """Chop the stream into consecutive pools of `pool_size` samples.
 
@@ -226,28 +220,3 @@ def pool_stream(
         if grads.shape != pts.shape:
             raise ConfigError("pool oracle returned a block of the wrong shape")
         yield GradientPool(pts, grads)
-
-
-def write_stream_csv(stream: GradientStream, path) -> None:
-    dim = stream.dim
-    header = (
-        ["agent", "step"]
-        + [f"theta_{i + 1}" for i in range(dim)]
-        + [f"grad_{i + 1}" for i in range(dim)]
-    )
-    rows = zip(stream.agent_ids.tolist(), stream.step_ids.tolist(), stream.points, stream.gradients)
-    write_csv(path, header, ([a, s, *p.tolist(), *g.tolist()] for a, s, p, g in rows))
-
-
-def read_stream_csv(path) -> GradientStream:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if len(header) < 4 or header[:2] != ["agent", "step"]:
-            raise ConfigError(f"unrecognized stream header in {path}")
-        dim = (len(header) - 2) // 2
-        rows = list(reader)
-    agent_ids = np.array([int(r[0]) for r in rows], dtype=np.int64)
-    step_ids = np.array([int(r[1]) for r in rows], dtype=np.int64)
-    body = np.array([[float(v) for v in r[2:]] for r in rows], dtype=np.float64)
-    return GradientStream(body[:, :dim], body[:, dim:], agent_ids, step_ids)

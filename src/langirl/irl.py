@@ -119,7 +119,7 @@ _FINITE_CHECK_BLOCK = 1024
 class SamplerConfig:
     """Static settings shared by the sampler variants.
 
-    Not every field applies to every variant; `run_sampler` checks that the
+    Not every field applies to every variant; `check_run` checks that the
     fields its variant needs are present. `conditional_std` is the Gaussian
     scale used both for multikernel pool weights and for active probing.
     """
@@ -464,6 +464,26 @@ class _ChainNoise:
         return row
 
 
+def check_run(variant: str, cfg: SamplerConfig, num_steps: int, burn_in: int | None = None) -> Variant:
+    """The `VARIANTS` row of `variant`, once `cfg`, `num_steps` and `burn_in` suit a run of it.
+
+    Raises ConfigError for an unknown variant, a config field the variant
+    needs left unset, a negative `num_steps` or a `burn_in` outside
+    [0, num_steps]. A `burn_in` of None is the default tenth of the run.
+    """
+    row = VARIANTS.get(variant)
+    if row is None:
+        raise ConfigError(f"unknown variant {variant!r}; expected one of {tuple(VARIANTS)}")
+    for name in row.needs:
+        if getattr(cfg, name) is None:
+            raise ConfigError(f"variant {variant!r} needs {name}")
+    if num_steps < 0:
+        raise ConfigError(f"num_steps must be non-negative, got {num_steps}")
+    if burn_in is not None and not 0 <= burn_in <= num_steps:
+        raise ConfigError(f"burn_in must lie in [0, num_steps], got {burn_in}")
+    return row
+
+
 def _shared_settings(cfg: SamplerConfig) -> dict:
     return {key: val for key, val in cfg.to_dict().items() if key != "init"}
 
@@ -501,23 +521,14 @@ def run_chains(
     or DensityFloorError naming the sampler step (and, for several chains,
     the first chain) at which a chain failed. Returns one Trajectory per chain.
     """
-    row = VARIANTS.get(variant)
-    if row is None:
-        raise ConfigError(f"unknown variant {variant!r}; expected one of {tuple(VARIANTS)}")
-    if num_steps < 0:
-        raise ConfigError("num_steps must be non-negative")
-    if burn_in is None:
-        burn_in = num_steps // 10
-    if not 0 <= burn_in <= num_steps:
-        raise ConfigError("burn_in must lie in [0, num_steps]")
     if not cfgs or len(cfgs) != len(rngs):
         raise ConfigError("run_chains needs at least one config and one rng per config")
     cfg = cfgs[0]
     if any(_shared_settings(other) != _shared_settings(cfg) for other in cfgs[1:]):
         raise ConfigError("the chains' sampler configs may differ only in init")
-    for name in row.needs:
-        if getattr(cfg, name) is None:
-            raise ConfigError(f"variant {variant!r} needs {name}")
+    row = check_run(variant, cfg, num_steps, burn_in)
+    if burn_in is None:
+        burn_in = num_steps // 10
 
     if variant == PASSIVE_GATED and cfg.gain_ratio >= _GAIN_RATIO_WARN:
         warnings.warn(

@@ -25,6 +25,12 @@ from ..core import ConfigError, GradientPool, RngStream
 
 _ROW_SUM_TOL = 1e-12
 
+# The canonical angle box of the chart, and the weight of the wall around it
+# that keeps the SPSA probes on the box.
+ANGLE_LOW = 0.0
+ANGLE_HIGH = math.pi / 2
+BARRIER_WEIGHT = 1e6
+
 
 @dataclass(frozen=True)
 class CmdpModel:
@@ -223,16 +229,16 @@ def penalized_value(model: CmdpModel, avg_reward, avg_cost):
     return np.asarray(avg_reward) - model.penalty_weight * gap * gap
 
 
-def angle_barrier(angles: np.ndarray, weight: float, low: float = 0.0, high: float = math.pi / 2) -> np.ndarray:
+def angle_barrier(angles: np.ndarray) -> np.ndarray:
     """Quadratic wall outside the canonical angle box, zero inside it.
 
     Keeps a simulated learner on the fundamental chart; without it the
     objective is periodic in the angles and iterates drift across copies.
     """
     angles = np.asarray(angles, dtype=np.float64)
-    under = np.clip(low - angles, 0.0, None)
-    over = np.clip(angles - high, 0.0, None)
-    return weight * (under * under + over * over).sum(axis=(-2, -1))
+    under = np.clip(ANGLE_LOW - angles, 0.0, None)
+    over = np.clip(angles - ANGLE_HIGH, 0.0, None)
+    return BARRIER_WEIGHT * (under * under + over * over).sum(axis=(-2, -1))
 
 
 def spsa_gradient_batch(
@@ -241,13 +247,12 @@ def spsa_gradient_batch(
     horizon: int,
     perturbation: float,
     rng: RngStream,
-    barrier_weight: float = 0.0,
 ) -> np.ndarray:
     """Two-sided simultaneous-perturbation gradients in the angle chart.
 
     One Rademacher direction per angle matrix; both probe policies of every
-    matrix run inside a single batched simulation sweep. A positive
-    ``barrier_weight`` subtracts angle_barrier from the probed objective.
+    matrix run inside a single batched simulation sweep. The probed objective
+    is the penalized value minus angle_barrier, which is zero on the box.
     """
     angles = np.asarray(angles, dtype=np.float64)
     if angles.ndim != 3:
@@ -260,9 +265,7 @@ def spsa_gradient_batch(
         [angles + perturbation * delta, angles - perturbation * delta], axis=0
     )
     J, B = simulate_batch(model, spherical_to_policy(probes), horizon, rng)
-    values = penalized_value(model, J, B)
-    if barrier_weight:
-        values = values - angle_barrier(probes, barrier_weight)
+    values = penalized_value(model, J, B) - angle_barrier(probes)
     scale = (values[:m] - values[m:]) / (2.0 * perturbation)
     return scale[:, None, None] * delta
 
@@ -274,9 +277,6 @@ def make_angle_pool_source(
     horizon: int,
     perturbation: float,
     rng: RngStream,
-    low: float = 0.0,
-    high: float = math.pi / 2,
-    barrier_weight: float = 1e6,
     chunk: int = 200,
 ):
     """Yield pools of (flattened angle point, SPSA gradient) pairs.
@@ -291,10 +291,8 @@ def make_angle_pool_source(
     while done < num_pools:
         take = min(chunk, num_pools - done)
         shape = (take * pool_size, model.num_states, model.num_actions - 1)
-        pts = rng.uniform(low, high, size=shape)
-        grads = spsa_gradient_batch(
-            model, pts, horizon, perturbation, rng, barrier_weight=barrier_weight
-        )
+        pts = rng.uniform(ANGLE_LOW, ANGLE_HIGH, size=shape)
+        grads = spsa_gradient_batch(model, pts, horizon, perturbation, rng)
         flat_p = pts.reshape(take, pool_size, width)
         flat_g = grads.reshape(take, pool_size, width)
         for j in range(take):

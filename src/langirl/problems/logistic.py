@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass
 
@@ -14,19 +13,18 @@ from ..core import ConfigError, RngStream
 def parse_libsvm(source, num_features: int | None = None):
     """Parse sparse libsvm-format classification data into dense arrays.
 
-    Each line is ``label index:value ...`` with 1-based, strictly increasing
-    indices and labels in {-1, +1}, mapped to {0, 1}. When `num_features` is
-    omitted the dimension is the largest index seen. Returns (features,
-    labels) where features carries a leading all-ones bias column, so its
-    width is `num_features + 1`.
+    `source` is a file path or an iterable of text lines. Each line is
+    ``label index:value ...`` with 1-based, strictly increasing indices and
+    labels in {-1, +1}, mapped to {0, 1}. When `num_features` is omitted the
+    dimension is the largest index seen. Returns (features, labels) where
+    features carries a leading all-ones bias column, so its width is
+    `num_features + 1`.
 
     Malformed lines raise ConfigError naming the 1-based line number.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source) as fh:
             return parse_libsvm(fh, num_features)
-    if isinstance(source, bytes):
-        return parse_libsvm(io.StringIO(source.decode()), num_features)
 
     labels = []
     rows = []

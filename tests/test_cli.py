@@ -1,6 +1,7 @@
 """The `langirl` command line: exit codes, failure records, reruns and compare."""
 
 import filecmp
+import itertools
 import json
 import os
 import re
@@ -136,12 +137,16 @@ def cmdp_config(output):
     }
 
 
-def corpus_chains(root):
+def quadratic_corpus(root):
     # The corpus as the runner builds it: oracle stream 0, agents 5, shuffle 1.
     density = InitDensity.standard(2)
     oracle = synthetic.quadratic_oracle(1.0, 0.0, 0.0, root.child(0))
     corpus = run_agent_pool(oracle, density, AgentPoolConfig(0.05, 200, 1), root.child(5))
-    corpus = corpus.shuffled(root.child(1))
+    return corpus.shuffled(root.child(1)), density
+
+
+def corpus_chains(root):
+    corpus, density = quadratic_corpus(root)
     cfg = SamplerConfig(step=0.2, beta=1.0, init=np.zeros(2), kernel=Kernel(GAUSSIAN, 0.5, 2),
                         init_density=density)
     return {
@@ -241,6 +246,65 @@ def test_batched_chains_match_one_chain_runs(tmp_path, case):
         assert got.underflow_resets == want.underflow_resets
 
 
+SWEEP_CASES = {
+    # case: (variant, fields set in both the config and the SamplerConfig, one pass over the corpus)
+    "stream": (PASSIVE_GENERALIZED, {}, lambda corpus: corpus),
+    "pools": (MULTIKERNEL, {"pool_size": 4, "conditional_std": 0.5}, lambda corpus: corpus.as_pools(4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_forward_sweeps_reread_the_corpus(tmp_path, case):
+    # Two sweeps are one run over the corpus read twice, end to end.
+    variant, fields, one_pass = SWEEP_CASES[case]
+    out = tmp_path / "run"
+    config = quadratic_config(out, variant=variant, **fields)
+    config["forward"]["sweeps"] = 2
+    assert main(["run", write_config(tmp_path, config)]) == 0
+    root = RngStream(config["seed"])
+    corpus, density = quadratic_corpus(root)
+    cfg = SamplerConfig(step=0.2, beta=1.0, init=np.zeros(2), kernel=Kernel(GAUSSIAN, 0.5, 2),
+                        init_density=density, **fields)
+    source = itertools.chain(one_pass(corpus), one_pass(corpus))
+    steps = 2 * len(list(one_pass(corpus)))
+    want = run_sampler(variant, source, cfg, steps, root.child(10))
+    got, meta = load_trajectory(out)
+    assert meta["num_steps"] == steps
+    np.testing.assert_array_equal(got.samples, want.samples)
+    assert got.fingerprint == want.fingerprint
+
+
+def test_zero_num_steps_runs_zero_steps(tmp_path):
+    # An explicit 0 is not the whole corpus: the chain stays at its start.
+    out = tmp_path / "run"
+    assert main(["run", write_config(tmp_path, quadratic_config(out, num_steps=0))]) == 0
+    traj, meta = load_trajectory(out)
+    assert meta["num_steps"] == 0
+    np.testing.assert_array_equal(traj.samples, [[0.0, 0.0]])
+    assert read_json(out / "metrics.json")["post_samples"] == 1
+
+
+def test_paper_scale_merges_its_overlay(tmp_path):
+    out = tmp_path / "run"
+    config = quadratic_config(out)
+    config["scales"] = {"paper": {"sampler": {"num_steps": 50}, "baseline": {"num_steps": 20}}}
+    assert main(["run", write_config(tmp_path, config), "--scale", "paper"]) == 0
+    resolved = read_json(out / "manifest.json")["config"]
+    assert resolved["scale"] == "paper" and "scales" not in resolved
+    # The overlay replaces only the fields it names.
+    assert resolved["sampler"] == {**config["sampler"], "num_steps": 50}
+    assert resolved["baseline"] == {"step": 0.1, "num_steps": 20}
+    assert load_trajectory(out)[1]["num_steps"] == 50
+    assert load_trajectory(out, stem="baseline")[1]["num_steps"] == 20
+
+
+def test_undefined_scale_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run", write_config(tmp_path, quadratic_config(out)), "--scale", "paper"]) == 2
+    assert "scales.paper: not defined" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_divergence_failure_is_recorded(tmp_path):
     # Classical Langevin with step * curvature / 2 = 25 multiplies the
     # estimate by about -24 per step until it overflows. Both chains overflow
@@ -302,30 +366,65 @@ def test_cmdp_bad_horizon_or_perturbation_fails_before_any_output(tmp_path, caps
 MISSING = object()
 
 
+def mixture_config(output):
+    return oracle_config(output, {"kind": "mixture", "true_param": [-1.0, 2.0]}, variant="classical")
+
+
 @pytest.mark.parametrize(
-    "section, field, value, message",
+    "make_config, path, value, message",
     [
-        pytest.param("baseline", "init", [0.0, 0.0, 0.0], "baseline.init: length 3", id="baseline-init-3d"),
-        pytest.param("baseline", "init", "foo", "baseline.init: expected", id="baseline-init-string"),
-        pytest.param("baseline", "chains", 0, "baseline.chains", id="baseline-chains-0"),
-        pytest.param("baseline", "beta", "x", "baseline.beta", id="baseline-beta-string"),
-        pytest.param("analysis", "grid", [1, 2], "analysis.grid", id="grid-not-triples"),
-        pytest.param("forward", "step", MISSING, "forward.step: missing", id="forward-step-missing"),
-        pytest.param("forward", "num_agents", True, "forward.num_agents: expected", id="bool-for-int"),
-        pytest.param("sampler", "step", -1, "sampler: sampler step must be positive", id="sampler-step-negative"),
-        pytest.param("sampler", "num_steps", 201, "sampler.num_steps: 201 exceeds", id="num-steps-over-budget"),
-        pytest.param("sampler", "kernel", MISSING, "needs kernel", id="sampler-kernel-missing"),
+        pytest.param(quadratic_config, "baseline.init", [0.0, 0.0, 0.0], "baseline.init: length 3",
+                     id="baseline-init-3d"),
+        pytest.param(quadratic_config, "baseline.init", "foo", "baseline.init: expected",
+                     id="baseline-init-string"),
+        pytest.param(quadratic_config, "baseline.chains", 0, "baseline.chains", id="baseline-chains-0"),
+        pytest.param(quadratic_config, "baseline.beta", "x", "baseline.beta", id="baseline-beta-string"),
+        pytest.param(quadratic_config, "analysis.grid", [1, 2], "analysis.grid", id="grid-not-triples"),
+        pytest.param(quadratic_config, "forward.step", MISSING, "forward.step: missing",
+                     id="forward-step-missing"),
+        pytest.param(quadratic_config, "forward.num_agents", True, "forward.num_agents: expected",
+                     id="bool-for-int"),
+        pytest.param(quadratic_config, "sampler.step", -1, "sampler: sampler step must be positive",
+                     id="sampler-step-negative"),
+        pytest.param(quadratic_config, "sampler.num_steps", 201, "sampler.num_steps: 201 exceeds",
+                     id="num-steps-over-budget"),
+        pytest.param(quadratic_config, "sampler.kernel", MISSING, "needs kernel", id="sampler-kernel-missing"),
+        # Values that np.asarray or float() would reject only with a traceback.
+        pytest.param(quadratic_config, "forward.init.mean", "foo", "forward.init.mean: expected",
+                     id="forward-init-mean-string"),
+        pytest.param(quadratic_config, "sampler.init", ["a", 0],
+                     "sampler.init: expected a list of finite numbers", id="sampler-init-string-entry"),
+        pytest.param(quadratic_config, "sampler.init", [float("nan"), 0.0],
+                     "sampler.init: expected a list of finite numbers", id="sampler-init-nan"),
+        pytest.param(quadratic_config, "sampler.skew", [[0.0, "a"], [0.0, 0.0]],
+                     "sampler.skew: expected a list of finite numbers", id="sampler-skew-string-entry"),
+        pytest.param(quadratic_config, "sampler.conditional_std", "x", "sampler.conditional_std: expected",
+                     id="conditional-std-string"),
+        pytest.param(mixture_config, "problem.true_param", ["a", 1], "problem.true_param: expected a list",
+                     id="mixture-true-param-string-entry"),
+        pytest.param(mixture_config, "problem.likelihood_weight", "x", "problem.likelihood_weight: expected",
+                     id="mixture-likelihood-weight-string"),
+        pytest.param(mixture_config, "problem.prior_variances", 5, "problem.prior_variances: expected",
+                     id="mixture-prior-variances-number"),
+        pytest.param(quadratic_config, "analysis.grid", [["a", 3.0, 10], [-3.0, 3.0, 10]],
+                     "analysis.grid: expected a list of finite numbers", id="grid-bound-string"),
+        # Checked at config time, though only the analysis after sampling reads it.
+        pytest.param(cmdp_config, "analysis.constraint_tolerance", "x", "analysis.constraint_tolerance: expected",
+                     id="cmdp-constraint-tolerance-string"),
     ],
 )
-def test_config_error_fails_before_any_output(tmp_path, capsys, section, field, value, message):
-    # The 200-row corpus is the sampler's whole budget.
+def test_config_error_fails_before_any_output(tmp_path, capsys, make_config, path, value, message):
+    # The 200-row corpus is the quadratic sampler's whole budget.
     out = tmp_path / "run"
-    config = quadratic_config(out)
-    config.setdefault(section, {})
+    config = make_config(out)
+    *sections, field = path.split(".")
+    section = config
+    for name in sections:
+        section = section.setdefault(name, {})
     if value is MISSING:
-        del config[section][field]
+        del section[field]
     else:
-        config[section][field] = value
+        section[field] = value
     assert main(["run", write_config(tmp_path, config)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()

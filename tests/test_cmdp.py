@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from langirl.core import ConfigError, GradientPool, RngStream
 from langirl.problems.cmdp import (
+    BARRIER_WEIGHT,
     CmdpModel,
     angle_barrier,
     ground_truth_penalized,
@@ -387,12 +388,12 @@ class TestSpsa:
 class TestBarrierAndPools:
     def test_barrier_zero_inside_box(self):
         pts = RngStream(49).uniform(0.0, math.pi / 2, size=(40, 2, 1))
-        np.testing.assert_array_equal(angle_barrier(pts, weight=1e6), np.zeros(40))
+        np.testing.assert_array_equal(angle_barrier(pts), np.zeros(40))
 
     def test_barrier_quadratic_outside(self):
         pts = np.array([[[-0.3], [math.pi / 2 + 0.2]]])
-        want = 1e6 * (0.3**2 + 0.2**2)
-        assert angle_barrier(pts, weight=1e6)[0] == pytest.approx(want, rel=1e-10)
+        want = BARRIER_WEIGHT * (0.3**2 + 0.2**2)
+        assert angle_barrier(pts)[0] == pytest.approx(want, rel=1e-10)
 
     def test_pool_source_shapes_and_count(self):
         pools = list(make_angle_pool_source(MODEL, 5, 7, horizon=10, perturbation=0.1,

@@ -1,13 +1,7 @@
-"""Forward agents: initialization density, gradient streams, CSV round trips."""
-
-import os
-import tempfile
+"""Forward agents: initialization density and gradient streams."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from langirl.core import ConfigError, NonFiniteError, RngStream
 from langirl.forward import (
@@ -15,14 +9,10 @@ from langirl.forward import (
     GradientStream,
     InitDensity,
     pool_stream,
-    read_stream_csv,
     run_agent_pool,
-    write_stream_csv,
 )
 from langirl.problems import logistic, mixture
 from langirl.problems.synthetic import quadratic_oracle
-from strategies import EDGE_FLOATS
-
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -266,13 +256,6 @@ class TestStreamSlicing:
             quadratic_oracle(), InitDensity.standard(2), cfg, RngStream(8)
         )
 
-    def test_iter_sweeps_repeats_in_order(self):
-        once = [s.point.copy() for s in self.stream]
-        twice = [s.point.copy() for s in self.stream.iter_sweeps(2)]
-        assert len(twice) == 2 * len(once)
-        np.testing.assert_array_equal(np.stack(twice[: len(once)]), np.stack(once))
-        np.testing.assert_array_equal(np.stack(twice[len(once):]), np.stack(once))
-
     def test_as_pools_chops_consecutively_and_drops_remainder(self):
         pools = list(self.stream.as_pools(30))
         assert len(pools) == len(self.stream) // 30
@@ -282,36 +265,6 @@ class TestStreamSlicing:
     def test_as_pools_validates_size(self):
         with pytest.raises(ConfigError):
             next(self.stream.as_pools(0))
-
-    def test_csv_round_trip(self, tmp_path):
-        path = tmp_path / "stream.csv"
-        write_stream_csv(self.stream, path)
-        back = read_stream_csv(path)
-        np.testing.assert_array_equal(back.points, self.stream.points)
-        np.testing.assert_array_equal(back.gradients, self.stream.gradients)
-        np.testing.assert_array_equal(back.agent_ids, self.stream.agent_ids)
-        write_stream_csv(back, tmp_path / "again.csv")
-        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
-
-    @settings(max_examples=150, derandomize=True, database=None)
-    @given(st.data())
-    def test_csv_round_trip_is_bit_exact(self, data):
-        n, dim = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
-        floats = arrays(np.float64, (n, dim), elements=EDGE_FLOATS)
-        ids = arrays(np.int64, n, elements=st.integers(-(2**63), 2**63 - 1))
-        stream = GradientStream(data.draw(floats), data.draw(floats), data.draw(ids), data.draw(ids))
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "stream.csv")
-            write_stream_csv(stream, path)
-            back = read_stream_csv(path)
-        for field in ("points", "gradients", "agent_ids", "step_ids"):
-            assert getattr(back, field).tobytes() == getattr(stream, field).tobytes(), field
-
-    def test_csv_header_check(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("x,y\n1,2\n")
-        with pytest.raises(ConfigError):
-            read_stream_csv(bad)
 
 
 def test_pool_stream_draws_fresh_points():

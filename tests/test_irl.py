@@ -32,6 +32,7 @@ from langirl.irl import (
     VARIANTS,
     SamplerConfig,
     Trajectory,
+    check_run,
     load_trajectory,
     normalized_weights,
     run_sampler,
@@ -291,6 +292,16 @@ class TestRunSampler:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError, match="unknown variant"):
             run_sampler("smoothed", [], self.small_cfg(), 1, RngStream(0))
+
+    def test_check_run_returns_the_row_and_names_bad_step_counts(self):
+        cfg = self.small_cfg()
+        assert check_run(PASSIVE_GENERALIZED, cfg, 10) is VARIANTS[PASSIVE_GENERALIZED]
+        assert check_run(PASSIVE_GENERALIZED, cfg, 10, burn_in=10) is VARIANTS[PASSIVE_GENERALIZED]
+        with pytest.raises(ConfigError, match="num_steps must be non-negative, got -1"):
+            run_sampler(PASSIVE_GENERALIZED, [], cfg, -1, RngStream(0))
+        for burn_in in (-1, 11):
+            with pytest.raises(ConfigError, match=rf"burn_in must lie in \[0, num_steps\], got {burn_in}"):
+                run_sampler(PASSIVE_GENERALIZED, [], cfg, 10, RngStream(0), burn_in=burn_in)
 
     def test_oracle_variant_needs_callable(self):
         cfg = SamplerConfig(step=1e-3, beta=2.0, init=np.zeros(1))

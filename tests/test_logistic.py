@@ -61,10 +61,6 @@ class TestParsing:
         feats, labels = parse_libsvm(io.StringIO("# header\n\n+1 1:2\n"))
         assert feats.shape == (1, 2)
 
-    def test_bytes_input(self):
-        feats, labels = parse_libsvm(b"+1 2:1\n")
-        assert feats.shape == (1, 3)
-
     def test_bad_label_names_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_libsvm(io.StringIO("+1 1:1\n5 1:1\n"))

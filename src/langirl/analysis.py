@@ -26,9 +26,12 @@ class GridSpec:
         axes = []
         for ax in self.axes:
             low, high, bins = ax
-            low, high, bins = float(low), float(high), int(bins)
+            low, high = float(low), float(high)
             if not (math.isfinite(low) and math.isfinite(high) and low < high):
                 raise ConfigError(f"grid axis needs finite low < high, got {ax}")
+            if not float(bins).is_integer():
+                raise ConfigError(f"grid axis needs a whole number of bins, got {ax}")
+            bins = int(bins)
             if bins < 1:
                 raise ConfigError("grid axis needs at least one bin")
             axes.append((low, high, bins))

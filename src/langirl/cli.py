@@ -223,7 +223,10 @@ class _Experiment:
         if grid is not None:
             if grid.ndim != 2 or grid.shape[1] != 3:
                 raise ConfigError(f"analysis.grid: expected one [low, high, bins] per axis, got {grid.tolist()!r}")
-            self.grid = GridSpec(tuple(map(tuple, grid.tolist())))
+            try:
+                self.grid = GridSpec(tuple(map(tuple, grid.tolist())))
+            except ConfigError as exc:
+                raise ConfigError(f"analysis.grid: {exc}") from None
             if self.grid.dim != self.dim:
                 raise ConfigError(
                     f"analysis.grid: {self.grid.dim} axes do not match problem dimension "
@@ -238,6 +241,8 @@ class _Experiment:
         self.constraint_tolerance = _number(
             analysis, "constraint_tolerance", "analysis", required=False, default=0.15
         )
+        if not self.constraint_tolerance > 0:
+            raise ConfigError(f"analysis.constraint_tolerance: must be positive, got {self.constraint_tolerance}")
 
     # -- problem ---------------------------------------------------------
 

@@ -97,17 +97,53 @@ def reward_grad(model: MixtureModel, theta, y):
 def make_stream_oracle(model: MixtureModel, rng: RngStream):
     """Oracle drawing a fresh observation from the truth for every point.
 
-    A (n, 2) block draws n observations, one per row in row order, and so
-    returns the bits of n single-point calls (the forward block contract).
-    The observations are drawn one at a time through `sample_observation`:
-    its `integers`/`standard_normal` interleave has no bit-equal block draw.
+    Each observation is one `integers(0, 2)` draw picking the component and
+    then one `standard_normal()` draw, taken from `rng.generator` in the
+    order and with the arithmetic of `sample_observation`, so the stream
+    and the observations match it draw for draw.
+
+    A single (2,) point takes a plain-float path: on 0-d values NumPy
+    dispatch would cost most of the call. It does the IEEE operations of
+    `reward_grad` in the same order (the division by the component variance
+    is kept, not turned into a product with its inverse), and it takes the
+    responsibilities' `exp` from NumPy, not from `math.exp`, which may round
+    differently. So it returns the bits of `reward_grad` at the same
+    observation.
+
+    A (n, 2) block draws n observations, one per row in row order, and
+    evaluates the batched `reward_grad` on them, so it returns the bits of n
+    single-point calls (the forward block contract). The draws are taken one
+    at a time: the `integers`/`standard_normal` interleave has no bit-equal
+    block draw.
     """
+    true0, true1 = model.true_param.tolist()
+    means = (true0, true0 + true1)
+    scale = math.sqrt(model.component_var)
+    v = float(model.component_var)
+    p0, p1 = map(float, model.prior_variances)
+    w = float(model.likelihood_weight)
+    generator = rng.generator
+
+    def draw():
+        pick = int(generator.integers(0, 2))
+        return means[pick] + scale * generator.standard_normal()
 
     def oracle(point):
-        if point.ndim == 1:
-            return reward_grad(model, point, sample_observation(model, rng))
-        y = np.array([sample_observation(model, rng) for _ in range(len(point))])
-        return reward_grad(model, point, y)
+        if point.ndim != 1:
+            return reward_grad(model, point, np.array([draw() for _ in range(len(point))]))
+        y = draw()
+        t0, t1 = point.tolist()
+        r1 = y - t0
+        r2 = y - t0 - t1
+        l1 = -0.5 * r1 * r1 / v
+        l2 = -0.5 * r2 * r2 / v
+        m = max(l1, l2)
+        e1 = float(np.exp(l1 - m))
+        e2 = float(np.exp(l2 - m))
+        z = e1 + e2
+        d_second = e2 / z * r2 / v
+        d_first = e1 / z * r1 / v + d_second
+        return np.array([-t0 / p0 + w * d_first, -t1 / p1 + w * d_second])
 
     return oracle
 

@@ -36,6 +36,12 @@ class TestGridSpec:
             GridSpec(((0.0, 1.0, 0),))
         with pytest.raises(ConfigError):
             GridSpec(((0.0, math.inf, 5),))
+        with pytest.raises(ConfigError, match="whole number of bins"):
+            GridSpec(((0.0, 1.0, 10.7),))
+
+    def test_integral_float_bin_count_accepted(self):
+        # Config vectors load as floats, so 30.0 must mean 30 bins.
+        assert GridSpec(((0.0, 1.0, 30.0),)).shape == GridSpec(((0.0, 1.0, 30),)).shape == (30,)
 
 
 class TestBuildDensity:

@@ -408,9 +408,15 @@ def mixture_config(output):
                      id="mixture-prior-variances-number"),
         pytest.param(quadratic_config, "analysis.grid", [["a", 3.0, 10], [-3.0, 3.0, 10]],
                      "analysis.grid: expected a list of finite numbers", id="grid-bound-string"),
+        pytest.param(quadratic_config, "analysis.grid", [[-3.0, 3.0, 10.7], [-3.0, 3.0, 10]],
+                     "analysis.grid: grid axis needs a whole number of bins", id="grid-fractional-bins"),
         # Checked at config time, though only the analysis after sampling reads it.
         pytest.param(cmdp_config, "analysis.constraint_tolerance", "x", "analysis.constraint_tolerance: expected",
                      id="cmdp-constraint-tolerance-string"),
+        pytest.param(quadratic_config, "analysis.constraint_tolerance", -1,
+                     "analysis.constraint_tolerance: must be positive", id="constraint-tolerance-negative"),
+        pytest.param(cmdp_config, "analysis.constraint_tolerance", 0,
+                     "analysis.constraint_tolerance: must be positive", id="cmdp-constraint-tolerance-zero"),
     ],
 )
 def test_config_error_fails_before_any_output(tmp_path, capsys, make_config, path, value, message):
@@ -428,6 +434,16 @@ def test_config_error_fails_before_any_output(tmp_path, capsys, make_config, pat
     assert main(["run", write_config(tmp_path, config)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_integral_grid_bin_counts_run(tmp_path):
+    out = tmp_path / "run"
+    config = quadratic_config(out)
+    config["analysis"] = {"grid": [[-3, 3, 30], [-3.0, 3.0, 30.0]]}
+    assert main(["run", write_config(tmp_path, config)]) == 0
+    with open(out / "density.csv") as fh:
+        # A header, the off-grid row, then one row per cell.
+        assert sum(1 for _ in fh) == 2 + 30 * 30
 
 
 @pytest.mark.parametrize("make_config", [quadratic_config, cmdp_config], ids=["quadratic", "cmdp"])

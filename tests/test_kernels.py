@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from langirl.core import ConfigError
 from langirl.kernels import (
@@ -16,6 +19,7 @@ from langirl.kernels import (
     scaled_eval,
     verify_kernel_axioms,
 )
+from strategies import EDGE_FLOATS
 
 
 def smoothing_error(kernel: Kernel, bandwidth: float, nodes: int = 4001) -> float:
@@ -53,6 +57,36 @@ def test_unit_mass_three_dim():
 def test_symmetry(family, dim):
     report = verify_kernel_axioms(Kernel(family, 1.0, dim))
     assert report.symmetry_error < 1e-12
+
+
+# Trapezoid error at 201 nodes on [-6, 6]: the Gaussian tails beyond 6 leave
+# about 2e-9 per axis; the truncated family's cutoff jump is first order in
+# the node spacing.
+AXIOM_NODES = 201
+MASS_TOLERANCE = {GAUSSIAN: 1e-8, TRUNCATED_GAUSSIAN: 2e-5}
+BANDWIDTHS = st.floats(1e-3, 1e3)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(family=st.sampled_from(FAMILIES), bandwidth=BANDWIDTHS, dim=st.integers(1, 2))
+def test_axioms_hold_for_any_family_and_bandwidth(family, bandwidth, dim):
+    report = verify_kernel_axioms(Kernel(family, bandwidth, dim), points_per_axis=AXIOM_NODES)
+    assert abs(report.mass - 1.0) <= MASS_TOLERANCE[family]
+    assert report.symmetry_error == 0.0
+
+
+@settings(max_examples=150, derandomize=True, database=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    bandwidth=BANDWIDTHS,
+    diff=arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 2)), elements=EDGE_FLOATS),
+)
+def test_scaled_eval_is_raw_eval_at_diff_over_bandwidth(family, bandwidth, diff):
+    kernel = Kernel(family, bandwidth, diff.shape[1])
+    with np.errstate(all="ignore"):
+        want = raw_eval(kernel, diff / bandwidth) * bandwidth ** (-kernel.dim)
+        got = scaled_eval(kernel, diff)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from langirl.core import ConfigError, RngStream
+from langirl.irl import CLASSICAL, SamplerConfig, run_sampler
 from langirl.problems.mixture import (
     MixtureModel,
     expected_reward,
@@ -16,6 +19,7 @@ from langirl.problems.mixture import (
     reward_grad,
     sample_observation,
 )
+from strategies import EDGE_FLOATS
 
 
 def log_obs_density(model, theta, y):
@@ -143,7 +147,7 @@ class TestSampling:
         replay = RngStream(5)
         y = sample_observation(MODEL, replay)
         got = oracle(np.array([0.2, 0.3]))
-        np.testing.assert_allclose(got, reward_grad(MODEL, np.array([0.2, 0.3]), y), rtol=1e-14)
+        assert got.tobytes() == reward_grad(MODEL, np.array([0.2, 0.3]), y).tobytes()
 
     def test_pool_oracle_shares_one_observation_across_points(self):
         pool_oracle = make_pool_oracle(MODEL, RngStream(6))
@@ -165,6 +169,84 @@ class TestSampling:
         assert block.shape == points.shape
         assert block.tobytes() == rows.tobytes()
         assert block_rng.uniform() == row_rng.uniform()
+
+
+def reference_stream_oracle(model, rng):
+    """The NumPy form the single-point oracle must reproduce bit for bit."""
+    return lambda point: reward_grad(model, point, sample_observation(model, rng))
+
+
+def next_observation(model, seed):
+    """The observation a fresh oracle on `RngStream(seed)` draws first."""
+    return sample_observation(model, RngStream(seed))
+
+
+def oracle_and_reference(model, seed, theta):
+    theta = np.asarray(theta, dtype=np.float64)
+    got = make_stream_oracle(model, RngStream(seed))(theta)
+    want = reference_stream_oracle(model, RngStream(seed))(theta)
+    return got, want
+
+
+class TestSinglePointOracle:
+    """The plain-float single-point path returns the bits of `reward_grad`."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        theta=st.tuples(EDGE_FLOATS, EDGE_FLOATS),
+        truth=st.tuples(*[st.floats(-1e6, 1e6)] * 2),
+        component_var=st.floats(1e-3, 1e3),
+        likelihood_weight=st.floats(1e-3, 1e3),
+        prior_variances=st.tuples(*[st.floats(1e-3, 1e3)] * 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reward_grad_bit_for_bit(
+        self, theta, truth, component_var, likelihood_weight, prior_variances, seed
+    ):
+        model = MixtureModel(true_param=np.array(truth), likelihood_weight=likelihood_weight,
+                             prior_variances=prior_variances, component_var=component_var)
+        with np.errstate(all="ignore"):
+            got, want = oracle_and_reference(model, seed, theta)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tie_between_components(self, seed):
+        # theta_2 = 0 puts both component means at theta_1, so l1 == l2.
+        got, want = oracle_and_reference(MODEL, seed, [0.4, 0.0])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("second", [1.0, 0.0, -0.0])
+    def test_zero_first_residual(self, second):
+        y = next_observation(MODEL, 3)
+        got, want = oracle_and_reference(MODEL, 3, [y, second])
+        assert got.tobytes() == want.tobytes()
+
+    def test_far_observation_underflows_one_exp(self):
+        # r2 = r1 - 100, so l2 - l1 is about -2500 and exp(l2 - m) is 0: the
+        # second coordinate keeps only its prior term.
+        y = next_observation(MODEL, 4)
+        theta = [y - 1.0, 100.0]
+        got, want = oracle_and_reference(MODEL, 4, theta)
+        assert got.tobytes() == want.tobytes()
+        assert got[1] == -100.0 / MODEL.prior_variances[1]
+
+    @pytest.mark.parametrize(
+        "theta", [[math.nan, 0.0], [0.0, math.nan], [math.inf, 0.0], [0.0, -math.inf], [math.inf, -math.inf]]
+    )
+    def test_non_finite_theta_gives_non_finite_output(self, theta):
+        with np.errstate(all="ignore"):
+            got, want = oracle_and_reference(MODEL, 5, theta)
+        assert not np.isfinite(got).all()
+        assert not np.isfinite(want).all()
+
+    def test_classical_chain_matches_reference_oracle(self):
+        # 5,000 steps cross several finite-check blocks of the driver.
+        model = MixtureModel(true_param=np.array([-1.0, 2.0]), likelihood_weight=100.0)
+        cfg = SamplerConfig(step=5e-3, beta=1.0, init=np.array([0.5, 0.5]))
+        got = run_sampler(CLASSICAL, make_stream_oracle(model, RngStream(8)), cfg, 5000, RngStream(9))
+        want = run_sampler(CLASSICAL, reference_stream_oracle(model, RngStream(8)), cfg, 5000, RngStream(9))
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert got.fingerprint == want.fingerprint
 
 
 class TestModelValidation:

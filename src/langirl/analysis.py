@@ -203,10 +203,13 @@ def find_modes(density: EmpiricalDensity, neighborhood: int = 2, min_rel_mass: f
     A cell is a mode when it carries the maximum over the surrounding
     (2 * neighborhood + 1)-wide window and holds at least `min_rel_mass` of
     the global maximum. Returns a list of (index tuple, center coordinates,
-    mass), ordered by decreasing mass.
+    mass), ordered by decreasing mass; empty when no sample fell on the grid.
     """
     mass = density.mass
-    threshold = min_rel_mass * float(mass.max())
+    peak = float(mass.max())
+    if peak == 0.0:
+        return []
+    threshold = min_rel_mass * peak
     hits = np.argwhere((mass == local_max(mass, neighborhood)) & (mass >= threshold))
     modes = []
     for idx in hits:

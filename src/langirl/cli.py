@@ -140,7 +140,7 @@ def load_config(path):
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8 or not JSON
         raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config file: top level must be a JSON object")
@@ -271,7 +271,10 @@ class _Experiment:
                 with resources.as_file(source) as real:
                     features, labels = logistic.parse_libsvm(str(real))
             else:
-                features, labels = logistic.parse_libsvm(data)
+                try:
+                    features, labels = logistic.parse_libsvm(data)
+                except (OSError, UnicodeDecodeError) as exc:
+                    raise ConfigError(f"problem.data: cannot read {data}: {exc}") from None
             rows = _expect(problem, "num_rows", int, "problem", required=False)
             cols = _expect(problem, "num_features", int, "problem", required=False)
             if rows is not None or cols is not None:
@@ -289,7 +292,10 @@ class _Experiment:
             self.oracle = lambda rng: logistic.make_stream_oracle(model)
         elif self.kind == "cmdp":
             spec = _expect(problem, "model", str, "problem", required=False, default="two-state")
-            model = cmdp.CmdpModel.two_state_example() if spec == "two-state" else cmdp.CmdpModel.from_json(spec)
+            try:
+                model = cmdp.CmdpModel.two_state_example() if spec == "two-state" else cmdp.CmdpModel.from_json(spec)
+            except ConfigError as exc:
+                raise ConfigError(f"problem.model: {exc}") from None
             self.model = model
             self.dim = model.num_angles
             self.horizon = _expect(problem, "horizon", int, "problem")

@@ -81,8 +81,14 @@ class CmdpModel:
 
     @classmethod
     def from_json(cls, path) -> "CmdpModel":
-        with open(path) as fh:
-            raw = json.load(fh)
+        """Read a model file; an unreadable file or malformed content raises ConfigError."""
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read CMDP model file {path}: {exc.strerror}") from None
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise ConfigError(f"CMDP model file {path}: invalid JSON ({exc})") from None
         try:
             states = int(raw["states"])
             actions = int(raw["actions"])
@@ -96,6 +102,8 @@ class CmdpModel:
             )
         except KeyError as missing:
             raise ConfigError(f"CMDP model file is missing field {missing}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"CMDP model file {path}: malformed content ({exc})") from None
         if model.num_states != states or model.num_actions != actions:
             raise ConfigError("declared states/actions do not match the array shapes")
         return model

@@ -218,6 +218,12 @@ class TestFindModes:
         assert len(find_modes(self.build(mass), neighborhood=2)) == 2
         assert len(find_modes(self.build(mass), neighborhood=4)) == 1
 
+    def test_no_modes_when_every_sample_is_off_the_grid(self):
+        grid = GridSpec(((-3.0, 3.0, 30), (-3.0, 3.0, 30)))
+        with pytest.warns(RuntimeWarning, match="all samples fell outside the density grid"):
+            dens = build_density(np.full((100, 2), 50.0), grid)
+        assert find_modes(dens) == []
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_local_max_matches_ndimage_maximum_filter(self, dim):
         rng = RngStream(50 + dim)

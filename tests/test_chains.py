@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from langirl import irl
 from langirl.core import (
     ConfigError,
     DensityFloorError,
@@ -17,6 +18,7 @@ from langirl.irl import (
     MULTIKERNEL,
     NAIVE,
     PASSIVE_CLASSICAL,
+    PASSIVE_GATED,
     PASSIVE_GENERALIZED,
     VARIANTS,
     SamplerConfig,
@@ -131,6 +133,33 @@ def test_block_noise_equals_drawing_at_every_step(variant):
     np.testing.assert_array_equal(a.samples, b.samples)
     # Drawing ahead takes no number the run does not use.
     assert ahead.standard_normal() == now.standard_normal()
+
+
+# One chain more than the 2-D passive steps run in plain floats: a batch this size runs in NumPy.
+BEYOND_FLOAT_CAP = tuple([0.2 * chain - 1.5, 0.1 * chain] for chain in range(irl._FLOAT_PATH_MAX_SIZE // 2 + 1))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("variant", [PASSIVE_GENERALIZED, PASSIVE_GATED])
+def test_numpy_batch_beyond_the_float_cap_matches_float_chains(variant, family):
+    cfgs = configs(family, inits=BEYOND_FLOAT_CAP)
+    batch = run_chains(variant, corpus(), cfgs, STEPS, chain_rngs(len(cfgs)))
+    alone = [run_sampler(variant, corpus(), cfg, STEPS, rng) for cfg, rng in zip(cfgs, chain_rngs(len(cfgs)))]
+    for got, want in zip(batch, alone):
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+
+@pytest.mark.parametrize("chains", [1, 3, len(BEYOND_FLOAT_CAP)])
+@pytest.mark.parametrize("variant", [PASSIVE_GENERALIZED, PASSIVE_GATED])
+def test_infinite_gradient_names_chain_and_step(variant, chains):
+    # Every chain turns non-finite at the bad sample; the first one is named,
+    # whether the steps run in floats (1 and 3 chains) or in NumPy (beyond the cap).
+    stream = corpus(n=10)
+    stream[5] = GradientSample(stream[5].point, np.array([np.inf, 1.0]))
+    prefix = "chain 0: " if chains > 1 else ""
+    with pytest.raises(NonFiniteError, match=rf"^{prefix}estimate became non-finite at sampler step 6$"):
+        with np.errstate(all="ignore"):
+            run_chains(variant, stream, configs(inits=BEYOND_FLOAT_CAP[:chains]), 10, chain_rngs(chains))
 
 
 def test_density_floor_names_chain_and_step():

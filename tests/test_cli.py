@@ -370,6 +370,26 @@ def mixture_config(output):
     return oracle_config(output, {"kind": "mixture", "true_param": [-1.0, 2.0]}, variant="classical")
 
 
+def logistic_config(output):
+    config = quadratic_config(output, init=[0.0] * 21)
+    config["problem"] = {"kind": "logistic", "data": "bundled"}
+    return config
+
+
+def file_holding(content):
+    """A config value made at run time: the path of a file in the test's tmp_path holding `content`."""
+    def make(tmp_path):
+        path = tmp_path / "problem-file.json"
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        return str(path)
+    return make
+
+
+TWO_STATE_MODEL = {"states": 2, "actions": 2, "P": [[[0.8, 0.2], [0.3, 0.7]], [[0.6, 0.4], [0.1, 0.9]]],
+                   "rho": [[1.0, 100.0], [30.0, 2.0]], "constraint_cost": [[0.0, 1.0], [1.0, 0.0]],
+                   "gamma": 0.5, "lambda": 10.0}
+
+
 @pytest.mark.parametrize(
     "make_config, path, value, message",
     [
@@ -417,6 +437,20 @@ def mixture_config(output):
                      "analysis.constraint_tolerance: must be positive", id="constraint-tolerance-negative"),
         pytest.param(cmdp_config, "analysis.constraint_tolerance", 0,
                      "analysis.constraint_tolerance: must be positive", id="cmdp-constraint-tolerance-zero"),
+        # Problem files that cannot be read or parsed.
+        pytest.param(cmdp_config, "problem.model", "no-such-model.json",
+                     "problem.model: cannot read CMDP model file no-such-model.json", id="cmdp-model-missing"),
+        pytest.param(cmdp_config, "problem.model", file_holding("{not json"),
+                     "invalid JSON", id="cmdp-model-invalid-json"),
+        pytest.param(cmdp_config, "problem.model",
+                     file_holding(json.dumps({**TWO_STATE_MODEL, "P": [[["a", 0.2], [0.3, 0.7]], [[0.6, 0.4], [0.1, 0.9]]]})),
+                     "malformed content", id="cmdp-model-non-numeric-P"),
+        pytest.param(cmdp_config, "problem.model", file_holding(b"\xcd\xff{}"), "invalid JSON",
+                     id="cmdp-model-not-utf8"),
+        pytest.param(logistic_config, "problem.data", "no-such-data.libsvm",
+                     "problem.data: cannot read no-such-data.libsvm", id="logistic-data-missing"),
+        pytest.param(logistic_config, "problem.data", file_holding(b"+1 1:\xcd\xff\n"),
+                     "problem.data: cannot read", id="logistic-data-not-utf8"),
     ],
 )
 def test_config_error_fails_before_any_output(tmp_path, capsys, make_config, path, value, message):
@@ -430,10 +464,19 @@ def test_config_error_fails_before_any_output(tmp_path, capsys, make_config, pat
     if value is MISSING:
         del section[field]
     else:
-        section[field] = value
+        section[field] = value(tmp_path) if callable(value) else value
     assert main(["run", write_config(tmp_path, config)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [None, b"{not json", b"\xcd\xff{}"], ids=["missing", "invalid-json", "not-utf8"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    if content is not None:
+        path.write_bytes(content)
+    assert main(["run", str(path)]) == 2
+    assert "config file" in capsys.readouterr().err
 
 
 def test_integral_grid_bin_counts_run(tmp_path):
@@ -444,6 +487,17 @@ def test_integral_grid_bin_counts_run(tmp_path):
     with open(out / "density.csv") as fh:
         # A header, the off-grid row, then one row per cell.
         assert sum(1 for _ in fh) == 2 + 30 * 30
+
+
+def test_samples_all_off_the_grid_report_no_modes(tmp_path):
+    out = tmp_path / "run"
+    config = quadratic_config(out)
+    config["analysis"] = {"grid": [[50.0, 51.0, 30], [50.0, 51.0, 30]], "find_modes": True}
+    with pytest.warns(RuntimeWarning, match="all samples fell outside the density grid"):
+        assert main(["run", write_config(tmp_path, config)]) == 0
+    metrics = read_json(out / "metrics.json")
+    assert metrics["modes"] == []
+    assert metrics["out_of_range_fraction"] == 1.0
 
 
 @pytest.mark.parametrize("make_config", [quadratic_config, cmdp_config], ids=["quadratic", "cmdp"])

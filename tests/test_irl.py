@@ -1,8 +1,10 @@
 """Sampler step formulas, weight normalization, and trajectory plumbing."""
 
 import filecmp
+import hashlib
 import math
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from langirl import irl
 from langirl.core import (
     ConfigError,
     DensityFloorError,
@@ -35,6 +38,7 @@ from langirl.irl import (
     check_run,
     load_trajectory,
     normalized_weights,
+    run_chains,
     run_sampler,
     save_trajectory,
     step_active,
@@ -46,7 +50,7 @@ from langirl.irl import (
     step_passive_gated,
     step_passive_generalized,
 )
-from langirl.kernels import GAUSSIAN, Kernel
+from langirl.kernels import FAMILIES, GAUSSIAN, TRUNCATED_GAUSSIAN, Kernel
 from strategies import EDGE_FLOATS
 
 
@@ -186,6 +190,79 @@ class TestStepFormulas:
         cfg = self.cfg(conditional_std=0.3)
         with pytest.raises(DensityFloorError, match="probe density"):
             step_active(np.zeros(1), lambda p: np.ones(1), cfg, QueuedRng([45.0], [0.0]))
+
+
+class TestFloatPath:
+    """The plain-float path of the 2-D passive steps against their NumPy form."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(
+        step_fn=st.sampled_from([step_passive_generalized, step_passive_gated]),
+        family=st.sampled_from(FAMILIES),
+        est=arrays(np.float64, st.sampled_from([(2,), (1, 2), (2, 2), (3, 2), (4, 2)]),
+                   elements=st.floats(-50, 50)),
+        point=arrays(np.float64, 2, elements=st.floats(-50, 50)),
+        gradient=arrays(np.float64, 2, elements=EDGE_FLOATS),
+        bandwidth=st.floats(1e-2, 1e2),
+        mean=arrays(np.float64, 2, elements=st.floats(-10, 10)),
+        variances=arrays(np.float64, 2, elements=st.floats(1e-2, 1e2)),
+        beta=st.floats(1e-3, 1e3),
+        step=st.floats(1e-6, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_numpy_form_bit_for_bit(
+        self, step_fn, family, est, point, gradient, bandwidth, mean, variances, beta, step, seed
+    ):
+        cfg = SamplerConfig(step=step, beta=beta, init=np.zeros(2), kernel=Kernel(family, bandwidth, 2),
+                            init_density=InitDensity(mean, variances))
+        sample = GradientSample(point, gradient)
+        draws = np.random.default_rng(seed).standard_normal(est.shape)
+        with np.errstate(all="ignore"):
+            got = step_fn(est, sample, cfg, QueuedRng(draws))
+            # A cap of 0 sends every state to the NumPy form.
+            with mock.patch.object(irl, "_FLOAT_PATH_MAX_SIZE", 0):
+                want = step_fn(est, sample, cfg, QueuedRng(draws))
+        assert got.shape == want.shape == est.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_other_shapes_take_the_numpy_form(self):
+        # A 1-D, a 3-D and a 2-D state one chain beyond the cap never reach the float evaluations.
+        for dim, chains in ((1, 3), (3, 3), (2, irl._FLOAT_PATH_MAX_SIZE // 2 + 1)):
+            cfg = SamplerConfig(step=0.01, beta=1.0, init=np.zeros(dim), kernel=Kernel(GAUSSIAN, 0.7, dim),
+                                init_density=InitDensity.standard(dim))
+            est = np.random.default_rng(dim).standard_normal((chains, dim))
+            sample = GradientSample(np.full(dim, 0.3), np.full(dim, -0.3))
+            draws = np.random.default_rng(chains).standard_normal(est.shape)
+            for step_fn in (step_passive_generalized, step_passive_gated):
+                with mock.patch.object(InitDensity, "density_and_grad_2d", side_effect=AssertionError):
+                    assert step_fn(est, sample, cfg, QueuedRng(draws)).shape == est.shape
+
+
+# sha256 of seeded 300-step runs, computed before the float path existed.
+GOLDEN = {
+    (PASSIVE_GENERALIZED, GAUSSIAN, 1): "f074ac7e99cdb1570a21aecf0be10df369db6e4b4bdb5a36237aec4e858d844b",
+    (PASSIVE_GENERALIZED, GAUSSIAN, 3): "ba21f5f8ec31459b48e0559f3f0f7cd1af5adf08a9718213a1f2fc6d015f7624",
+    (PASSIVE_GENERALIZED, TRUNCATED_GAUSSIAN, 1): "06ebdcf7d8b7042c0a3e8d8f41771696dad1e4606c7fc298208834d7333a2358",
+    (PASSIVE_GENERALIZED, TRUNCATED_GAUSSIAN, 3): "b7326efed35a8600ff65f399b02448dee9a9bd7b52fa9d11dce9f9cc37119844",
+    (PASSIVE_GATED, GAUSSIAN, 1): "43e9d162bcb17b54085bfd4c0e62299c845f13d98ed6dd904a8ad99c76eb5517",
+    (PASSIVE_GATED, GAUSSIAN, 3): "4cc859c81a36c318e39ad9910c349a6396064f0cf0d5d1fef7f0fab11e84fb2a",
+    (PASSIVE_GATED, TRUNCATED_GAUSSIAN, 1): "a7c0979f949c6cb4428c7a654c23baf057a97175536ac961f11c5d16525366d2",
+    (PASSIVE_GATED, TRUNCATED_GAUSSIAN, 3): "ffc45878ac8b41ba15bbe489f8da4f4267034c7cff4530bd2c1ae26ba55229c6",
+}
+
+
+@pytest.mark.parametrize("variant, family, chains", sorted(GOLDEN))
+def test_seeded_2d_passive_runs_keep_their_hashes(variant, family, chains):
+    rng = RngStream(5)
+    points = 1.2 * rng.standard_normal((300, 2))
+    corpus = [GradientSample(p, -2.0 * p) for p in points]
+    cfgs = [SamplerConfig(step=0.02, beta=1.5, init=np.array([0.3 * c, -0.2 * c]),
+                          kernel=Kernel(family, 0.6, 2),
+                          init_density=InitDensity(np.array([0.1, -0.2]), np.array([1.5, 0.8])))
+            for c in range(chains)]
+    trajs = run_chains(variant, corpus, cfgs, 300, [RngStream(40 + c) for c in range(chains)])
+    digest = hashlib.sha256(b"".join(t.samples.tobytes() for t in trajs)).hexdigest()
+    assert digest == GOLDEN[variant, family, chains]
 
 
 class TestNormalizedWeights:

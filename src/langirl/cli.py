@@ -4,8 +4,8 @@
 a sampler variant, and the analysis stage together, then writes every
 artifact (trajectories, density grids, metrics, manifest) under one output
 directory. `langirl compare dirA dirB` computes per-marginal distances
-between two finished runs. Exit codes: 0 success, 1 runtime failure,
-2 config error.
+between two finished runs, pooling the chains each run's metrics.json names.
+Exit codes: 0 success, 1 runtime failure, 2 config error.
 
 `--chains N` pools N sampler chains, and `baseline.chains` sets the number of
 baseline chains. Each set of chains advances together in one batched
@@ -99,11 +99,29 @@ def _merge(base, overlay):
     return overlay
 
 
+class _Fields(dict):
+    """A config object, its nested objects wrapped too, that records the fields `_expect` read."""
+
+    def __init__(self, fields):
+        super().__init__({key: _Fields(val) if isinstance(val, dict) else val for key, val in fields.items()})
+        self.read = set()
+
+
+def _unread(section, path):
+    """`<path>.<field>` of each field of `section` that was never read, in nested objects too."""
+    for field, value in section.items():
+        if field not in section.read:
+            yield f"{path}.{field}"
+        elif isinstance(value, _Fields):
+            yield from _unread(value, f"{path}.{field}".removeprefix("config."))
+
+
 def _expect(section, field, kinds, path, required=True, default=None):
     if field not in section:
         if required:
             raise ConfigError(f"{path}.{field}: missing required field")
         return default
+    section.read.add(field)
     value = section[field]
     # JSON true and false load as bools, which Python also counts as ints.
     if isinstance(value, bool) and kinds is not bool or not isinstance(value, kinds):
@@ -173,17 +191,20 @@ def resolve_config(doc, scale="desk", seed=None, out=None, chains=None):
 class _Experiment:
     """Everything `run` needs, derived from one validated config.
 
-    Every config error is raised here, before anything is written. The
-    sampler chains share `sampler_cfg` and the baseline chains share
-    `baseline_cfg`, each chain differing only in its start: the config's own
-    init, or a draw from `sample_init` (the density to draw from) when the
-    config asks for `init: "sample"`.
+    Every config error is raised here, before anything is written; a field
+    that nothing reads is one. The sampler chains share `sampler_cfg` and the
+    baseline chains share `baseline_cfg`, each chain differing only in its
+    start: the config's own init, or a draw from `sample_init` (the density to
+    draw from) when the config asks for `init: "sample"`.
     """
 
     def __init__(self, config):
-        self.config = config
+        config = _Fields(config)
+        config.read.update(("schema", "scale"))  # read by resolve_config
         self.name = _expect(config, "experiment", str, "config")
         self.seed = _expect(config, "seed", int, "config")
+        if self.seed < 0:
+            raise ConfigError(f"config.seed: must be non-negative, got {self.seed}")
         self.output = _expect(config, "output", str, "config")
         self.chains = _expect(config, "chains", int, "config", required=False, default=1)
         if self.chains < 1:
@@ -243,6 +264,8 @@ class _Experiment:
         )
         if not self.constraint_tolerance > 0:
             raise ConfigError(f"analysis.constraint_tolerance: must be positive, got {self.constraint_tolerance}")
+        for path in _unread(config, "config"):
+            raise ConfigError(f"{path}: unknown field")
 
     # -- problem ---------------------------------------------------------
 
@@ -435,6 +458,10 @@ def run_experiment(config):
     exp = _Experiment(config)
     outdir = exp.output
     os.makedirs(outdir, exist_ok=True)
+    # The status files of an earlier run into this directory would describe it, not this run.
+    for stale in ("metrics.json", "failure.json"):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(outdir, stale))
     timings = {}
     with _timed(timings, "write"):
         _write_json(
@@ -543,10 +570,14 @@ def _chain_source(exp, kind, corpus, rngs):
     return (GradientPool(*map(np.stack, zip(*pools))) for pools in zip(*sources))
 
 
+def _chain_stems(name, chains):
+    """The file stem of each chain: `name` for one chain, `name_c<c>` for chain c of several."""
+    return [name] if chains == 1 else [f"{name}_c{chain}" for chain in range(chains)]
+
+
 def _save_chains(trajs, cfgs, outdir, name):
-    """Write chain c as `name`, or as `name_c<c>` when there are several chains."""
-    for chain, (traj, cfg) in enumerate(zip(trajs, cfgs)):
-        save_trajectory(traj, cfg, outdir, stem=name if len(trajs) == 1 else f"{name}_c{chain}")
+    for stem, traj, cfg in zip(_chain_stems(name, len(trajs)), trajs, cfgs):
+        save_trajectory(traj, cfg, outdir, stem=stem)
 
 
 def _analyze(exp, pooled, base_post, metrics):
@@ -587,13 +618,13 @@ def _analyze(exp, pooled, base_post, metrics):
 
 
 def _pooled_posts(rundir):
-    stems = []
-    for name in sorted(os.listdir(rundir)):
-        if name.startswith("trajectory") and name.endswith(".json"):
-            stems.append(name[: -len(".json")])
-    if not stems:
-        raise ConfigError(f"{rundir}: contains no trajectory artifacts")
-    posts = [load_trajectory(rundir, stem=stem)[0].post for stem in stems]
+    """The pooled post-burn-in samples of the chains named by a finished run's metrics.json."""
+    try:
+        with open(os.path.join(rundir, "metrics.json")) as fh:
+            chains = json.load(fh)["chains"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{rundir}: not a finished run ({type(exc).__name__}: {exc})") from None
+    posts = [load_trajectory(rundir, stem=stem)[0].post for stem in _chain_stems("trajectory", chains)]
     return np.vstack(posts)
 
 

@@ -1,18 +1,20 @@
 """Forward gradient-ascent agents that emit the sample stream consumed downstream.
 
 Each agent draws a start point from the initialization density, performs a
-fixed-step gradient ascent for a bounded number of iterations, and emits the
+fixed-step gradient ascent for a fixed number of iterations, and emits the
 (point, gradient) pair seen at every iteration. The emitted stream is the only
 coupling between the forward process and the estimators: downstream code never
 sees the reward itself.
 
-The agent pool advances every live agent in one step, so its oracle is called
-on (n, dim) blocks. The block contract: on an (n, dim) block a forward oracle
-returns n gradients that are, bit for bit, those of n successive calls on the
-single rows, and it uses its rng or row counter in row order. Blocks come in
-iteration-major order (iteration 0 of every agent, then iteration 1 of every
-agent still running, ...), so a noisy oracle's draws follow that order; with a
-run length of 1 it is the same as agent order.
+Every agent runs the same number of iterations, so the pool advances all
+agents in one step and its oracle is called on (num_agents, dim) blocks.
+The block contract: on an (n, dim) block a forward oracle returns n gradients
+that are, bit for bit, those of n successive calls on the single rows, and it
+uses its rng or row counter in row order. Blocks come in iteration-major order
+(iteration 0 of every agent, then iteration 1 of every agent, ...), so a noisy
+oracle's draws follow that order; with a run length of 1 it is the same as
+agent order. The stream stores its rows agent-major and holds only the points
+and gradients: no agent or iteration ids.
 """
 
 from __future__ import annotations
@@ -98,44 +100,33 @@ class InitDensity:
 
 @dataclass(frozen=True)
 class AgentPoolConfig:
-    """Settings for one batch of forward agents.
+    """Settings for one batch of forward agents, each running `run_length` iterations.
 
-    `run_length` is either a fixed iteration count or an inclusive (low, high)
-    pair from which each agent's count is drawn uniformly. The emitted stream
-    is agent-major; shuffle it with `GradientStream.shuffled` and a stream of
-    its own when consecutive rows should not follow single-agent trajectories.
+    The emitted stream is agent-major; shuffle it with `GradientStream.shuffled`
+    and a stream of its own when consecutive rows should not follow
+    single-agent trajectories.
     """
 
     step: float
     num_agents: int
-    run_length: int | tuple[int, int]
+    run_length: int
 
     def __post_init__(self):
         if not self.step > 0:
             raise ConfigError("forward step must be positive")
         if self.num_agents < 1:
             raise ConfigError("num_agents must be at least 1")
-        rl = self.run_length
-        if isinstance(rl, tuple):
-            if len(rl) != 2 or rl[0] < 1 or rl[1] < rl[0]:
-                raise ConfigError("run_length range must satisfy 1 <= low <= high")
-        elif rl < 1:
+        if self.run_length < 1:
             raise ConfigError("run_length must be at least 1")
 
 
 class GradientStream:
-    """Array-backed stream of gradient samples in emission order."""
+    """Array-backed stream of (point, gradient) samples in emission order."""
 
-    def __init__(self, points, gradients, agent_ids, step_ids):
+    def __init__(self, points, gradients):
         self.points = np.asarray(points, dtype=np.float64)
         self.gradients = np.asarray(gradients, dtype=np.float64)
-        self.agent_ids = np.asarray(agent_ids, dtype=np.int64)
-        self.step_ids = np.asarray(step_ids, dtype=np.int64)
-        if not (
-            self.points.shape == self.gradients.shape
-            and self.points.ndim == 2
-            and len(self.agent_ids) == len(self.points) == len(self.step_ids)
-        ):
+        if not (self.points.shape == self.gradients.shape and self.points.ndim == 2):
             raise ConfigError("stream arrays have inconsistent shapes")
 
     @property
@@ -165,9 +156,7 @@ class GradientStream:
 
     def shuffled(self, rng: RngStream) -> "GradientStream":
         perm = rng.permutation(len(self))
-        return GradientStream(
-            self.points[perm], self.gradients[perm], self.agent_ids[perm], self.step_ids[perm]
-        )
+        return GradientStream(self.points[perm], self.gradients[perm])
 
 
 def run_agent_pool(
@@ -175,47 +164,31 @@ def run_agent_pool(
 ) -> GradientStream:
     """Run the configured agents to completion and return the emitted stream.
 
-    `rng` draws the run lengths (for a range) and then every start point in one
-    block. Each iteration makes one `oracle` call on the (live, dim) block of
-    agents still running, in agent order; the oracle must meet the block
-    contract in the module docstring. Rows are stored agent-major: agent a's
-    iteration k is row `starts[a] + k`.
+    `rng` draws every start point in one block. Each iteration makes one
+    `oracle` call on the (num_agents, dim) block of all agents; the oracle must
+    meet the block contract in the module docstring. Rows are stored
+    agent-major: agent a's iteration k is row `a * run_length + k`.
 
     Raises NonFiniteError naming the lowest-index agent whose iterate or
     gradient left the finite range, and that agent's first bad iteration.
     """
-    num = cfg.num_agents
-    if isinstance(cfg.run_length, tuple):
-        lo, hi = cfg.run_length
-        lengths = rng.integers(lo, hi + 1, size=num)
-    else:
-        lengths = np.full(num, cfg.run_length, dtype=np.int64)
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    total = int(ends[-1])
-
-    points = np.empty((total, init.dim))
-    grads = np.empty((total, init.dim))
-    agent_ids = np.repeat(np.arange(num), lengths)
-    step_ids = np.arange(total) - np.repeat(starts, lengths)
-
-    live = np.arange(num)
-    theta = init.sample(rng, size=num)
-    for k in range(int(lengths.max())):
-        running = lengths[live] > k
-        if not running.all():
-            live, theta = live[running], theta[running]
+    length = cfg.run_length
+    points = np.empty((cfg.num_agents, length, init.dim))
+    grads = np.empty((cfg.num_agents, length, init.dim))
+    theta = init.sample(rng, size=cfg.num_agents)
+    for k in range(length):
         g = oracle(theta)
-        rows = starts[live] + k
-        points[rows] = theta
-        grads[rows] = g
+        points[:, k] = theta
+        grads[:, k] = g
         theta = theta + cfg.step * g
+    points = points.reshape(-1, init.dim)
+    grads = grads.reshape(-1, init.dim)
 
     finite = np.isfinite(points).all(axis=1) & np.isfinite(grads).all(axis=1)
     if not finite.all():
         bad = np.flatnonzero(~finite)[0]
-        raise NonFiniteError(f"agent {agent_ids[bad]} diverged at iteration {step_ids[bad]}")
-    return GradientStream(points, grads, agent_ids, step_ids)
+        raise NonFiniteError(f"agent {bad // length} diverged at iteration {bad % length}")
+    return GradientStream(points, grads)
 
 
 def pool_stream(

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from langirl.cli import main
+from langirl.cli import _Experiment, load_config, main, resolve_config
 from langirl.core import RngStream
 from langirl.forward import AgentPoolConfig, InitDensity, run_agent_pool
 from langirl.irl import (
@@ -26,6 +26,8 @@ from langirl.irl import (
 )
 from langirl.kernels import GAUSSIAN, Kernel
 from langirl.problems import cmdp, mixture, synthetic
+
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 
 
 def quadratic_config(output, **sampler):
@@ -123,6 +125,33 @@ def test_compare_counts_match_post_samples(tmp_path, capsys):
     assert lines[0] == "marginal,w1,variational_distance"
     assert len(lines) == 3
     assert float(lines[1].split(",")[1]) == pytest.approx(report["w1"][0])
+
+
+def test_compare_reads_only_the_chains_of_the_latest_run(tmp_path, capsys):
+    # A one-chain rerun into a directory that holds three chains of an earlier
+    # run leaves their trajectory_c* files behind; compare must not pool them.
+    config = str(BENCH_CONFIGS / "mixture_multikernel.json")
+    out = str(tmp_path / "run")
+    assert main(["run", config, "--chains", "3", "--out", out]) == 0
+    assert main(["run", config, "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["compare", out, out]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["samples_a"] == report["samples_b"] == read_json(Path(out) / "metrics.json")["post_samples"]
+
+
+def test_status_files_describe_the_latest_run(tmp_path, capsys):
+    out = tmp_path / "run"
+    good = write_config(tmp_path, quadratic_config(out), "good.json")
+    failing = write_config(tmp_path, quadratic_config(out, variant="passive_classical", init=[40.0]), "bad.json")
+    assert main(["run", good]) == 0
+    assert main(["run", failing]) == 1
+    assert (out / "failure.json").is_file() and not (out / "metrics.json").exists()
+    # A failed run is not a finished one, whatever trajectories it holds.
+    assert main(["compare", str(out), str(out)]) == 2
+    assert "not a finished run" in capsys.readouterr().err
+    assert main(["run", good]) == 0
+    assert (out / "metrics.json").is_file() and not (out / "failure.json").exists()
 
 
 def cmdp_config(output):
@@ -398,6 +427,12 @@ TWO_STATE_MODEL = {"states": 2, "actions": 2, "P": [[[0.8, 0.2], [0.3, 0.7]], [[
         pytest.param(quadratic_config, "baseline.init", "foo", "baseline.init: expected",
                      id="baseline-init-string"),
         pytest.param(quadratic_config, "baseline.chains", 0, "baseline.chains", id="baseline-chains-0"),
+        pytest.param(quadratic_config, "seed", -1, "config.seed: must be non-negative", id="seed-negative"),
+        # Misspelled fields that would otherwise be dropped without a word.
+        pytest.param(quadratic_config, "sampler.num_step", 100, "sampler.num_step: unknown field",
+                     id="sampler-num-step-misspelled"),
+        pytest.param(quadratic_config, "baseline.burn_in", 5, "baseline.burn_in: unknown field",
+                     id="baseline-burn-in-unknown"),
         pytest.param(quadratic_config, "baseline.beta", "x", "baseline.beta", id="baseline-beta-string"),
         pytest.param(quadratic_config, "analysis.grid", [1, 2], "analysis.grid", id="grid-not-triples"),
         pytest.param(quadratic_config, "forward.step", MISSING, "forward.step: missing",
@@ -468,6 +503,13 @@ def test_config_error_fails_before_any_output(tmp_path, capsys, make_config, pat
     assert main(["run", write_config(tmp_path, config)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("path", sorted(BENCH_CONFIGS.glob("*.json")), ids=lambda path: path.stem)
+def test_bench_configs_pass_every_config_check(path):
+    # A check that rejects a shipped benchmark config fails here, not as
+    # failed benchmark operations.
+    _Experiment(resolve_config(load_config(path)))
 
 
 @pytest.mark.parametrize("content", [None, b"{not json", b"\xcd\xff{}"], ids=["missing", "invalid-json", "not-utf8"])

@@ -1,5 +1,7 @@
 """Forward agents: initialization density and gradient streams."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,21 +84,14 @@ class TestInitDensity:
 
 def reference_run_agent_pool(oracle, init, cfg, rng):
     """The agent pool as a loop over agents and then iterations, one oracle call per row."""
-    if isinstance(cfg.run_length, tuple):
-        lo, hi = cfg.run_length
-        lengths = rng.integers(lo, hi + 1, size=cfg.num_agents)
-    else:
-        lengths = np.full(cfg.num_agents, cfg.run_length, dtype=np.int64)
-    total = int(lengths.sum())
+    total = cfg.num_agents * cfg.run_length
     points = np.empty((total, init.dim))
     grads = np.empty((total, init.dim))
-    agent_ids = np.repeat(np.arange(cfg.num_agents), lengths)
-    step_ids = np.concatenate([np.arange(n) for n in lengths])
     row = 0
-    for agent, n in enumerate(lengths):
+    for agent in range(cfg.num_agents):
         theta = init.sample(rng)
         start = row
-        for _ in range(n):
+        for _ in range(cfg.run_length):
             g = oracle(theta)
             points[row] = theta
             grads[row] = g
@@ -106,7 +101,7 @@ def reference_run_agent_pool(oracle, init, cfg, rng):
         finite = np.isfinite(points[block]).all(axis=1) & np.isfinite(grads[block]).all(axis=1)
         if not finite.all():
             raise NonFiniteError(f"agent {agent} diverged at iteration {int(np.flatnonzero(~finite)[0])}")
-    return GradientStream(points, grads, agent_ids, step_ids)
+    return GradientStream(points, grads)
 
 
 def small_logistic_model():
@@ -127,6 +122,40 @@ ORACLES = {
 }
 
 
+# sha256 of a seeded pool's points then gradients bytes, unshuffled and after
+# `shuffled(RngStream(1))`: (oracle, run_length, shuffled) -> digest.
+GOLDEN_CORPUS = {
+    ("logistic", 1, False): "e26c3b5cf843bf76d680139360c4fb325c601614e28fc41ab6a1ec983358534c",
+    ("logistic", 1, True): "0b0294ee2e47cb5aea68ece57df82fd35e158090ce00d0fc736b0c5e947c6dec",
+    ("logistic", 5, False): "28aeb7474f82c25d9e7bad425edf0d974c94ff4d7073fc4c8d7d719efaa206c6",
+    ("logistic", 5, True): "6d8f1aea8d4a8cd1aa558f8541b181b96267edc411a66a55cf318cceba85ba32",
+    ("mixture", 1, False): "961a5efa9615716799080337d8a8657a63f10f113ca6489509c7abd6f340aedc",
+    ("mixture", 1, True): "4aaa2fd02b0fa941914908564d5cda3a874b14be8dc8e01f74ed23ca24a73586",
+    ("mixture", 5, False): "1c7997692828c3b05917f1eda5c0d7ca9e1eaae1097bb664f3b6e074fbb46a21",
+    ("mixture", 5, True): "a60621cf2a41a9c227de5f516b9b11edda0cf794b29736d021d4a98491e5bf40",
+    ("noisy-quadratic", 1, False): "156ad7efd34f84c5f335d495e9ee76a447e46b95b4628c11873e036340314c6f",
+    ("noisy-quadratic", 1, True): "c83bde3d7ef78bca19f97c9ce896ab129ec5007644f4e63f1228f97d36a4fa98",
+    ("noisy-quadratic", 5, False): "4bb236a319ac30ea957492403cca0372a0aafa8c8a52019316ae014b0dc74818",
+    ("noisy-quadratic", 5, True): "4b46dfc72adacde2ec0b22d6be6dd6336bb2cb3b76b455ac12251c259c652234",
+    ("quadratic", 1, False): "6e9c8bb49cf90878fdc27a379c47074867fa463bb4767e9bf811cff27d54acc2",
+    ("quadratic", 1, True): "2267e7c978924d970399d3e2328b7b5f8ac4775e9b3b70e2ede7c10ca1e773c9",
+    ("quadratic", 5, False): "42bb29a130c6e076f447362aded035c7a5b09a8c15ff27cf1d37533d51d9ab9a",
+    ("quadratic", 5, True): "1b87dbcb51c2c75bcc24f27594314bff4fe547fba1198275349aa35c1d02c727",
+}
+
+
+@pytest.mark.parametrize("name, run_length, shuffled", sorted(GOLDEN_CORPUS))
+def test_seeded_corpus_keeps_its_hash(name, run_length, shuffled):
+    factory, dim = ORACLES[name]
+    init = InitDensity(np.linspace(-0.5, 0.5, dim), np.full(dim, 2.0))
+    cfg = AgentPoolConfig(step=0.05, num_agents=97, run_length=run_length)
+    stream = run_agent_pool(factory(61), init, cfg, RngStream(60))
+    if shuffled:
+        stream = stream.shuffled(RngStream(1))
+    digest = hashlib.sha256(stream.points.tobytes() + stream.gradients.tobytes()).hexdigest()
+    assert digest == GOLDEN_CORPUS[name, run_length, shuffled]
+
+
 class TestAgentPoolMatchesReference:
     """The batched pool against the per-agent loop, bit for bit."""
 
@@ -135,7 +164,6 @@ class TestAgentPoolMatchesReference:
         [
             ("quadratic", 1),
             ("quadratic", 5),
-            ("quadratic", (3, 9)),
             ("noisy-quadratic", 1),
             ("mixture", 1),
             ("logistic", 1),
@@ -148,25 +176,24 @@ class TestAgentPoolMatchesReference:
         got_rng, ref_rng = RngStream(60), RngStream(60)
         got = run_agent_pool(factory(61), init, cfg, got_rng)
         ref = reference_run_agent_pool(factory(61), init, cfg, ref_rng)
-        for field in ("points", "gradients", "agent_ids", "step_ids"):
+        for field in ("points", "gradients"):
             assert np.array_equal(getattr(got, field), getattr(ref, field)), field
         assert got_rng.uniform() == ref_rng.uniform()
 
     @pytest.mark.parametrize("name", ["noisy-quadratic", "mixture"])
     def test_noisy_oracle_draws_iteration_major(self, name):
-        """At run length > 1 a noisy oracle's draws go iteration by iteration, live agents in order."""
+        """At run length > 1 a noisy oracle's draws go iteration by iteration, agents in order."""
         factory, dim = ORACLES[name]
         init = InitDensity(np.linspace(-0.5, 0.5, dim), np.full(dim, 2.0))
-        cfg = AgentPoolConfig(step=0.05, num_agents=41, run_length=(3, 9))
+        cfg = AgentPoolConfig(step=0.05, num_agents=41, run_length=6)
         got_rng, ref_rng = RngStream(62), RngStream(62)
         got = run_agent_pool(factory(63), init, cfg, got_rng)
 
         oracle = factory(63)
-        lengths = ref_rng.integers(3, 10, size=cfg.num_agents)
         theta = [init.sample(ref_rng) for _ in range(cfg.num_agents)]
         rows = {}
-        for k in range(lengths.max()):
-            for agent in np.flatnonzero(lengths > k):
+        for k in range(cfg.run_length):
+            for agent in range(cfg.num_agents):
                 g = oracle(theta[agent])
                 rows[agent, k] = (theta[agent], g)
                 theta[agent] = theta[agent] + cfg.step * g
@@ -209,7 +236,7 @@ class TestAgentPool:
 
         # Replay every agent by brute force from its first emitted point.
         for agent in range(cfg.num_agents):
-            rows = np.flatnonzero(stream.agent_ids == agent)
+            rows = range(agent * cfg.run_length, (agent + 1) * cfg.run_length)
             theta = stream.points[rows[0]].copy()
             for r in rows:
                 np.testing.assert_allclose(stream.points[r], theta, rtol=0, atol=1e-14)
@@ -221,8 +248,8 @@ class TestAgentPool:
         oracle = quadratic_oracle(curvature=1.0, center=2.0)
         cfg = AgentPoolConfig(step=0.1, num_agents=200, run_length=60)
         stream = run_agent_pool(oracle, InitDensity.standard(1), cfg, RngStream(4))
-        last = stream.points[stream.step_ids == 59]
-        first = stream.points[stream.step_ids == 0]
+        by_agent = stream.points.reshape(cfg.num_agents, cfg.run_length, 1)
+        first, last = by_agent[:, 0], by_agent[:, 59]
         # (1 - 0.1)^59 of the initial spread is essentially gone.
         assert np.abs(last - 2.0).mean() < 0.01 * np.abs(first - 2.0).mean()
 
@@ -231,15 +258,10 @@ class TestAgentPool:
         stream = run_agent_pool(quadratic_oracle(), InitDensity.standard(2), cfg, RngStream(1))
         assert len(stream) == 60
         assert stream.dim == 2
-        assert list(np.unique(stream.agent_ids)) == [0, 1, 2, 3, 4]
-        assert stream.step_ids.max() == 11
-
-    def test_run_length_range(self):
-        cfg = AgentPoolConfig(step=0.01, num_agents=400, run_length=(3, 9))
-        stream = run_agent_pool(quadratic_oracle(), InitDensity.standard(1), cfg, RngStream(2))
-        lengths = np.bincount(stream.agent_ids)
-        assert lengths.min() >= 3 and lengths.max() <= 9
-        assert len(set(lengths)) > 1
+        # Agent-major rows: agent a's 12 iterations are rows 12a to 12a + 11,
+        # the first of them start a of the one block of starts.
+        starts = InitDensity.standard(2).sample(RngStream(1), size=5)
+        np.testing.assert_array_equal(stream.points[::12], starts)
 
     def test_shuffle_preserves_the_multiset(self):
         cfg = AgentPoolConfig(step=0.01, num_agents=6, run_length=15)
@@ -262,8 +284,6 @@ class TestAgentPool:
             AgentPoolConfig(step=0.1, num_agents=0, run_length=1)
         with pytest.raises(ConfigError):
             AgentPoolConfig(step=0.1, num_agents=1, run_length=0)
-        with pytest.raises(ConfigError):
-            AgentPoolConfig(step=0.1, num_agents=1, run_length=(5, 2))
 
 
 class TestStreamSlicing:
@@ -303,4 +323,4 @@ def test_pool_stream_rejects_bad_oracle_shape():
 
 def test_gradient_stream_shape_validation():
     with pytest.raises(ConfigError):
-        GradientStream(np.zeros((3, 2)), np.zeros((3, 1)), np.zeros(3), np.zeros(3))
+        GradientStream(np.zeros((3, 2)), np.zeros((3, 1)))

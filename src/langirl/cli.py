@@ -17,7 +17,18 @@ error of the pooled estimate, and a between-chain diagnostic such as R-hat
 would overstate how independent they are. A failure reports the earliest
 failing step of any chain of the set (the lowest chain on a tie), naming the
 chain when there are several. A set's trajectory files are written only once
-every chain of the set has finished.
+every chain of the set has finished. A run first removes from its output
+directory every file an earlier run may have written there but the manifest.
+
+A config's baseline chain set runs in a forked worker process, started before
+the forward phase, while the run goes on with the forward, sampler and
+trajectory-write phases; the run then joins it and analyses both sets. The
+earliest failing phase wins, in the order forward, sampler, baseline,
+analysis: a forward or sampler failure kills the worker and removes what it
+wrote. On Linux a run ended by a signal takes its worker with it. Each entry
+of `timings_seconds` adds up the time its phase took in the process that ran
+it, so the phases overlap and their sum can exceed the wall time. `os.fork`
+makes a run with a baseline POSIX-only.
 
 Regime tracking is library-only: call `tracking.run_tracking`; a config has
 no tracking section.
@@ -30,6 +41,9 @@ import itertools
 import json
 import math
 import os
+import pickle
+import re
+import signal
 import sys
 import time
 from importlib import resources
@@ -458,10 +472,8 @@ def run_experiment(config):
     exp = _Experiment(config)
     outdir = exp.output
     os.makedirs(outdir, exist_ok=True)
-    # The status files of an earlier run into this directory would describe it, not this run.
-    for stale in ("metrics.json", "failure.json"):
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(outdir, stale))
+    # The files of an earlier run into this directory would describe it, not this run.
+    _remove_artifacts(outdir)
     timings = {}
     with _timed(timings, "write"):
         _write_json(
@@ -476,7 +488,13 @@ def run_experiment(config):
 
     metrics = {"experiment": exp.name, "variant": exp.variant, "chains": exp.chains}
     phase = "setup"
+    worker = None
     try:
+        # Optional classical-Langevin reference chains on the same problem,
+        # run beside the phases below; they share nothing with them.
+        if exp.baseline_cfg is not None:
+            worker = _BaselineWorker(exp, outdir)
+
         # Forward corpus, when the variant consumes recorded agent data.
         corpus = None
         if exp.agents is not None:
@@ -502,20 +520,10 @@ def run_experiment(config):
         metrics["post_samples"] = int(pooled.shape[0])
         metrics["underflow_resets"] = sum(traj.underflow_resets for traj in trajs)
 
-        # Optional classical-Langevin reference chains on the same problem.
         base_post = None
-        if exp.baseline_cfg is not None:
+        if worker is not None:
             phase = "baseline"
-            with _timed(timings, "baseline"):
-                chains = range(exp.baseline_chains)
-                rngs = [exp.root.child(_RNG_BASE_NOISE).child(chain) for chain in chains]
-                cfgs = _chain_configs(exp.baseline_cfg, exp.baseline_sample_init, rngs)
-                oracle_rngs = [exp.root.child(_RNG_BASE_ORACLE).child(chain) for chain in chains]
-                source = _chain_source(exp, ORACLE, None, oracle_rngs)
-                bases = run_chains(CLASSICAL, source, cfgs, exp.baseline_steps, rngs)
-            with _timed(timings, "write"):
-                _save_chains(bases, cfgs, outdir, "baseline")
-            base_post = np.vstack([base.post for base in bases])
+            base_post = worker.join(timings)
 
         phase = "analysis"
         with _timed(timings, "analysis"):
@@ -525,14 +533,130 @@ def run_experiment(config):
                 density_to_csv(dens, os.path.join(outdir, name))
         metrics["timings_seconds"] = {key: round(sec, 3) for key, sec in timings.items()}
         _write_json(os.path.join(outdir, "metrics.json"), metrics)
-    except _RUNTIME_ERRORS as exc:
+    except (*_RUNTIME_ERRORS, ChildProcessError) as exc:
+        if worker is not None and worker.stop():
+            # The run failed before joining the worker: like any run that
+            # never reached its baseline, it keeps none of the worker's files.
+            _remove_artifacts(outdir)
         _write_json(
             os.path.join(outdir, "failure.json"),
             {"phase": phase, "error": type(exc).__name__, "message": str(exc)},
         )
         print(f"runtime failure during {phase}: {exc}", file=sys.stderr)
         return 1, outdir
+    finally:
+        if worker is not None:
+            worker.stop()
     return 0, outdir
+
+
+_ARTIFACT_NAME = re.compile(r"(trajectory|baseline)(_c\d+)?\.(csv|json)|(baseline_)?density\.csv|(metrics|failure)\.json")
+
+
+def _remove_artifacts(outdir):
+    """Remove from `outdir` every file a run writes there but its manifest."""
+    for name in os.listdir(outdir):
+        if _ARTIFACT_NAME.fullmatch(name):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(outdir, name))
+
+
+def _baseline_chains(exp, outdir):
+    """Run and write the baseline chain set: (pooled post-burn-in samples, phase timings)."""
+    timings = {}
+    with _timed(timings, "baseline"):
+        chains = range(exp.baseline_chains)
+        rngs = [exp.root.child(_RNG_BASE_NOISE).child(chain) for chain in chains]
+        cfgs = _chain_configs(exp.baseline_cfg, exp.baseline_sample_init, rngs)
+        oracle_rngs = [exp.root.child(_RNG_BASE_ORACLE).child(chain) for chain in chains]
+        source = _chain_source(exp, ORACLE, None, oracle_rngs)
+        bases = run_chains(CLASSICAL, source, cfgs, exp.baseline_steps, rngs)
+    with _timed(timings, "write"):
+        _save_chains(bases, cfgs, outdir, "baseline")
+    return np.vstack([base.post for base in bases]), timings
+
+
+class _BaselineWorker:
+    """`_baseline_chains` run in a forked child process while the parent goes on.
+
+    The child sends its result, or the runtime error that ended it, back
+    through a pipe and leaves only through `os._exit`: it never returns into
+    the caller's stack, flushes no inherited buffers and runs no exit handler
+    of the parent's. Fork, not spawn: a spawned child would import numpy and
+    `langirl` again, which costs about as long as a bench baseline runs.
+    """
+
+    def __init__(self, exp, outdir):
+        # Output still buffered at the fork would otherwise be written twice.
+        sys.stdout.flush()
+        sys.stderr.flush()
+        read_fd, write_fd = os.pipe()
+        parent = os.getpid()
+        self.pid = os.fork()
+        if self.pid == 0:
+            os.close(read_fd)
+            self._serve(exp, outdir, write_fd, parent)
+        os.close(write_fd)
+        self._pipe = open(read_fd, "rb")
+
+    @staticmethod
+    def _serve(exp, outdir, write_fd, parent):
+        status = 1
+        try:
+            # A parent ended by a signal runs no `finally` to kill its worker,
+            # which would otherwise run on and write into a dead run's
+            # directory: on Linux the kernel kills the worker with it.
+            if sys.platform == "linux":
+                import ctypes
+
+                ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG
+            if os.getppid() != parent:  # the parent died before the prctl
+                return
+            try:
+                result = _baseline_chains(exp, outdir)
+            except _RUNTIME_ERRORS as exc:
+                result = exc
+            with open(write_fd, "wb") as fh:
+                pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        except Exception:
+            import traceback
+
+            traceback.print_exc()
+        finally:
+            sys.stderr.flush()
+            os._exit(status)
+
+    def join(self, timings):
+        """Wait for the worker: its pooled post-burn-in samples, its phase times added to `timings`.
+
+        Raises the runtime error that ended the baseline chains, or
+        ChildProcessError when the worker ended without a result.
+        """
+        with self._pipe:
+            data = self._pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        if code != 0 or not data:
+            raise ChildProcessError(f"baseline worker ended with exit status {code} and no result")
+        # Only this worker wrote these bytes.
+        result = pickle.loads(data)
+        if isinstance(result, Exception):
+            raise result
+        base_post, worker_timings = result
+        for phase, sec in worker_timings.items():
+            timings[phase] = timings.get(phase, 0.0) + sec
+        return base_post
+
+    def stop(self):
+        """Kill and reap the worker unless it was joined; True when it had to be killed."""
+        if self.pid is None:
+            return False
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        self._pipe.close()
+        self.pid = None
+        return True
 
 
 def _chain_configs(template, sample_init, rngs):

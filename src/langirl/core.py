@@ -53,6 +53,27 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+# Rows formatted per write in `write_indexed_csv`: the formatted text of a
+# whole trajectory would hold memory in proportion to its length.
+_CSV_BLOCK_ROWS = 1024
+
+
+def write_indexed_csv(path, header, values) -> None:
+    """Write `header` and then the row `i, *values[i]` for each row of a 2-D float array.
+
+    The bytes are those of `write_csv(path, header, ([i, *row] for i, row in
+    enumerate(values.tolist())))`: the csv module writes an int as `str` and a
+    float as its `repr`, and none of those needs quoting. Formatting the rows
+    with `%` in blocks skips the csv module's per-field work.
+    """
+    line = "%d" + ",%r" * values.shape[1] + "\r\n"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for lo in range(0, len(values), _CSV_BLOCK_ROWS):
+            hi = min(lo + _CSV_BLOCK_ROWS, len(values))
+            fh.write("".join(map(line.__mod__, zip(range(lo, hi), *values[lo:hi].T.tolist()))))
+
+
 def write_json(path, payload) -> None:
     """Write `payload` as JSON with sorted keys, two-space indents and a final newline."""
     with open(path, "w") as fh:

@@ -34,6 +34,16 @@ naive
     Uses streamed gradients directly at the estimate with no kernel
     correction. Known-bad baseline retained for comparisons.
 
+The passive clock: `passive_generalized` scales both its step and its noise by
+the initialization density p at the estimate, so its limit diffusion is p(θ)
+and one step advances Langevin time by about step·p(θ)², not by step. A
+`passive_gated` step advances it by its noise variance gate·p, with gate =
+step·K(u)/bandwidth^dim and p the density at the observed point; since
+E[K_Δ] ≈ p that too is about step·p² on average. Where p is small a chain
+barely moves, whatever its step count: a 2-D Gaussian init density with
+variances 4 has p(0) = 1/(8π) ≈ 0.040, so step 0.5 advances 8e-4 time units
+a step; at a 21-D estimate where p ≈ 4e-9, step 0.002 advances about 3e-20.
+
 A variant is declared by one row of the `VARIANTS` table and one step
 function. The row names the step, the kind of source it consumes (a stream of
 GradientSample, a stream of GradientPool, or an oracle callable), the
@@ -98,7 +108,7 @@ from .core import (
     RngStream,
     SourceExhausted,
     as_param,
-    write_csv,
+    write_indexed_csv,
     write_json,
 )
 from .forward import InitDensity
@@ -686,11 +696,7 @@ def save_trajectory(traj: Trajectory, cfg: SamplerConfig, directory, stem: str =
     os.makedirs(directory, exist_ok=True)
     csv_path = os.path.join(directory, f"{stem}.csv")
     meta_path = os.path.join(directory, f"{stem}.json")
-    write_csv(
-        csv_path,
-        ["step"] + [f"est_{i + 1}" for i in range(traj.dim)],
-        ([i, *row.tolist()] for i, row in enumerate(traj.samples)),
-    )
+    write_indexed_csv(csv_path, ["step"] + [f"est_{i + 1}" for i in range(traj.dim)], traj.samples)
     meta = {
         "variant": traj.variant,
         "seed": traj.seed,

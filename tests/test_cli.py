@@ -1,17 +1,23 @@
 """The `langirl` command line: exit codes, failure records, reruns and compare."""
 
+import csv
 import filecmp
+import hashlib
+import io
 import itertools
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import langirl.cli
 from langirl.cli import _Experiment, load_config, main, resolve_config
 from langirl.core import RngStream
 from langirl.forward import AgentPoolConfig, InitDensity, run_agent_pool
@@ -21,8 +27,10 @@ from langirl.irl import (
     MULTIKERNEL,
     PASSIVE_GENERALIZED,
     SamplerConfig,
+    Trajectory,
     load_trajectory,
     run_sampler,
+    save_trajectory,
 )
 from langirl.kernels import GAUSSIAN, Kernel
 from langirl.problems import cmdp, mixture, synthetic
@@ -129,11 +137,12 @@ def test_compare_counts_match_post_samples(tmp_path, capsys):
 
 def test_compare_reads_only_the_chains_of_the_latest_run(tmp_path, capsys):
     # A one-chain rerun into a directory that holds three chains of an earlier
-    # run leaves their trajectory_c* files behind; compare must not pool them.
+    # run removes their trajectory_c* files, and compare pools only its chain.
     config = str(BENCH_CONFIGS / "mixture_multikernel.json")
     out = str(tmp_path / "run")
     assert main(["run", config, "--chains", "3", "--out", out]) == 0
     assert main(["run", config, "--out", out]) == 0
+    assert not list(Path(out).glob("trajectory_c*"))
     capsys.readouterr()
     assert main(["compare", out, out]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -152,6 +161,168 @@ def test_status_files_describe_the_latest_run(tmp_path, capsys):
     assert "not a finished run" in capsys.readouterr().err
     assert main(["run", good]) == 0
     assert (out / "metrics.json").is_file() and not (out / "failure.json").exists()
+
+
+def test_a_rerun_removes_the_files_of_an_earlier_run(tmp_path):
+    out = tmp_path / "run"
+    config = quadratic_config(out)
+    config["baseline"]["chains"] = 2
+    config["analysis"] = {"grid": [[-3.0, 3.0, 10], [-3.0, 3.0, 10]]}
+    assert main(["run", write_config(tmp_path, config), "--chains", "2"]) == 0
+    assert {"baseline_c1.csv", "density.csv", "baseline_density.csv"} <= {p.name for p in out.iterdir()}
+    (out / "notes.txt").write_text("not written by a run")
+    config = quadratic_config(out)
+    del config["baseline"]
+    assert main(["run", write_config(tmp_path, config)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "metrics.json", "notes.txt", "trajectory.csv", "trajectory.json"]
+
+
+# sha256 of every chain file of the run below, computed when the baseline ran
+# after the sampler in one process and csv.writer wrote every row: how the
+# chain sets are scheduled and how their files are written must keep each byte.
+GOLDEN_FILES = {
+    "baseline_c0.csv": "1924bf67175dad19492ec9bd04c0af9a53ad1eabc7f55adc992888f845280b7c",
+    "baseline_c0.json": "8d3bf888104d26f2fad2ada9e557f8cc7702069b1b7cb0974baa67df35b8d80e",
+    "baseline_c1.csv": "84dce0f9882c4d6a94e2e17afbb18c3c6d7976adbf5e379da77b54743a03107b",
+    "baseline_c1.json": "884ff9d9f9a9966e2fd2631b4b32af6ab53982b8dc212fc9fb53fe31eded660b",
+    "trajectory_c0.csv": "53838e3dbdf0f87d0cf74caed7d6fbcdcd710ddbf68fa7c70b1b8b28c80f4897",
+    "trajectory_c0.json": "257c5e650533190a2db47997d1f71528b14a957e403ff5a86d894afa4de8df69",
+    "trajectory_c1.csv": "c96d0188b1ce755c34bb30a9267109e749a1d89a7c7aa5da89648b26d5660483",
+    "trajectory_c1.json": "257c5e650533190a2db47997d1f71528b14a957e403ff5a86d894afa4de8df69",
+}
+
+
+def test_chain_files_match_golden_digests(tmp_path):
+    # Two sampler chains and two baseline chains; 2101 baseline rows span
+    # three of the CSV writer's blocks.
+    out = tmp_path / "run"
+    config = with_noisy_baseline(out)
+    config["baseline"]["num_steps"] = 2100
+    assert main(["run", write_config(tmp_path, config), "--chains", "2"]) == 0
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in out.iterdir() if p.name.startswith(("trajectory", "baseline"))
+    }
+    assert digests == GOLDEN_FILES
+
+
+@pytest.mark.parametrize("rows", [1, 1024, 2053])
+def test_save_trajectory_writes_the_csv_module_bytes(tmp_path, rows):
+    special = [1e-05, 1e16, -0.0, 5e-324, 0.1, 1 / 3, -2.5e-300, 1.7976931348623157e308, 123456789.0]
+    samples = np.random.default_rng(0).standard_normal((rows, 3)) * 10.0 ** np.arange(-8, 10, 6)
+    samples.flat[: len(special)] = special[: samples.size]
+    traj = Trajectory(samples=samples, burn_in=0, variant=CLASSICAL, fingerprint="0")
+    csv_path, _ = save_trajectory(traj, SamplerConfig(step=0.1, beta=1.0, init=np.zeros(3)), tmp_path)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["step", "est_1", "est_2", "est_3"])
+    writer.writerows([i, *row] for i, row in enumerate(samples.tolist()))
+    assert Path(csv_path).read_bytes() == want.getvalue().encode()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of each child process `os.fork` starts during the test."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that blocks for a minute instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("blocked for 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def assert_reaped(pids):
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
+
+
+def test_sampler_failure_kills_the_baseline_worker(tmp_path, monkeypatch, capfd, forks, deadline):
+    # The sampler chain fails at its first step (see test_density_floor_failure_is_recorded),
+    # here only once the worker has written its baseline files.
+    out = tmp_path / "run"
+    run_chains = langirl.cli.run_chains
+
+    def after_the_baseline_files(variant, *args, **kwargs):
+        while variant != CLASSICAL and not (out / "baseline.json").exists():
+            time.sleep(0.001)
+        return run_chains(variant, *args, **kwargs)
+
+    monkeypatch.setattr(langirl.cli, "run_chains", after_the_baseline_files)
+    config = quadratic_config(out, variant="passive_classical", init=[40.0])
+    assert main(["run", write_config(tmp_path, config)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["failure.json", "manifest.json"]
+    failure = read_json(out / "failure.json")
+    assert (failure["phase"], failure["error"]) == ("sampler", "DensityFloorError")
+    assert "Traceback" not in capfd.readouterr().err
+    assert_reaped(forks)
+
+
+def test_baseline_divergence_is_recorded(tmp_path, forks, deadline):
+    # Classical Langevin at step 100 on curvature 1 multiplies the estimate
+    # by about -49 per step, so it overflows within 200 steps.
+    out = tmp_path / "run"
+    config = quadratic_config(out)
+    config["baseline"].update(step=100.0, num_steps=500)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", write_config(tmp_path, config)]) == 1
+    failure = read_json(out / "failure.json")
+    assert (failure["phase"], failure["error"]) == ("baseline", "NonFiniteError")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "failure.json", "manifest.json", "trajectory.csv", "trajectory.json"]
+    assert_reaped(forks)
+
+
+def test_a_worker_ending_without_a_result_is_a_failure(tmp_path, monkeypatch, forks, deadline):
+    out = tmp_path / "run"
+    monkeypatch.setattr(langirl.cli, "_baseline_chains", lambda exp, outdir: os._exit(3))
+    assert main(["run", write_config(tmp_path, quadratic_config(out))]) == 1
+    failure = read_json(out / "failure.json")
+    assert (failure["phase"], failure["error"]) == ("baseline", "ChildProcessError")
+    assert "exit status 3" in failure["message"]
+    assert not (out / "metrics.json").exists()
+    assert_reaped(forks)
+
+
+def test_a_run_ended_by_a_signal_takes_its_worker_with_it(tmp_path):
+    # A run ended by SIGTERM gets no chance to kill its worker; the worker
+    # must not outlive it and write its baseline files. It holds the stderr
+    # pipe too, so `communicate` returns only once the worker has exited.
+    out = tmp_path / "run"
+    config = quadratic_config(out)
+    config["forward"]["num_agents"] = 200_000  # a sampler phase of about a second
+    config["baseline"]["num_steps"] = 100_000  # a baseline of a few tenths of a second
+    root = Path(__file__).resolve().parents[1]
+    argv = [sys.executable, "-m", "langirl.cli", "run", write_config(tmp_path, config)]
+    proc = subprocess.Popen(argv, env={**os.environ, "PYTHONPATH": str(root / "src")},
+                            stderr=subprocess.PIPE, text=True)
+    while not (out / "manifest.json").exists() and proc.poll() is None:
+        time.sleep(0.001)
+    time.sleep(0.05)  # the worker is forked right after the manifest is written
+    proc.terminate()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == -signal.SIGTERM
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    assert "Traceback" not in err
 
 
 def cmdp_config(output):

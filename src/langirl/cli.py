@@ -20,15 +20,23 @@ chain when there are several. A set's trajectory files are written only once
 every chain of the set has finished. A run first removes from its output
 directory every file an earlier run may have written there but the manifest.
 
-A config's baseline chain set runs in a forked worker process, started before
-the forward phase, while the run goes on with the forward, sampler and
-trajectory-write phases; the run then joins it and analyses both sets. The
-earliest failing phase wins, in the order forward, sampler, baseline,
-analysis: a forward or sampler failure kills the worker and removes what it
-wrote. On Linux a run ended by a signal takes its worker with it. Each entry
-of `timings_seconds` adds up the time its phase took in the process that ran
-it, so the phases overlap and their sum can exceed the wall time. `os.fork`
-makes a run with a baseline POSIX-only.
+Two chain sets are computed in forked worker processes. A config's baseline
+chain set runs in one worker, started before the forward phase, while the run
+goes on with the forward, sampler and trajectory-write phases; the run then
+joins it and analyses both sets. A CMDP run splits its SPSA pool chunks into
+one share per CPU the process may use (never more shares than chunks): the
+run computes the first share as its chains read it, and one worker per later
+share computes that share meanwhile. A chunk depends only on its chain's
+stream and its index, so every byte a run writes is the same whatever the
+CPU count. When `os.fork` fails, the run makes a worker's call itself when
+it needs the result, with the same bytes. The earliest failing phase wins,
+in the order forward, sampler, baseline, analysis: a forward or sampler
+failure kills the workers and removes what the baseline worker wrote. On
+Linux a run ended by a signal takes its workers with it. Each entry of
+`timings_seconds` adds up the time its phase took in the process that ran
+it, so the phases overlap and their sum can exceed the wall time; a pool
+worker's time is in no entry. `os.fork` makes a run with a baseline or with
+more than one CMDP pool chunk POSIX-only.
 
 Regime tracking is library-only: call `tracking.run_tracking`; a config has
 no tracking section.
@@ -224,6 +232,8 @@ class _Experiment:
         if self.chains < 1:
             raise ConfigError("chains: must be at least 1")
         self.root = RngStream(self.seed)
+        # The forked workers that compute pools for this run; the run stops them.
+        self.workers = []
 
         problem = _expect(config, "problem", dict, "config")
         self.kind = _expect(problem, "kind", str, "problem")
@@ -488,12 +498,12 @@ def run_experiment(config):
 
     metrics = {"experiment": exp.name, "variant": exp.variant, "chains": exp.chains}
     phase = "setup"
-    worker = None
+    baseline = None
     try:
         # Optional classical-Langevin reference chains on the same problem,
         # run beside the phases below; they share nothing with them.
         if exp.baseline_cfg is not None:
-            worker = _BaselineWorker(exp, outdir)
+            baseline = _Worker(_baseline_chains, exp, outdir)
 
         # Forward corpus, when the variant consumes recorded agent data.
         corpus = None
@@ -521,9 +531,11 @@ def run_experiment(config):
         metrics["underflow_resets"] = sum(traj.underflow_resets for traj in trajs)
 
         base_post = None
-        if worker is not None:
+        if baseline is not None:
             phase = "baseline"
-            base_post = worker.join(timings)
+            base_post, worker_timings = baseline.join()
+            for name, sec in worker_timings.items():
+                timings[name] = timings.get(name, 0.0) + sec
 
         phase = "analysis"
         with _timed(timings, "analysis"):
@@ -534,7 +546,7 @@ def run_experiment(config):
         metrics["timings_seconds"] = {key: round(sec, 3) for key, sec in timings.items()}
         _write_json(os.path.join(outdir, "metrics.json"), metrics)
     except (*_RUNTIME_ERRORS, ChildProcessError) as exc:
-        if worker is not None and worker.stop():
+        if baseline is not None and baseline.stop():
             # The run failed before joining the worker: like any run that
             # never reached its baseline, it keeps none of the worker's files.
             _remove_artifacts(outdir)
@@ -545,8 +557,9 @@ def run_experiment(config):
         print(f"runtime failure during {phase}: {exc}", file=sys.stderr)
         return 1, outdir
     finally:
-        if worker is not None:
-            worker.stop()
+        for worker in [baseline, *exp.workers]:
+            if worker is not None:
+                worker.stop()
     return 0, outdir
 
 
@@ -576,31 +589,41 @@ def _baseline_chains(exp, outdir):
     return np.vstack([base.post for base in bases]), timings
 
 
-class _BaselineWorker:
-    """`_baseline_chains` run in a forked child process while the parent goes on.
+class _Worker:
+    """`fn(*args)` run in a forked child process while the parent goes on.
 
     The child sends its result, or the runtime error that ended it, back
     through a pipe and leaves only through `os._exit`: it never returns into
     the caller's stack, flushes no inherited buffers and runs no exit handler
     of the parent's. Fork, not spawn: a spawned child would import numpy and
     `langirl` again, which costs about as long as a bench baseline runs.
+
+    The result depends only on `fn` and `args`. So when `os.fork` fails
+    (EAGAIN or ENOMEM), `join` makes the call in the parent instead, with
+    the same result.
     """
 
-    def __init__(self, exp, outdir):
+    def __init__(self, fn, *args):
+        self._call = fn, args
+        self.pid = None
         # Output still buffered at the fork would otherwise be written twice.
         sys.stdout.flush()
         sys.stderr.flush()
         read_fd, write_fd = os.pipe()
         parent = os.getpid()
-        self.pid = os.fork()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            return
         if self.pid == 0:
             os.close(read_fd)
-            self._serve(exp, outdir, write_fd, parent)
+            self._serve(write_fd, parent)
         os.close(write_fd)
         self._pipe = open(read_fd, "rb")
 
-    @staticmethod
-    def _serve(exp, outdir, write_fd, parent):
+    def _serve(self, write_fd, parent):
         status = 1
         try:
             # A parent ended by a signal runs no `finally` to kill its worker,
@@ -612,8 +635,9 @@ class _BaselineWorker:
                 ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG
             if os.getppid() != parent:  # the parent died before the prctl
                 return
+            fn, args = self._call
             try:
-                result = _baseline_chains(exp, outdir)
+                result = fn(*args)
             except _RUNTIME_ERRORS as exc:
                 result = exc
             with open(write_fd, "wb") as fh:
@@ -627,26 +651,26 @@ class _BaselineWorker:
             sys.stderr.flush()
             os._exit(status)
 
-    def join(self, timings):
-        """Wait for the worker: its pooled post-burn-in samples, its phase times added to `timings`.
+    def join(self):
+        """Wait for the worker and return the call's result.
 
-        Raises the runtime error that ended the baseline chains, or
-        ChildProcessError when the worker ended without a result.
+        Raises the runtime error that ended the call, or ChildProcessError
+        when the worker ended without a result.
         """
+        fn, args = self._call
+        if self.pid is None:  # the fork failed
+            return fn(*args)
         with self._pipe:
             data = self._pipe.read()
         code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         self.pid = None
         if code != 0 or not data:
-            raise ChildProcessError(f"baseline worker ended with exit status {code} and no result")
+            raise ChildProcessError(f"forked worker ended with exit status {code} and no result")
         # Only this worker wrote these bytes.
         result = pickle.loads(data)
         if isinstance(result, Exception):
             raise result
-        base_post, worker_timings = result
-        for phase, sec in worker_timings.items():
-            timings[phase] = timings.get(phase, 0.0) + sec
-        return base_post
+        return result
 
     def stop(self):
         """Kill and reap the worker unless it was joined; True when it had to be killed."""
@@ -671,27 +695,71 @@ def _chain_source(exp, kind, corpus, rngs):
 
     Chains that read the forward corpus share one reader of it. Otherwise
     chain c has a source of its own, made from `rngs[c]`: a gradient oracle
-    or a stream of CMDP SPSA pools. Several chains' oracles become one block
-    oracle that answers row c from chain c's oracle, and their pools are
-    stacked to (chains, pool, dim) with chain c's pool in row c. One chain's
-    source is passed unchanged.
+    or a stream of CMDP SPSA pools (`_spsa_pools`). Several chains' oracles
+    become one block oracle that answers row c from chain c's oracle, and
+    their pools are stacked to (chains, pool, dim) with chain c's pool in
+    row c. One chain's source is passed unchanged.
     """
-    pool_size = exp.sampler_cfg.pool_size
     if kind != ORACLE and exp.kind != "cmdp":
+        pool_size = exp.sampler_cfg.pool_size
         passes = (corpus if kind == STREAM else corpus.as_pools(pool_size) for _ in range(exp.sweeps))
         return itertools.chain.from_iterable(passes)
-    if kind == ORACLE:
-        sources = [exp.oracle(rng) for rng in rngs]
-    else:
-        sources = [
-            cmdp.make_angle_pool_source(exp.model, pool_size, exp.num_steps, exp.horizon, exp.perturbation, rng)
-            for rng in rngs
-        ]
+    if kind != ORACLE:
+        return _spsa_pools(exp, rngs)
+    oracles = [exp.oracle(rng) for rng in rngs]
+    if len(oracles) == 1:
+        return oracles[0]
+    return lambda points: np.stack([oracle(point) for oracle, point in zip(oracles, points)])
+
+
+def _cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _stacked(sources):
+    """One chain's pool source unchanged, or several stacked to (chains, pool, dim) pools."""
     if len(sources) == 1:
         return sources[0]
-    if kind == ORACLE:
-        return lambda points: np.stack([oracle(point) for oracle, point in zip(sources, points)])
     return (GradientPool(*map(np.stack, zip(*pools))) for pools in zip(*sources))
+
+
+def _pool_chunks(exp, rngs, chunks):
+    """Chunks `chunks` of each chain's SPSA pools: per chain, (points, gradients) as (pools, pool, dim) arrays."""
+    args = exp.model, exp.sampler_cfg.pool_size, exp.num_steps, exp.horizon, exp.perturbation
+    return [
+        tuple(map(np.concatenate, zip(*(cmdp.angle_pool_chunk(*args, rng, c) for c in chunks))))
+        for rng in rngs
+    ]
+
+
+def _spsa_pools(exp, rngs):
+    """Each chain's CMDP SPSA pools, as `cmdp.make_angle_pool_source` makes them from `rngs[c]`.
+
+    Chunk k of a chain's pools depends only on the model, the settings, the
+    chain's stream and k. So the chunks split into contiguous shares, one per
+    CPU this process may use but never more than there are chunks, every
+    chain's chunk k in the same share. The parent computes the first share
+    as the chains read it; each later share runs in a `_Worker`, started now
+    and joined when the chains reach its chunks. The pools do not depend on
+    the number of shares. The workers are added to `exp.workers`.
+    """
+    size = cmdp.POOL_CHUNK
+    chunks = -(-exp.num_steps // size)
+    shares = max(1, min(_cpus(), chunks))
+    cuts = [chunks * share // shares for share in range(shares + 1)]
+    workers = [_Worker(_pool_chunks, exp, rngs, range(lo, hi)) for lo, hi in zip(cuts[1:], cuts[2:])]
+    exp.workers.extend(workers)
+    own = min(cuts[1] * size, exp.num_steps)
+    first = _stacked([
+        cmdp.make_angle_pool_source(exp.model, exp.sampler_cfg.pool_size, own, exp.horizon, exp.perturbation, rng)
+        for rng in rngs
+    ])
+    later = (_stacked([map(GradientPool, *pools) for pools in result]) for result in map(_Worker.join, workers))
+    return itertools.chain(first, itertools.chain.from_iterable(later))
 
 
 def _chain_stems(name, chains):

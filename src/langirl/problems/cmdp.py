@@ -31,6 +31,9 @@ ANGLE_LOW = 0.0
 ANGLE_HIGH = math.pi / 2
 BARRIER_WEIGHT = 1e6
 
+# Pools per batched SPSA sweep of `make_angle_pool_source`.
+POOL_CHUNK = 200
+
 
 @dataclass(frozen=True)
 class CmdpModel:
@@ -278,6 +281,30 @@ def spsa_gradient_batch(
     return scale[:, None, None] * delta
 
 
+def angle_pool_chunk(
+    model: CmdpModel,
+    pool_size: int,
+    num_pools: int,
+    horizon: int,
+    perturbation: float,
+    rng: RngStream,
+    c: int,
+    chunk: int = POOL_CHUNK,
+):
+    """Chunk c of `make_angle_pool_source`'s pools with the same arguments, from one batched sweep.
+
+    The chunk holds pools c * chunk up to the next chunk or `num_pools`, all
+    drawn from the stream ``rng.child(c)``. Returns (points, gradients), each
+    a (pools, pool_size, width) array.
+    """
+    take = min(chunk, num_pools - c * chunk)
+    width = model.num_states * (model.num_actions - 1)
+    stream = rng.child(c)
+    pts = stream.uniform(ANGLE_LOW, ANGLE_HIGH, size=(take * pool_size, model.num_states, model.num_actions - 1))
+    grads = spsa_gradient_batch(model, pts, horizon, perturbation, stream)
+    return pts.reshape(take, pool_size, width), grads.reshape(take, pool_size, width)
+
+
 def make_angle_pool_source(
     model: CmdpModel,
     pool_size: int,
@@ -285,27 +312,29 @@ def make_angle_pool_source(
     horizon: int,
     perturbation: float,
     rng: RngStream,
-    chunk: int = 200,
+    chunk: int = POOL_CHUNK,
 ):
-    """Yield pools of (flattened angle point, SPSA gradient) pairs.
+    """Yield `num_pools` pools of (flattened angle point, SPSA gradient) pairs.
 
     Points are uniform over the angle box; the estimator never influences
     them. Flattening is row-major over (states, actions - 1). Pools are
     produced ``chunk`` at a time so the probe simulations share one batched
     sweep; the barrier keeps the probed objective non-periodic off the box.
+    Chunk c draws from its own stream ``rng.child(c)``, so it depends only on
+    the model, the settings, `rng` and c, and can be computed apart
+    (`angle_pool_chunk`). The chunk size is therefore part of the stream's
+    definition: another chunk size gives other pools. Raises ConfigError for
+    a chunk below 1.
     """
-    width = model.num_states * (model.num_actions - 1)
-    done = 0
-    while done < num_pools:
-        take = min(chunk, num_pools - done)
-        shape = (take * pool_size, model.num_states, model.num_actions - 1)
-        pts = rng.uniform(ANGLE_LOW, ANGLE_HIGH, size=shape)
-        grads = spsa_gradient_batch(model, pts, horizon, perturbation, rng)
-        flat_p = pts.reshape(take, pool_size, width)
-        flat_g = grads.reshape(take, pool_size, width)
-        for j in range(take):
-            yield GradientPool(flat_p[j], flat_g[j])
-        done += take
+    if chunk < 1:
+        raise ConfigError(f"chunk must be at least 1, got {chunk}")
+    return (
+        GradientPool(points, gradients)
+        for c in range(-(-num_pools // chunk))
+        for points, gradients in zip(
+            *angle_pool_chunk(model, pool_size, num_pools, horizon, perturbation, rng, c, chunk)
+        )
+    )
 
 
 def stationary_joint(model: CmdpModel, policy: np.ndarray, tol: float = 1e-13, max_iter: int = 200000):

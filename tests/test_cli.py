@@ -6,6 +6,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import re
 import signal
@@ -19,7 +20,7 @@ import pytest
 
 import langirl.cli
 from langirl.cli import _Experiment, load_config, main, resolve_config
-from langirl.core import RngStream
+from langirl.core import NonFiniteError, RngStream
 from langirl.forward import AgentPoolConfig, InitDensity, run_agent_pool
 from langirl.irl import (
     ACTIVE,
@@ -250,10 +251,34 @@ def deadline():
     signal.signal(signal.SIGALRM, previous)
 
 
-def assert_reaped(pids):
-    assert len(pids) == 1
+def assert_reaped(pids, count=1):
+    assert len(pids) == count
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    assert_no_children()
+
+
+def assert_no_children():
+    # The benchmark refuses a run that leaves a process behind.
     with pytest.raises(ChildProcessError):
-        os.waitpid(pids[0], os.WNOHANG)
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU count the run sees to `n`."""
+    def set_count(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    return set_count
+
+
+def failing_fork():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
 
 
 def test_sampler_failure_kills_the_baseline_worker(tmp_path, monkeypatch, capfd, forks, deadline):
@@ -333,7 +358,7 @@ def cmdp_config(output):
         "output": str(output),
         "problem": {"kind": "cmdp", "horizon": 20, "perturbation": 0.05},
         "sampler": {"variant": "multikernel", "step": 1e-6, "beta": 1.0, "pool_size": 2,
-                    "conditional_std": 0.3, "init": [0.8, 0.8], "num_steps": 5},
+                    "conditional_std": 0.3, "init": [0.8, 0.8], "num_steps": 401},
     }
 
 
@@ -389,12 +414,13 @@ def active_chains(root):
 
 
 def cmdp_chains(root):
-    # Each chain reads its own SPSA pools, drawn on stream 40 + chain.
+    # Each chain reads its own SPSA pools, drawn on stream 40 + chain, in three
+    # chunks of 200, 200 and 1 pools, however the run splits them among workers.
     cfg = SamplerConfig(step=1e-6, beta=1.0, init=np.array([0.8, 0.8]), pool_size=2, conditional_std=0.3)
     model = cmdp.CmdpModel.two_state_example()
     return {
         f"trajectory_c{chain}": run_sampler(
-            MULTIKERNEL, cmdp.make_angle_pool_source(model, 2, 5, 20, 0.05, root.child(40 + chain)), cfg, 5,
+            MULTIKERNEL, cmdp.make_angle_pool_source(model, 2, 401, 20, 0.05, root.child(40 + chain)), cfg, 401,
             root.child(10 + chain))
         for chain in range(3)
     }
@@ -444,6 +470,91 @@ def test_batched_chains_match_one_chain_runs(tmp_path, case):
         np.testing.assert_array_equal(got.samples, want.samples)
         assert got.fingerprint == want.fingerprint
         assert got.underflow_resets == want.underflow_resets
+
+
+@pytest.mark.parametrize("chains", [1, 3])
+def test_cmdp_pools_do_not_depend_on_the_cpu_count(tmp_path, cpus, forks, deadline, chains):
+    # 401 steps are three pool chunks: no worker on one CPU, one on two, two on three.
+    files = {}
+    for count in (1, 2, 3):
+        cpus(count)
+        out = tmp_path / f"cpus{count}"
+        assert main(["run", write_config(tmp_path, cmdp_config(out)), "--chains", str(chains)]) == 0
+        files[count] = {p.name: p.read_bytes() for p in out.iterdir() if p.name.startswith("trajectory")}
+    assert len(files[1]) == 2 * chains
+    assert files[1] == files[2] == files[3]
+    assert_reaped(forks, count=0 + 1 + 2)
+
+
+@pytest.mark.parametrize("make_config", [with_noisy_baseline, cmdp_config], ids=["baseline", "cmdp"])
+def test_a_failed_fork_runs_the_call_in_the_run(tmp_path, monkeypatch, cpus, forks, deadline, make_config):
+    # When os.fork fails (EAGAIN, ENOMEM), the run makes the worker's call
+    # itself: the same bytes, exit 0, and no pipe left open.
+    cpus(2)
+    forked, unforked = tmp_path / "forked", tmp_path / "unforked"
+    assert main(["run", write_config(tmp_path, make_config(forked)), "--chains", "2"]) == 0
+    assert_reaped(forks)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    fds = open_fds()
+    assert main(["run", write_config(tmp_path, make_config(unforked)), "--chains", "2"]) == 0
+    assert open_fds() == fds
+    names = sorted(p.name for p in forked.iterdir())
+    assert names == sorted(p.name for p in unforked.iterdir())
+    for name in names:
+        if name == "metrics.json":
+            want, got = read_json(forked / name), read_json(unforked / name)
+            assert want.pop("timings_seconds").keys() == got.pop("timings_seconds").keys()
+            assert got == want
+        elif name != "manifest.json":  # it names the output directory
+            assert (unforked / name).read_bytes() == (forked / name).read_bytes(), name
+
+
+def test_a_pool_worker_ending_without_a_result_is_a_failure(tmp_path, monkeypatch, cpus, forks, deadline):
+    cpus(2)
+    out = tmp_path / "run"
+    monkeypatch.setattr(langirl.cli, "_pool_chunks", lambda exp, rngs, chunks: os._exit(3))
+    assert main(["run", write_config(tmp_path, cmdp_config(out))]) == 1
+    failure = read_json(out / "failure.json")
+    assert (failure["phase"], failure["error"]) == ("sampler", "ChildProcessError")
+    assert "exit status 3" in failure["message"]
+    assert sorted(p.name for p in out.iterdir()) == ["failure.json", "manifest.json"]
+    assert_reaped(forks)
+
+
+def test_sampler_failure_kills_the_pool_worker(tmp_path, monkeypatch, cpus, forks, deadline):
+    # The worker would run for ten minutes; the failed run must end it.
+    cpus(2)
+    out = tmp_path / "run"
+    monkeypatch.setattr(langirl.cli, "_pool_chunks", lambda exp, rngs, chunks: time.sleep(600))
+
+    def fails_at_the_first_step(variant, source, *args, **kwargs):
+        next(iter(source))
+        raise NonFiniteError("sampler step 1: non-finite estimate")
+
+    monkeypatch.setattr(langirl.cli, "run_chains", fails_at_the_first_step)
+    assert main(["run", write_config(tmp_path, cmdp_config(out))]) == 1
+    failure = read_json(out / "failure.json")
+    assert (failure["phase"], failure["error"]) == ("sampler", "NonFiniteError")
+    assert_reaped(forks)
+
+
+def test_cmdp_bench_config_samples_near_the_constraint_bound(tmp_path):
+    # The CMDP law, read from the trajectory rather than from metrics.json: the
+    # chain stays on the angle box, and most samples are policies whose exact
+    # stationary constraint cost (the balance equations) is near the bound.
+    path = BENCH_CONFIGS / "cmdp_spsa.json"
+    config = load_config(path)
+    assert config["problem"]["model"] == "two-state"
+    out = tmp_path / "run"
+    assert main(["run", str(path), "--seed", "0", "--out", str(out)]) == 0
+    post = load_trajectory(out)[0].post
+    assert len(post) == 721  # 800 steps, the first 80 dropped
+    assert np.all((post >= 0.0) & (post <= math.pi / 2))
+    model = cmdp.CmdpModel.two_state_example()
+    costs = np.array([cmdp.stationary_joint(model, policy)[2]
+                      for policy in cmdp.spherical_to_policy(post.reshape(-1, 2, 1))])
+    near = np.abs(costs - model.constraint_bound) < config["analysis"]["constraint_tolerance"]
+    assert near.mean() >= 0.9
 
 
 SWEEP_CASES = {

@@ -31,12 +31,26 @@ stream and its index, so every byte a run writes is the same whatever the
 CPU count. When `os.fork` fails, the run makes a worker's call itself when
 it needs the result, with the same bytes. The earliest failing phase wins,
 in the order forward, sampler, baseline, analysis: a forward or sampler
-failure kills the workers and removes what the baseline worker wrote. On
-Linux a run ended by a signal takes its workers with it. Each entry of
-`timings_seconds` adds up the time its phase took in the process that ran
-it, so the phases overlap and their sum can exceed the wall time; a pool
-worker's time is in no entry. `os.fork` makes a run with a baseline or with
-more than one CMDP pool chunk POSIX-only.
+failure kills the workers and removes what the baseline worker wrote. A
+pooled mean or variance that overflows is an analysis failure. On Linux a
+run ended by a signal takes its workers with it.
+
+A chain set's files are written on every CPU too: its chains split into
+contiguous shares, one per CPU but never more shares than chains. The
+process that ran the set (the run, or the baseline worker) writes the first
+share, and one forked writer per later share writes that share meanwhile;
+all are joined before it goes on. A chain's files depend only on that
+chain, so their bytes do not depend on the CPU count, and a failed fork
+leaves the share to the process itself. A writer that fails ends the run
+with exit 1 and a `ChildProcessError` in `failure.json`.
+
+Each entry of `timings_seconds` adds up the time its phase took in the
+process that ran it, so the phases overlap and their sum can exceed the
+wall time. The `write` entry counts the run's and the baseline worker's own
+writes and their waits for their writers; a writer's or a pool worker's own
+time is in no entry. `os.fork` makes a run with a baseline, with more than
+one chain on more than one CPU, or with more than one CMDP pool chunk
+POSIX-only.
 
 Regime tracking is library-only: call `tracking.run_tracking`; a config has
 no tracking section.
@@ -638,7 +652,7 @@ class _Worker:
             fn, args = self._call
             try:
                 result = fn(*args)
-            except _RUNTIME_ERRORS as exc:
+            except (*_RUNTIME_ERRORS, ChildProcessError) as exc:  # ChildProcessError: a worker of fn's own failed
                 result = exc
             with open(write_fd, "wb") as fh:
                 pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
@@ -696,8 +710,9 @@ def _chain_source(exp, kind, corpus, rngs):
     Chains that read the forward corpus share one reader of it. Otherwise
     chain c has a source of its own, made from `rngs[c]`: a gradient oracle
     or a stream of CMDP SPSA pools (`_spsa_pools`). Several chains' oracles
-    become one block oracle that answers row c from chain c's oracle, and
-    their pools are stacked to (chains, pool, dim) with chain c's pool in
+    become one block oracle that answers row c from chain c's oracle, with
+    a float form (see `irl`) when every chain's oracle has one, and their
+    pools are stacked to (chains, pool, dim) with chain c's pool in
     row c. One chain's source is passed unchanged.
     """
     if kind != ORACLE and exp.kind != "cmdp":
@@ -709,15 +724,23 @@ def _chain_source(exp, kind, corpus, rngs):
     oracles = [exp.oracle(rng) for rng in rngs]
     if len(oracles) == 1:
         return oracles[0]
-    return lambda points: np.stack([oracle(point) for oracle, point in zip(oracles, points)])
+
+    def combined(points):
+        return np.stack([oracle(point) for oracle, point in zip(oracles, points)])
+
+    if all(hasattr(oracle, "pairs") for oracle in oracles):
+        combined.pairs = lambda points: [oracle.pairs([point])[0] for oracle, point in zip(oracles, points)]
+    return combined
 
 
-def _cpus():
-    """The number of CPUs this process may run on."""
+def _cuts(count):
+    """Bounds of `count` items split into contiguous shares: one per CPU this process may use, at most `count`."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    shares = max(1, min(cpus, count))
+    return [count * share // shares for share in range(shares + 1)]
 
 
 def _stacked(sources):
@@ -748,9 +771,7 @@ def _spsa_pools(exp, rngs):
     the number of shares. The workers are added to `exp.workers`.
     """
     size = cmdp.POOL_CHUNK
-    chunks = -(-exp.num_steps // size)
-    shares = max(1, min(_cpus(), chunks))
-    cuts = [chunks * share // shares for share in range(shares + 1)]
+    cuts = _cuts(-(-exp.num_steps // size))
     workers = [_Worker(_pool_chunks, exp, rngs, range(lo, hi)) for lo, hi in zip(cuts[1:], cuts[2:])]
     exp.workers.extend(workers)
     own = min(cuts[1] * size, exp.num_steps)
@@ -768,15 +789,37 @@ def _chain_stems(name, chains):
 
 
 def _save_chains(trajs, cfgs, outdir, name):
-    for stem, traj, cfg in zip(_chain_stems(name, len(trajs)), trajs, cfgs):
+    """Write a chain set's files, its chains split into contiguous shares by `_cuts`.
+
+    The caller writes the first share; a `_Worker` writes each later share
+    meanwhile, and all are joined before this returns. A chain's files depend
+    only on that chain, so the bytes do not depend on the number of shares.
+    """
+    chains = list(zip(_chain_stems(name, len(trajs)), trajs, cfgs))
+    cuts = _cuts(len(chains))
+    workers = [_Worker(_write_chains, chains[lo:hi], outdir) for lo, hi in zip(cuts[1:], cuts[2:])]
+    try:
+        _write_chains(chains[:cuts[1]], outdir)
+        for worker in workers:
+            worker.join()
+    finally:
+        for worker in workers:
+            worker.stop()
+
+
+def _write_chains(chains, outdir):
+    for stem, traj, cfg in chains:
         save_trajectory(traj, cfg, outdir, stem=stem)
 
 
 def _analyze(exp, pooled, base_post, metrics):
     """Fill `metrics` from the pooled samples; return the densities to write by file name."""
     densities = {}
-    metrics["variance"] = [float(v) for v in pooled.var(axis=0)]
-    metrics["mean"] = [float(v) for v in pooled.mean(axis=0)]
+    variance, mean = pooled.var(axis=0), pooled.mean(axis=0)
+    if not (np.isfinite(variance).all() and np.isfinite(mean).all()):
+        raise NonFiniteError(f"pooled mean {mean.tolist()} or variance {variance.tolist()} is not finite")
+    metrics["variance"] = variance.tolist()
+    metrics["mean"] = mean.tolist()
     if exp.kind == "quadratic":
         metrics["analytic_variance_target"] = 1.0 / (exp.curvature * exp.sampler_cfg.beta)
     if exp.kind == "cmdp":

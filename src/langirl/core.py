@@ -75,9 +75,12 @@ def write_indexed_csv(path, header, values) -> None:
 
 
 def write_json(path, payload) -> None:
-    """Write `payload` as JSON with sorted keys, two-space indents and a final newline."""
+    """Write `payload` as JSON with sorted keys, two-space indents and a final newline.
+
+    A NaN or infinity in `payload` raises ValueError: standard JSON has no token for them.
+    """
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

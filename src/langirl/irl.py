@@ -63,20 +63,37 @@ drawing from that rng when it needs noise. A batch rounds every chain exactly
 as that chain would round alone, so a chain's samples do not depend on how
 many chains run beside it.
 
-`passive_generalized` and `passive_gated` also have a plain-float path, taken
-whenever the state is 2-D and holds at most 12 chains (`est.shape[-1] == 2`
-and `est.size <= 24`; the shape alone decides). Each chain is then updated
-with Python floats, through `Kernel.raw_eval_2d`/`scaled_eval_2d` and
-`InitDensity.density_and_grad_2d`, instead of some 25 NumPy calls on tiny
-arrays. It gives the NumPy form's bits: it does the same IEEE operations in
-the same order with every division kept; each sum in a 2-D step is one
-addition of two non-negative terms, so it rounds alike however `einsum` or
-`.sum(-1)` would reduce it (with three or more terms it would not, which is
-why the path is 2-D only); and each exponential is NumPy's `exp` on a float,
-which rounds as the array loop does, where `math.exp` may not. The float path
-costs about 2 µs a chain while the NumPy form is nearly flat in the chain
-count; measured on `passive_generalized` the two meet at 13 to 16 chains, so
-past 12 chains the NumPy form is taken again.
+`run_chains` decides once per run whether it takes the plain-float path: a
+2-D run of at most 12 chains whose variant has a float step in its row
+(`passive_generalized`, `passive_gated` and `classical`). The state is then
+a list of (e0, e1) pairs, one per chain, from the first step to the last;
+each step gets the chains' noise as [w0, w1] pairs, and the sample rows go
+into the sample array a batch of steps at a time. The float steps update
+each chain with Python floats, through `Kernel.raw_eval_2d`/`scaled_eval_2d`
+and `InitDensity.density_and_grad_2d`, instead of some 25 NumPy calls on
+tiny arrays. They give the NumPy form's bits: they do the same IEEE
+operations in the same order with every division kept; each sum in a 2-D
+step is one addition of two non-negative terms, so it rounds alike however
+`einsum` or `.sum(-1)` would reduce it (with three or more terms it would
+not, which is why the path is 2-D only); and each exponential is NumPy's
+`exp` on a float, which rounds as the array loop does, where `math.exp` may
+not. The step functions themselves are the NumPy forms; every other run
+takes them.
+
+`classical` takes the float path only through its oracle's float form: an
+`oracle.pairs` attribute that answers a list of n (t0, t1) points with a
+list of n (g0, g1) gradients, bit for bit the oracle's answer on the (n, 2)
+block of those points, its rng or row counter used in the same order (the
+block contract below). `synthetic.quadratic_oracle` with a scalar curvature
+and center and `mixture.make_stream_oracle` have one; an oracle without one
+(logistic, a vector curvature) keeps the NumPy form.
+
+The cap: a passive float step costs about 2 µs a chain while the NumPy form
+is nearly flat in the chain count; the two meet at 13 to 16 chains. For
+`classical` with one oracle per chain, as the CLI builds several chains'
+sources, the float path is 1.2 to 1.9 times faster at every count up to 24;
+with one shared noise-free quadratic block oracle the NumPy form wins from
+about 7 chains. The cap of 12 chains holds for every variant.
 
 An oracle is called once per step on the whole state: a (dim,) point for one
 chain, a (chains, dim) block for several. On a block it must meet the forward
@@ -87,7 +104,6 @@ oracle meets it.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import itertools
 import json
@@ -139,8 +155,12 @@ _GAIN_RATIO_WARN = 0.5
 
 _FINITE_CHECK_BLOCK = 1024
 
-# A 2-D passive state of at most this many values (12 chains) steps in plain floats.
-_FLOAT_PATH_MAX_SIZE = 24
+# Steps per noise draw and per write into the sample array. The float path
+# holds a batch's noise and states as Python floats, so a batch stays small.
+_STEP_BATCH = 128
+
+# A 2-D run of at most this many chains steps in plain floats.
+_FLOAT_PATH_MAX_CHAINS = 12
 
 
 @dataclass(frozen=True)
@@ -274,19 +294,18 @@ def _query(oracle: Callable, points: np.ndarray) -> np.ndarray:
     return np.asarray(oracle(points), dtype=np.float64)
 
 
-def _float_path(est) -> bool:
-    """Whether a passive step takes its plain-float path: a 2-D state of at most 12 chains."""
-    return est.shape[-1] == 2 and est.size <= _FLOAT_PATH_MAX_SIZE
+def _float_path(row: "Variant", cfg: SamplerConfig, chains: int, source) -> bool:
+    """Whether a run takes the plain-float path: a float step, 2-D, at most 12 chains, an oracle's float form."""
+    return (
+        row.float_step is not None
+        and cfg.dim == 2
+        and chains <= _FLOAT_PATH_MAX_CHAINS
+        and (row.source != ORACLE or hasattr(source, "pairs"))
+    )
 
 
 def step_passive_generalized(est, sample: GradientSample, cfg: SamplerConfig, rng) -> np.ndarray:
-    """Density-modulated update from one streamed gradient sample.
-
-    A 2-D state of at most 12 chains takes the plain-float path (module
-    docstring), bit for bit this NumPy form.
-    """
-    if _float_path(est):
-        return _passive_generalized_2d(est, sample, cfg, rng)
+    """Density-modulated update from one streamed gradient sample."""
     kern = _per_chain(scaled_eval(cfg.kernel, sample.point - est))
     pval, pgrad = cfg.init_density.density_and_grad(est)
     pval = _per_chain(pval)
@@ -295,19 +314,18 @@ def step_passive_generalized(est, sample: GradientSample, cfg: SamplerConfig, rn
     return est + (cfg.step * pval) * drift + (math.sqrt(cfg.step) * pval) * w
 
 
-def _passive_generalized_2d(est, sample: GradientSample, cfg: SamplerConfig, rng) -> np.ndarray:
+def _passive_generalized_2d(state, sample: GradientSample, cfg: SamplerConfig, rng) -> list:
     kernel, density = cfg.kernel, cfg.init_density
     p0, p1 = sample.point.tolist()
     g0, g1 = sample.gradient.tolist()
     half_beta, step, root = 0.5 * cfg.beta, cfg.step, math.sqrt(cfg.step)
-    noise = rng.standard_normal(est.size).reshape(-1, 2).tolist()
-    rows = []
-    for (e0, e1), (w0, w1) in zip(est.reshape(-1, 2).tolist(), noise):
+    out = []
+    for (e0, e1), (w0, w1) in zip(state, rng.pairs()):
         a = half_beta * kernel.scaled_eval_2d(p0 - e0, p1 - e1)
         pval, d0, d1 = density.density_and_grad_2d(e0, e1)
         gain, sd = step * pval, root * pval
-        rows.append((e0 + gain * (a * g0 + d0) + sd * w0, e1 + gain * (a * g1 + d1) + sd * w1))
-    return np.array(rows).reshape(est.shape)
+        out.append((e0 + gain * (a * g0 + d0) + sd * w0, e1 + gain * (a * g1 + d1) + sd * w1))
+    return out
 
 
 def step_passive_gated(est, sample: GradientSample, cfg: SamplerConfig, rng) -> np.ndarray:
@@ -317,11 +335,7 @@ def step_passive_gated(est, sample: GradientSample, cfg: SamplerConfig, rng) -> 
     ``(step / bandwidth**dim) * K(u) * density(point)``, which is what makes
     the accumulated noise match the density-modulated diffusion limit. The
     density factors are those of the observed point, so chains share them.
-    A 2-D state of at most 12 chains takes the plain-float path (module
-    docstring), bit for bit this NumPy form.
     """
-    if _float_path(est):
-        return _passive_gated_2d(est, sample, cfg, rng)
     band = cfg.kernel.bandwidth
     u = (sample.point - est) / band
     kraw = _per_chain(raw_eval(cfg.kernel, u))
@@ -333,7 +347,7 @@ def step_passive_gated(est, sample: GradientSample, cfg: SamplerConfig, rng) -> 
     return est + drift + np.sqrt(gate * pval) * w
 
 
-def _passive_gated_2d(est, sample: GradientSample, cfg: SamplerConfig, rng) -> np.ndarray:
+def _passive_gated_2d(state, sample: GradientSample, cfg: SamplerConfig, rng) -> list:
     kernel = cfg.kernel
     band = kernel.bandwidth
     p0, p1 = sample.point.tolist()
@@ -343,13 +357,12 @@ def _passive_gated_2d(est, sample: GradientSample, cfg: SamplerConfig, rng) -> n
     a = 0.5 * cfg.beta * pval
     h0, h1 = a * g0 + d0, a * g1 + d1
     ratio = cfg.step / band**kernel.dim
-    noise = rng.standard_normal(est.size).reshape(-1, 2).tolist()
-    rows = []
-    for (e0, e1), (w0, w1) in zip(est.reshape(-1, 2).tolist(), noise):
+    out = []
+    for (e0, e1), (w0, w1) in zip(state, rng.pairs()):
         gate = ratio * kernel.raw_eval_2d((p0 - e0) / band, (p1 - e1) / band)
         sd = math.sqrt(gate * pval)
-        rows.append((e0 + gate * h0 + sd * w0, e1 + gate * h1 + sd * w1))
-    return np.array(rows).reshape(est.shape)
+        out.append((e0 + gate * h0 + sd * w0, e1 + gate * h1 + sd * w1))
+    return out
 
 
 def _classical_form_update(est, kern, gradient, cfg, rng) -> np.ndarray:
@@ -436,6 +449,16 @@ def step_classical(est, oracle: Callable, cfg: SamplerConfig, rng) -> np.ndarray
     return est + (cfg.step * 0.5 * cfg.beta) * gradient + math.sqrt(cfg.step) * w
 
 
+def _classical_2d(state, pairs: Callable, cfg: SamplerConfig, rng) -> list:
+    # `pairs` is the oracle's float form; as in the NumPy form, it answers before the noise is drawn.
+    gain, root = cfg.step * 0.5 * cfg.beta, math.sqrt(cfg.step)
+    gradients = pairs(state)
+    return [
+        (e0 + gain * g0 + root * w0, e1 + gain * g1 + root * w1)
+        for (e0, e1), (g0, g1), (w0, w1) in zip(state, gradients, rng.pairs())
+    ]
+
+
 def step_naive(est, sample: GradientSample, cfg: SamplerConfig, rng) -> np.ndarray:
     """Kernel-free misuse of a streamed gradient as if it were taken at the estimate."""
     w = rng.standard_normal(est.size)
@@ -450,24 +473,30 @@ class Variant:
     for a stream source, a GradientPool for a pool source (pool steps also get
     the run's SamplerStats), or the oracle callable itself. `needs` names the
     SamplerConfig fields that must not be None, and `draws` the normal vectors
-    a step draws from its rng.
+    a step draws from its rng. `float_step`, when set, is the same update on
+    a 2-D state held as (e0, e1) pairs, one per chain (module docstring);
+    its rng's `pairs()` gives one (w0, w1) draw per chain, and an oracle
+    variant's float step gets the oracle's float form in place of the oracle.
     """
 
     step: Callable
     source: str
     needs: tuple = ()
     draws: int = 1
+    float_step: Callable | None = None
 
 
 VARIANTS = {
-    PASSIVE_GENERALIZED: Variant(step_passive_generalized, STREAM, ("kernel", "init_density")),
-    PASSIVE_GATED: Variant(step_passive_gated, STREAM, ("kernel", "init_density")),
+    PASSIVE_GENERALIZED: Variant(
+        step_passive_generalized, STREAM, ("kernel", "init_density"), float_step=_passive_generalized_2d
+    ),
+    PASSIVE_GATED: Variant(step_passive_gated, STREAM, ("kernel", "init_density"), float_step=_passive_gated_2d),
     PASSIVE_CLASSICAL: Variant(step_passive_classical, STREAM, ("kernel", "init_density")),
     NONREVERSIBLE: Variant(step_nonreversible, STREAM, ("kernel", "init_density", "skew")),
     NAIVE: Variant(step_naive, STREAM),
     MULTIKERNEL: Variant(step_multikernel, POOL, ("conditional_std",)),
     ACTIVE: Variant(step_active, ORACLE, ("kernel", "conditional_std"), draws=2),
-    CLASSICAL: Variant(step_classical, ORACLE),
+    CLASSICAL: Variant(step_classical, ORACLE, float_step=_classical_2d),
 }
 
 
@@ -518,12 +547,14 @@ class _ChainNoise:
     Chain c's numbers come from `rngs[c]` in the order it would draw them
     alone. `fill(count)` draws the next `count` ahead in one call per chain,
     which gives the same PCG64 numbers; without a fill, each draw is taken
-    when the step asks for it.
+    when the step asks for it. For a float step (`floats`, a (chains, 2)
+    shape) a draw is one [w0, w1] list per chain, taken with `pairs()`.
     """
 
-    def __init__(self, rngs, shape):
+    def __init__(self, rngs, shape, floats=False):
         self._rngs = rngs
         self._shape = shape
+        self._floats = floats
         self._rows = iter(())
 
     def fill(self, count: int) -> None:
@@ -531,14 +562,16 @@ class _ChainNoise:
             block = self._rngs[0].standard_normal((count, *self._shape))
         else:
             block = np.stack([r.standard_normal((count, self._shape[-1])) for r in self._rngs], axis=1)
-        self._rows = iter(block)
+        self._rows = iter(block.tolist() if self._floats else block)
 
-    def standard_normal(self, size=None) -> np.ndarray:
+    def standard_normal(self, size=None):
         row = next(self._rows, None)
         if row is None:
             self.fill(1)
             row = next(self._rows)
         return row
+
+    pairs = standard_normal
 
 
 def check_run(variant: str, cfg: SamplerConfig, num_steps: int, burn_in: int | None = None) -> Variant:
@@ -615,42 +648,57 @@ def run_chains(
             stacklevel=2,
         )
 
+    chains = len(cfgs)
+    floats = _float_path(row, cfg, chains, source)
     if row.source == ORACLE:
         if not callable(source):
             raise ConfigError(f"variant {variant!r} expects a gradient oracle callable")
-        items = itertools.repeat(source)
+        items = itertools.repeat(source.pairs if floats else source)
     else:
         items = iter(source)
     stats = SamplerStats()
     extra = (stats,) if row.source == POOL else ()
 
-    # One chain keeps a (dim,) state; `rows[k]` is every chain's sample k.
-    est = cfg.init.copy() if len(cfgs) == 1 else np.stack([c.init for c in cfgs])
-    samples = np.empty((len(cfgs), num_steps + 1, cfg.dim))
+    # `rows[k]` is every chain's sample k. The float path keeps the state as
+    # (e0, e1) pairs; otherwise one chain keeps a (dim,) state, several a
+    # (chains, dim) one.
+    starts = np.stack([c.init for c in cfgs])
+    samples = np.empty((chains, num_steps + 1, cfg.dim))
     rows = samples.swapaxes(0, 1)
-    rows[0] = est
-    noise = _ChainNoise(rngs, est.shape)
-    # Sample rows are checked for finiteness in blocks; step k makes row k + 1.
+    rows[0] = starts
+    if floats:
+        step, state = row.float_step, starts.tolist()
+    else:
+        step, state = row.step, starts[0] if chains == 1 else starts
+    noise = _ChainNoise(rngs, np.shape(state), floats)
+    # Step k makes row k + 1. Rows are written a batch of steps at a time and
+    # checked for finiteness a block at a time.
     for lo in range(0, num_steps + 1, _FINITE_CHECK_BLOCK):
         hi = min(lo + _FINITE_CHECK_BLOCK, num_steps + 1)
-        steps = range(max(lo - 1, 0), hi - 1)
-        if block_noise:
-            noise.fill(len(steps) * row.draws)
-        for k in steps:
-            try:
-                item = next(items)
-            except StopIteration:
-                raise SourceExhausted(
-                    f"{row.source} source exhausted after {k} of {num_steps} steps"
-                ) from None
-            try:
-                est = row.step(est, item, cfg, noise, *extra)
-            except DensityFloorError as exc:
-                raise DensityFloorError(f"{exc} at sampler step {k + 1}") from exc
-            rows[k + 1] = est
+        for first in range(max(lo - 1, 0), hi - 1, _STEP_BATCH):
+            steps = range(first, min(first + _STEP_BATCH, hi - 1))
+            if block_noise:
+                noise.fill(len(steps) * row.draws)
+            batch = []
+            for k in steps:
+                try:
+                    item = next(items)
+                except StopIteration:
+                    raise SourceExhausted(
+                        f"{row.source} source exhausted after {k} of {num_steps} steps"
+                    ) from None
+                try:
+                    state = step(state, item, cfg, noise, *extra)
+                except DensityFloorError as exc:
+                    raise DensityFloorError(f"{exc} at sampler step {k + 1}") from exc
+                batch.append(state)
+            if floats:
+                flat = itertools.chain.from_iterable(itertools.chain.from_iterable(batch))
+                batch = np.fromiter(flat, np.float64, len(steps) * chains * 2)
+            rows[first + 1:steps.stop + 1] = np.reshape(batch, (len(steps), chains, cfg.dim))
         _check_block(rows, lo, hi)
 
-    resets = np.broadcast_to(stats.underflow_resets, len(cfgs))
+    resets = np.broadcast_to(stats.underflow_resets, chains)
     trajectories = []
     for chain, (chain_cfg, rng) in enumerate(zip(cfgs, rngs)):
         seed = getattr(rng, "seed", None)
@@ -712,24 +760,49 @@ def save_trajectory(traj: Trajectory, cfg: SamplerConfig, directory, stem: str =
 
 
 def load_trajectory(directory, stem: str = "trajectory") -> tuple[Trajectory, dict]:
-    """Read back a trajectory written by save_trajectory."""
+    """Read back a trajectory written by save_trajectory.
+
+    Raises ConfigError naming the file when either file is missing,
+    unreadable or malformed: metadata without its fields, a CSV with another
+    header, a field that is not a finite number, a row of the wrong width,
+    or a row count other than `num_steps + 1`.
+    """
     csv_path = os.path.join(directory, f"{stem}.csv")
     meta_path = os.path.join(directory, f"{stem}.json")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "step":
-            raise ConfigError(f"unrecognized trajectory header in {csv_path}")
-        rows = [[float(v) for v in r[1:]] for r in reader]
-    traj = Trajectory(
-        samples=np.asarray(rows, dtype=np.float64),
-        burn_in=int(meta["burn_in"]),
-        variant=meta["variant"],
-        fingerprint=meta["fingerprint"],
-        seed=meta.get("seed"),
-        underflow_resets=int(meta.get("underflow_resets", 0)),
-        gain_ratio=meta.get("gain_ratio"),
-    )
+    try:
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        num_steps, burn_in = int(meta["num_steps"]), int(meta["burn_in"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{meta_path}: not trajectory metadata ({type(exc).__name__}: {exc})") from None
+    try:
+        with open(csv_path, newline="") as fh:
+            header = fh.readline().rstrip("\r\n").split(",")
+            if header[0] != "step":
+                raise ConfigError("unrecognized trajectory header")
+            with warnings.catch_warnings():
+                # An empty body is a row-count error, raised below.
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{csv_path}: {exc}") from None
+    if rows.shape[0] != num_steps + 1 or rows.shape[1] != len(header):
+        raise ConfigError(
+            f"{csv_path}: {rows.shape[0]} rows of {rows.shape[1]} fields, expected "
+            f"num_steps + 1 = {num_steps + 1} rows of {len(header)}"
+        )
+    if not np.isfinite(rows).all():
+        raise ConfigError(f"{csv_path}: holds a value that is not a finite number")
+    try:
+        traj = Trajectory(
+            samples=rows[:, 1:],
+            burn_in=burn_in,
+            variant=meta["variant"],
+            fingerprint=meta["fingerprint"],
+            seed=meta.get("seed"),
+            underflow_resets=int(meta.get("underflow_resets", 0)),
+            gain_ratio=meta.get("gain_ratio"),
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{meta_path}: not trajectory metadata ({type(exc).__name__}: {exc})") from None
     return traj, meta

@@ -102,19 +102,21 @@ def make_stream_oracle(model: MixtureModel, rng: RngStream):
     order and with the arithmetic of `sample_observation`, so the stream
     and the observations match it draw for draw.
 
-    A single (2,) point takes a plain-float path: on 0-d values NumPy
-    dispatch would cost most of the call. It does the IEEE operations of
-    `reward_grad` in the same order (the division by the component variance
-    is kept, not turned into a product with its inverse), and it takes the
-    responsibilities' `exp` from NumPy, not from `math.exp`, which may round
-    differently. So it returns the bits of `reward_grad` at the same
-    observation.
+    The oracle has a plain-float form, `oracle.pairs`: a list of n (t0, t1)
+    points gives the list of n (g0, g1) gradients, drawing one observation
+    per point in list order. On 0-d values NumPy dispatch would cost most of
+    the call. It does the IEEE operations of `reward_grad` in the same order
+    (the division by the component variance is kept, not turned into a
+    product with its inverse), and it takes the responsibilities' `exp` from
+    NumPy, not from `math.exp`, which may round differently. So it returns
+    the bits of `reward_grad` at the same observations. A single (2,) point
+    is answered through it.
 
     A (n, 2) block draws n observations, one per row in row order, and
     evaluates the batched `reward_grad` on them, so it returns the bits of n
-    single-point calls (the forward block contract). The draws are taken one
-    at a time: the `integers`/`standard_normal` interleave has no bit-equal
-    block draw.
+    single-point calls (the forward block contract), and of the float form
+    on the same n points. The draws are taken one at a time: the
+    `integers`/`standard_normal` interleave has no bit-equal block draw.
     """
     true0, true1 = model.true_param.tolist()
     means = (true0, true0 + true1)
@@ -128,23 +130,29 @@ def make_stream_oracle(model: MixtureModel, rng: RngStream):
         pick = int(generator.integers(0, 2))
         return means[pick] + scale * generator.standard_normal()
 
+    def pairs(points):
+        out = []
+        for t0, t1 in points:
+            y = draw()
+            r1 = y - t0
+            r2 = y - t0 - t1
+            l1 = -0.5 * r1 * r1 / v
+            l2 = -0.5 * r2 * r2 / v
+            m = max(l1, l2)
+            e1 = float(np.exp(l1 - m))
+            e2 = float(np.exp(l2 - m))
+            z = e1 + e2
+            d_second = e2 / z * r2 / v
+            d_first = e1 / z * r1 / v + d_second
+            out.append((-t0 / p0 + w * d_first, -t1 / p1 + w * d_second))
+        return out
+
     def oracle(point):
         if point.ndim != 1:
             return reward_grad(model, point, np.array([draw() for _ in range(len(point))]))
-        y = draw()
-        t0, t1 = point.tolist()
-        r1 = y - t0
-        r2 = y - t0 - t1
-        l1 = -0.5 * r1 * r1 / v
-        l2 = -0.5 * r2 * r2 / v
-        m = max(l1, l2)
-        e1 = float(np.exp(l1 - m))
-        e2 = float(np.exp(l2 - m))
-        z = e1 + e2
-        d_second = e2 / z * r2 / v
-        d_first = e1 / z * r1 / v + d_second
-        return np.array([-t0 / p0 + w * d_first, -t1 / p1 + w * d_second])
+        return np.array(pairs([point.tolist()])[0])
 
+    oracle.pairs = pairs
     return oracle
 
 

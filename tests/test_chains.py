@@ -135,8 +135,8 @@ def test_block_noise_equals_drawing_at_every_step(variant):
     assert ahead.standard_normal() == now.standard_normal()
 
 
-# One chain more than the 2-D passive steps run in plain floats: a batch this size runs in NumPy.
-BEYOND_FLOAT_CAP = tuple([0.2 * chain - 1.5, 0.1 * chain] for chain in range(irl._FLOAT_PATH_MAX_SIZE // 2 + 1))
+# One chain more than a 2-D run steps in plain floats: a batch this size runs in NumPy.
+BEYOND_FLOAT_CAP = tuple([0.2 * chain - 1.5, 0.1 * chain] for chain in range(irl._FLOAT_PATH_MAX_CHAINS + 1))
 
 
 @pytest.mark.parametrize("family", FAMILIES)

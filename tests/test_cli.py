@@ -164,6 +164,55 @@ def test_status_files_describe_the_latest_run(tmp_path, capsys):
     assert (out / "metrics.json").is_file() and not (out / "failure.json").exists()
 
 
+def truncate(path):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]))
+
+
+def put_abc(path):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[3] = "2,abc,0.5\n"
+    path.write_text("".join(lines))
+
+
+def widen_a_row(path):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[5] = lines[5].replace("\n", ",1.0\n")
+    path.write_text("".join(lines))
+
+
+# Each damage to a finished run's trajectory files, and the file compare must name.
+BAD_TRAJECTORIES = {
+    "missing csv": (lambda run: (run / "trajectory_c1.csv").unlink(), "trajectory_c1.csv"),
+    "missing json": (lambda run: (run / "trajectory_c0.json").unlink(), "trajectory_c0.json"),
+    "abc in a row": (lambda run: put_abc(run / "trajectory_c1.csv"), "trajectory_c1.csv"),
+    "a row short": (lambda run: truncate(run / "trajectory_c0.csv"), "trajectory_c0.csv"),
+    "json not json": (lambda run: (run / "trajectory_c1.json").write_text("{"), "trajectory_c1.json"),
+    "json without num_steps": (
+        lambda run: (run / "trajectory_c0.json").write_text('{"burn_in": 2}'), "trajectory_c0.json"),
+    "a field too many": (lambda run: widen_a_row(run / "trajectory_c0.csv"), "trajectory_c0.csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRAJECTORIES))
+def test_compare_of_a_damaged_run_is_a_config_error(tmp_path, capsys, case):
+    damage, name = BAD_TRAJECTORIES[case]
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    config = quadratic_config(good)
+    del config["baseline"]
+    assert main(["run", write_config(tmp_path, config, "a.json")]) == 0
+    config["output"] = str(bad)
+    assert main(["run", write_config(tmp_path, config, "b.json"), "--chains", "2"]) == 0
+    damage(bad)
+    capsys.readouterr()
+    out = tmp_path / "cmp"
+    assert main(["compare", str(good), str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(bad / name) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_a_rerun_removes_the_files_of_an_earlier_run(tmp_path):
     out = tmp_path / "run"
     config = quadratic_config(out)
@@ -475,6 +524,7 @@ def test_batched_chains_match_one_chain_runs(tmp_path, case):
 @pytest.mark.parametrize("chains", [1, 3])
 def test_cmdp_pools_do_not_depend_on_the_cpu_count(tmp_path, cpus, forks, deadline, chains):
     # 401 steps are three pool chunks: no worker on one CPU, one on two, two on three.
+    # Three chains' files are written the same way; one chain's files by the run alone.
     files = {}
     for count in (1, 2, 3):
         cpus(count)
@@ -483,7 +533,8 @@ def test_cmdp_pools_do_not_depend_on_the_cpu_count(tmp_path, cpus, forks, deadli
         files[count] = {p.name: p.read_bytes() for p in out.iterdir() if p.name.startswith("trajectory")}
     assert len(files[1]) == 2 * chains
     assert files[1] == files[2] == files[3]
-    assert_reaped(forks, count=0 + 1 + 2)
+    writers = 0 + 1 + 2 if chains == 3 else 0
+    assert_reaped(forks, count=0 + 1 + 2 + writers)
 
 
 @pytest.mark.parametrize("make_config", [with_noisy_baseline, cmdp_config], ids=["baseline", "cmdp"])
@@ -493,7 +544,9 @@ def test_a_failed_fork_runs_the_call_in_the_run(tmp_path, monkeypatch, cpus, for
     cpus(2)
     forked, unforked = tmp_path / "forked", tmp_path / "unforked"
     assert main(["run", write_config(tmp_path, make_config(forked)), "--chains", "2"]) == 0
-    assert_reaped(forks)
+    # The baseline or pool worker and the writer of the second sampler chain's files;
+    # the baseline worker's own writer is its child, not the run's.
+    assert_reaped(forks, count=2)
     monkeypatch.setattr(os, "fork", failing_fork)
     fds = open_fds()
     assert main(["run", write_config(tmp_path, make_config(unforked)), "--chains", "2"]) == 0
@@ -536,6 +589,87 @@ def test_sampler_failure_kills_the_pool_worker(tmp_path, monkeypatch, cpus, fork
     failure = read_json(out / "failure.json")
     assert (failure["phase"], failure["error"]) == ("sampler", "NonFiniteError")
     assert_reaped(forks)
+
+
+def chain_files(out):
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name.startswith(("trajectory_c", "baseline_c"))}
+
+
+def mixture_with_baseline_chains(output):
+    config = load_config(BENCH_CONFIGS / "mixture_gated.json")
+    config["output"] = str(output)
+    config["forward"]["num_agents"] = 2000
+    config["baseline"].update(num_steps=2500, chains=2)
+    return config
+
+
+@pytest.mark.parametrize("failure", ["none", "fork"])
+def test_chain_files_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, cpus, forks, deadline, failure):
+    # Three sampler chains and two baseline chains; the run writes one sampler
+    # chain's files and a writer the other two, while the baseline worker
+    # writes one baseline chain's files and its own writer the other.
+    files = {}
+    for count in (2, 1):
+        cpus(count)
+        out = tmp_path / f"cpus{count}"
+        assert main(["run", write_config(tmp_path, mixture_with_baseline_chains(out))]) == 0
+        files[count] = chain_files(out)
+    # The baseline worker and the sampler set's writer on two CPUs, the baseline worker on one.
+    assert_reaped(forks, count=2 + 1)
+    if failure == "fork":
+        cpus(2)
+        monkeypatch.setattr(os, "fork", failing_fork)
+        out = tmp_path / "unforked"
+        fds = open_fds()
+        assert main(["run", write_config(tmp_path, mixture_with_baseline_chains(out))]) == 0
+        assert open_fds() == fds
+        files["fork failed"] = chain_files(out)
+    assert len(files[1]) == 2 * (3 + 2)
+    assert all(got == files[1] for got in files.values())
+
+
+@pytest.mark.parametrize("where", ["run", "writer"])
+def test_a_failed_chain_writer_ends_the_run(tmp_path, monkeypatch, cpus, forks, deadline, capfd, where):
+    # Three chains on two CPUs: the run writes chain 0's files, a writer chains 1 and 2.
+    cpus(2)
+    out = tmp_path / "run"
+    parent = os.getpid()
+    save = langirl.cli.save_trajectory
+
+    def failing_save(traj, cfg, outdir, stem):
+        if (os.getpid() == parent) == (where == "run"):
+            raise OSError(28, "No space left on device")
+        return save(traj, cfg, outdir, stem=stem)
+
+    monkeypatch.setattr(langirl.cli, "save_trajectory", failing_save)
+    config = quadratic_config(out)
+    del config["baseline"]
+    if where == "run":
+        with pytest.raises(OSError, match="No space left"):
+            main(["run", write_config(tmp_path, config), "--chains", "3"])
+    else:
+        assert main(["run", write_config(tmp_path, config), "--chains", "3"]) == 1
+        failure = read_json(out / "failure.json")
+        assert (failure["phase"], failure["error"]) == ("sampler", "ChildProcessError")
+        assert "No space left" in capfd.readouterr().err
+    assert not (out / "metrics.json").exists()
+    assert_reaped(forks)
+
+
+def test_a_runaway_cmdp_chain_is_a_failure(tmp_path, capsys):
+    # A huge step throws the angles far off the box: finite estimates whose
+    # pooled variance overflows. The run must not report it as a result.
+    config = load_config(BENCH_CONFIGS / "cmdp_spsa.json")
+    config["output"] = str(tmp_path / "run")
+    config["problem"]["horizon"] = 20
+    config["sampler"].update(step=1e300, pool_size=2, num_steps=401)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", write_config(tmp_path, config)]) == 1
+    out = tmp_path / "run"
+    failure = read_json(out / "failure.json")
+    assert (failure["phase"], failure["error"]) == ("analysis", "NonFiniteError")
+    assert not (out / "metrics.json").exists()
+    assert "run complete" not in capsys.readouterr().out
 
 
 def test_cmdp_bench_config_samples_near_the_constraint_bound(tmp_path):

@@ -8,6 +8,7 @@ from langirl.core import (
     NonFiniteError,
     RngStream,
     as_param,
+    write_json,
 )
 
 
@@ -84,3 +85,9 @@ def test_error_types_are_catchable_as_builtins():
     # Callers that only know the stdlib hierarchy still catch these.
     assert issubclass(ConfigError, ValueError)
     assert issubclass(NonFiniteError, FloatingPointError)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_non_standard_tokens(tmp_path, value):
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "out.json", {"mean": [0.0, value]})

@@ -1,5 +1,6 @@
 """Sampler step formulas, weight normalization, and trajectory plumbing."""
 
+import dataclasses
 import filecmp
 import hashlib
 import math
@@ -51,6 +52,8 @@ from langirl.irl import (
     step_passive_generalized,
 )
 from langirl.kernels import FAMILIES, GAUSSIAN, TRUNCATED_GAUSSIAN, Kernel
+from langirl.problems import logistic, mixture, synthetic
+from langirl.problems.mixture import MixtureModel
 from strategies import EDGE_FLOATS
 
 
@@ -192,12 +195,50 @@ class TestStepFormulas:
             step_active(np.zeros(1), lambda p: np.ones(1), cfg, QueuedRng([45.0], [0.0]))
 
 
+class QueuedPairs:
+    """Hands a float step pre-chosen draws, one [w0, w1] list per chain."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=np.float64).reshape(-1, 2).tolist()
+
+    def pairs(self):
+        return self.draws
+
+
+def float_steps_fail():
+    """Patch every float step in `VARIANTS` to fail the test when a run takes it."""
+    def fail(*args):
+        raise AssertionError("took the float path")
+
+    rows = {name: dataclasses.replace(row, float_step=fail) for name, row in VARIANTS.items() if row.float_step}
+    return mock.patch.dict(irl.VARIANTS, rows)
+
+
+def quadratic_pair_oracles(curvature, center, noise_std, seed):
+    """Two quadratic oracles on equal streams: one for the block answer, one for the float form."""
+    return [synthetic.quadratic_oracle(curvature, center, noise_std, RngStream(seed)) for _ in range(2)]
+
+
+def mixture_pair_oracles(truth, component_var, likelihood_weight, prior_variances, seed):
+    model = MixtureModel(true_param=np.array(truth), likelihood_weight=likelihood_weight,
+                         prior_variances=prior_variances, component_var=component_var)
+    return [mixture.make_stream_oracle(model, RngStream(seed)) for _ in range(2)]
+
+
+ORACLE_PAIRS = st.one_of(
+    st.builds(quadratic_pair_oracles, EDGE_FLOATS, EDGE_FLOATS,
+              st.one_of(st.just(0.0), st.floats(0.0, 1e3)), st.integers(0, 2**32 - 1)),
+    st.builds(mixture_pair_oracles, st.tuples(*[st.floats(-1e6, 1e6)] * 2), st.floats(1e-3, 1e3),
+              st.floats(1e-3, 1e3), st.tuples(*[st.floats(1e-3, 1e3)] * 2), st.integers(0, 2**32 - 1)),
+)
+
+
 class TestFloatPath:
-    """The plain-float path of the 2-D passive steps against their NumPy form."""
+    """The plain-float steps of 2-D runs and the oracles' float forms against their NumPy forms."""
 
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(
-        step_fn=st.sampled_from([step_passive_generalized, step_passive_gated]),
+        variant=st.sampled_from([PASSIVE_GENERALIZED, PASSIVE_GATED]),
         family=st.sampled_from(FAMILIES),
         est=arrays(np.float64, st.sampled_from([(2,), (1, 2), (2, 2), (3, 2), (4, 2)]),
                    elements=st.floats(-50, 50)),
@@ -211,31 +252,117 @@ class TestFloatPath:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_the_numpy_form_bit_for_bit(
-        self, step_fn, family, est, point, gradient, bandwidth, mean, variances, beta, step, seed
+        self, variant, family, est, point, gradient, bandwidth, mean, variances, beta, step, seed
     ):
         cfg = SamplerConfig(step=step, beta=beta, init=np.zeros(2), kernel=Kernel(family, bandwidth, 2),
                             init_density=InitDensity(mean, variances))
         sample = GradientSample(point, gradient)
         draws = np.random.default_rng(seed).standard_normal(est.shape)
+        row = VARIANTS[variant]
         with np.errstate(all="ignore"):
-            got = step_fn(est, sample, cfg, QueuedRng(draws))
-            # A cap of 0 sends every state to the NumPy form.
-            with mock.patch.object(irl, "_FLOAT_PATH_MAX_SIZE", 0):
-                want = step_fn(est, sample, cfg, QueuedRng(draws))
-        assert got.shape == want.shape == est.shape
-        assert got.tobytes() == want.tobytes()
+            want = row.step(est, sample, cfg, QueuedRng(draws))
+            got = row.float_step(est.reshape(-1, 2).tolist(), sample, cfg, QueuedPairs(draws))
+        assert want.shape == est.shape
+        assert np.array(got).reshape(est.shape).tobytes() == want.tobytes()
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        oracles=ORACLE_PAIRS,
+        est=arrays(np.float64, st.sampled_from([(2,), (1, 2), (3, 2)]), elements=st.floats(-50, 50)),
+        beta=st.floats(1e-3, 1e3),
+        step=st.floats(1e-6, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_classical_matches_the_numpy_form_bit_for_bit(self, oracles, est, beta, step, seed):
+        block, floats = oracles
+        cfg = SamplerConfig(step=step, beta=beta, init=np.zeros(2))
+        draws = np.random.default_rng(seed).standard_normal(est.shape)
+        row = VARIANTS[CLASSICAL]
+        with np.errstate(all="ignore"):
+            want = row.step(est, block, cfg, QueuedRng(draws))
+            got = row.float_step(est.reshape(-1, 2).tolist(), floats.pairs, cfg, QueuedPairs(draws))
+        assert np.array(got).reshape(est.shape).tobytes() == want.tobytes()
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(oracles=ORACLE_PAIRS, points=arrays(np.float64, st.tuples(st.integers(1, 5), st.just(2)),
+                                               elements=EDGE_FLOATS))
+    def test_oracle_float_forms_give_the_block_answer(self, oracles, points):
+        block, floats = oracles
+        with np.errstate(all="ignore"):
+            want = block(points)
+            got = floats.pairs(points.tolist())
+            assert np.array(got).tobytes() == want.tobytes()
+            # Both used their streams alike.
+            assert block(np.zeros((1, 2))).tobytes() == np.array(floats.pairs([[0.0, 0.0]])).tobytes()
 
     def test_other_shapes_take_the_numpy_form(self):
-        # A 1-D, a 3-D and a 2-D state one chain beyond the cap never reach the float evaluations.
-        for dim, chains in ((1, 3), (3, 3), (2, irl._FLOAT_PATH_MAX_SIZE // 2 + 1)):
-            cfg = SamplerConfig(step=0.01, beta=1.0, init=np.zeros(dim), kernel=Kernel(GAUSSIAN, 0.7, dim),
-                                init_density=InitDensity.standard(dim))
-            est = np.random.default_rng(dim).standard_normal((chains, dim))
-            sample = GradientSample(np.full(dim, 0.3), np.full(dim, -0.3))
-            draws = np.random.default_rng(chains).standard_normal(est.shape)
-            for step_fn in (step_passive_generalized, step_passive_gated):
-                with mock.patch.object(InitDensity, "density_and_grad_2d", side_effect=AssertionError):
-                    assert step_fn(est, sample, cfg, QueuedRng(draws)).shape == est.shape
+        # 1-D and 3-D passive runs, one chain beyond the cap, and oracles with no float form.
+        passive = [(PASSIVE_GENERALIZED, dim, chains, small_corpus(dim))
+                   for dim, chains in ((1, 3), (3, 3), (2, irl._FLOAT_PATH_MAX_CHAINS + 1))]
+        data = np.array([[1.0, 0.5], [1.0, -1.5], [1.0, 2.0]])
+        oracles = [
+            (CLASSICAL, 2, 1, synthetic.quadratic_oracle(np.array([1.0, 2.5]))),
+            (CLASSICAL, 2, 1, synthetic.quadratic_oracle(1.0, np.array([0.5, -0.5]))),
+            (CLASSICAL, 3, 3, synthetic.quadratic_oracle(1.0)),
+            (CLASSICAL, 2, 2, logistic.make_stream_oracle(logistic.LogisticModel(data, np.array([1, 0, 1])))),
+            (CLASSICAL, 2, irl._FLOAT_PATH_MAX_CHAINS + 1, synthetic.quadratic_oracle(1.0)),
+        ]
+        for variant, dim, chains, source in passive + oracles:
+            cfgs = [chain_config(dim, chain) for chain in range(chains)]
+            with float_steps_fail():
+                trajs = run_chains(variant, source, cfgs, 5, [RngStream(chain) for chain in range(chains)])
+            assert len(trajs) == chains
+
+    def test_2d_runs_within_the_cap_take_the_float_path(self):
+        chains = irl._FLOAT_PATH_MAX_CHAINS
+        cfgs = [chain_config(2, chain) for chain in range(chains)]
+        model = MixtureModel(true_param=np.array([-1.0, 2.0]))
+        for variant, source in ((PASSIVE_GENERALIZED, small_corpus(2)), (PASSIVE_GATED, small_corpus(2)),
+                                (CLASSICAL, synthetic.quadratic_oracle(1.0, 0.5, 0.3, RngStream(1))),
+                                (CLASSICAL, mixture.make_stream_oracle(model, RngStream(2)))):
+            for count in (1, chains):
+                with float_steps_fail(), pytest.raises(AssertionError, match="float path"):
+                    run_chains(variant, source, cfgs[:count], 5, [RngStream(c) for c in range(count)])
+
+
+def small_corpus(dim):
+    points = 0.8 * RngStream(dim).standard_normal((20, dim))
+    return [GradientSample(p, -p) for p in points]
+
+
+def chain_config(dim, chain):
+    return SamplerConfig(step=0.01, beta=1.0, init=np.full(dim, 0.1 * chain), kernel=Kernel(GAUSSIAN, 0.7, dim),
+                         init_density=InitDensity.standard(dim))
+
+
+# sha256 of seeded 2,100-step classical runs, computed before classical had a float path.
+CLASSICAL_GOLDEN = {
+    ("quadratic", 1, True): "a43daa6fe75a47d58c6aad9c0a3091ad17c3601ef83d71b6867d5c1bbfd1d676",
+    ("quadratic", 3, True): "a7795ce02927e0fb05f2ed9a286e08515e18b6493f4d0d62b0fcf5d9acd0f8df",
+    ("noisy", 1, True): "6fd3a5e3363f557a7dc86c833ed2af4cace08a673cb14cc7ca8252001c84bb96",
+    ("noisy", 3, True): "2e314d2a48b82a9ae9769dfe42e0e61936adffed2f56cde91af23fe1ad5dda40",
+    ("mixture", 1, True): "9c8139405ebbfd19c8e1d3f8a2d6cbf2127cdd0fd136645ca8a4ade32c313d27",
+    ("mixture", 3, True): "3d50a46f607048380cfbeedab605e05c371b20a9863fad086319b541f01fc3c4",
+    ("noisy", 1, False): "ea4cbd1616c91e434a7a4a88558981e09d7fcdd1260b508e07caf1807da85ba6",
+}
+
+
+@pytest.mark.parametrize("problem, chains, block_noise", sorted(CLASSICAL_GOLDEN))
+def test_seeded_2d_classical_runs_keep_their_hashes(problem, chains, block_noise):
+    rngs = [RngStream(60 + c) for c in range(chains)]
+    # Without block noise the oracle draws from chain 0's noise stream between steps.
+    oracle_rng = RngStream(9) if block_noise else rngs[0]
+    if problem == "quadratic":
+        oracle = synthetic.quadratic_oracle(1.5, 0.25)
+    elif problem == "noisy":
+        oracle = synthetic.quadratic_oracle(1.5, 0.25, 0.7, oracle_rng)
+    else:
+        oracle = mixture.make_stream_oracle(MixtureModel(np.array([-1.0, 2.0]), likelihood_weight=5.0), oracle_rng)
+    assert hasattr(oracle, "pairs")
+    cfgs = [SamplerConfig(step=0.03, beta=1.2, init=np.array([0.4 * c - 0.3, 0.1 * c + 0.2])) for c in range(chains)]
+    trajs = run_chains(CLASSICAL, oracle, cfgs, 2100, rngs, block_noise=block_noise)
+    digest = hashlib.sha256(b"".join(t.samples.tobytes() for t in trajs)).hexdigest()
+    assert digest == CLASSICAL_GOLDEN[problem, chains, block_noise]
 
 
 # sha256 of seeded 300-step runs, computed before the float path existed.
@@ -516,6 +643,15 @@ class TestTrajectoryStorage:
             save_trajectory(traj, cfg, tmp, stem="run")
             back, _ = load_trajectory(tmp, stem="run")
         assert back.samples.tobytes() == traj.samples.tobytes()
+
+    def test_round_trip_keeps_the_bytes_of_edge_values(self, tmp_path):
+        # Exponent forms, a signed zero and the smallest subnormal, as `repr` writes them.
+        samples = np.array([[1e-05, 1e16], [-0.0, 5e-324], [-5e-324, 0.1]])
+        traj = Trajectory(samples=samples, burn_in=0, variant=CLASSICAL, fingerprint="x")
+        csv_path, _ = save_trajectory(traj, SamplerConfig(step=1e-3, beta=2.0, init=np.zeros(2)), tmp_path)
+        assert "1e-05,1e+16" in open(csv_path).read()
+        back, _ = load_trajectory(tmp_path)
+        assert back.samples.tobytes() == samples.tobytes()
 
     def test_fingerprint_tracks_run_identity(self):
         one, _ = self.make(seed=5)

@@ -35,20 +35,21 @@ failure kills the workers and removes what the baseline worker wrote. A
 pooled mean or variance that overflows is an analysis failure. On Linux a
 run ended by a signal takes its workers with it.
 
-A chain set's files are written on every CPU too: its chains split into
-contiguous shares, one per CPU but never more shares than chains. The
-process that ran the set (the run, or the baseline worker) writes the first
-share, and one forked writer per later share writes that share meanwhile;
-all are joined before it goes on. A chain's files depend only on that
-chain, so their bytes do not depend on the CPU count, and a failed fork
-leaves the share to the process itself. A writer that fails ends the run
-with exit 1 and a `ChildProcessError` in `failure.json`.
+The sampler chain set's files are written on every CPU too: its chains
+split into contiguous shares, one per CPU but never more shares than chains.
+The run writes the first share, and one forked writer per later share writes
+that share meanwhile; all are joined before the analysis. A chain's files
+depend only on that chain, so their bytes do not depend on the CPU count,
+and a failed fork leaves the share to the run. The baseline worker writes
+its own set's files itself, so stopping it stops every baseline write. A
+failed write ends the run with exit 1 and `failure.json`: an `OSError` in
+the run, or a `ChildProcessError` from a writer or the baseline worker.
 
 Each entry of `timings_seconds` adds up the time its phase took in the
 process that ran it, so the phases overlap and their sum can exceed the
 wall time. The `write` entry counts the run's and the baseline worker's own
-writes and their waits for their writers; a writer's or a pool worker's own
-time is in no entry. `os.fork` makes a run with a baseline, with more than
+writes and the run's waits for its writers; a writer's or a pool worker's
+own time is in no entry. `os.fork` makes a run with a baseline, with more than
 one chain on more than one CPU, or with more than one CMDP pool chunk
 POSIX-only.
 
@@ -559,7 +560,7 @@ def run_experiment(config):
                 density_to_csv(dens, os.path.join(outdir, name))
         metrics["timings_seconds"] = {key: round(sec, 3) for key, sec in timings.items()}
         _write_json(os.path.join(outdir, "metrics.json"), metrics)
-    except (*_RUNTIME_ERRORS, ChildProcessError) as exc:
+    except (*_RUNTIME_ERRORS, OSError) as exc:  # OSError: a failed write, ChildProcessError included
         if baseline is not None and baseline.stop():
             # The run failed before joining the worker: like any run that
             # never reached its baseline, it keeps none of the worker's files.
@@ -589,7 +590,11 @@ def _remove_artifacts(outdir):
 
 
 def _baseline_chains(exp, outdir):
-    """Run and write the baseline chain set: (pooled post-burn-in samples, phase timings)."""
+    """Run and write the baseline chain set: (pooled post-burn-in samples, phase timings).
+
+    The files are written in this process, never by a writer of its own, so
+    stopping the worker that runs this stops every baseline write.
+    """
     timings = {}
     with _timed(timings, "baseline"):
         chains = range(exp.baseline_chains)
@@ -599,7 +604,7 @@ def _baseline_chains(exp, outdir):
         source = _chain_source(exp, ORACLE, None, oracle_rngs)
         bases = run_chains(CLASSICAL, source, cfgs, exp.baseline_steps, rngs)
     with _timed(timings, "write"):
-        _save_chains(bases, cfgs, outdir, "baseline")
+        _write_chains(list(zip(_chain_stems("baseline", len(bases)), bases, cfgs)), outdir)
     return np.vstack([base.post for base in bases]), timings
 
 
@@ -652,7 +657,7 @@ class _Worker:
             fn, args = self._call
             try:
                 result = fn(*args)
-            except (*_RUNTIME_ERRORS, ChildProcessError) as exc:  # ChildProcessError: a worker of fn's own failed
+            except _RUNTIME_ERRORS as exc:
                 result = exc
             with open(write_fd, "wb") as fh:
                 pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
@@ -710,9 +715,8 @@ def _chain_source(exp, kind, corpus, rngs):
     Chains that read the forward corpus share one reader of it. Otherwise
     chain c has a source of its own, made from `rngs[c]`: a gradient oracle
     or a stream of CMDP SPSA pools (`_spsa_pools`). Several chains' oracles
-    become one block oracle that answers row c from chain c's oracle, with
-    a float form (see `irl`) when every chain's oracle has one, and their
-    pools are stacked to (chains, pool, dim) with chain c's pool in
+    become one block oracle that answers row c from chain c's oracle, and
+    their pools are stacked to (chains, pool, dim) with chain c's pool in
     row c. One chain's source is passed unchanged.
     """
     if kind != ORACLE and exp.kind != "cmdp":
@@ -724,13 +728,7 @@ def _chain_source(exp, kind, corpus, rngs):
     oracles = [exp.oracle(rng) for rng in rngs]
     if len(oracles) == 1:
         return oracles[0]
-
-    def combined(points):
-        return np.stack([oracle(point) for oracle, point in zip(oracles, points)])
-
-    if all(hasattr(oracle, "pairs") for oracle in oracles):
-        combined.pairs = lambda points: [oracle.pairs([point])[0] for oracle, point in zip(oracles, points)]
-    return combined
+    return lambda points: np.stack([oracle(point) for oracle, point in zip(oracles, points)])
 
 
 def _cuts(count):

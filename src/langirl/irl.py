@@ -68,7 +68,7 @@ many chains run beside it.
 (`passive_generalized`, `passive_gated` and `classical`). The state is then
 a list of (e0, e1) pairs, one per chain, from the first step to the last;
 each step gets the chains' noise as [w0, w1] pairs, and the sample rows go
-into the sample array a batch of steps at a time. The float steps update
+into the sample array a block of steps at a time. The float steps update
 each chain with Python floats, through `Kernel.raw_eval_2d`/`scaled_eval_2d`
 and `InitDensity.density_and_grad_2d`, instead of some 25 NumPy calls on
 tiny arrays. They give the NumPy form's bits: they do the same IEEE
@@ -90,10 +90,12 @@ and center and `mixture.make_stream_oracle` have one; an oracle without one
 
 The cap: a passive float step costs about 2 µs a chain while the NumPy form
 is nearly flat in the chain count; the two meet at 13 to 16 chains. For
-`classical` with one oracle per chain, as the CLI builds several chains'
-sources, the float path is 1.2 to 1.9 times faster at every count up to 24;
-with one shared noise-free quadratic block oracle the NumPy form wins from
-about 7 chains. The cap of 12 chains holds for every variant.
+`classical` with one float-form oracle per chain the float path is 1.2 to
+1.9 times faster at every count up to 24; with one shared noise-free
+quadratic block oracle the NumPy form wins from about 7 chains. The cap of
+12 chains holds for every variant. The CLI's block oracle over several
+chains' oracles has no float form, so only a one-chain classical set there
+takes the float path.
 
 An oracle is called once per step on the whole state: a (dim,) point for one
 chain, a (chains, dim) block for several. On a block it must meet the forward
@@ -153,11 +155,10 @@ _UNDERFLOW_LOG = math.log(math.ulp(0.0))
 # A gated gain ratio at or above this is no longer "small" and draws a warning.
 _GAIN_RATIO_WARN = 0.5
 
-_FINITE_CHECK_BLOCK = 1024
-
-# Steps per noise draw and per write into the sample array. The float path
-# holds a batch's noise and states as Python floats, so a batch stays small.
-_STEP_BATCH = 128
+# Steps per noise draw, per write into the sample array and per finiteness
+# check. The float path holds a block's noise and states as Python floats,
+# so a block stays small.
+_STEP_BLOCK = 128
 
 # A 2-D run of at most this many chains steps in plain floats.
 _FLOAT_PATH_MAX_CHAINS = 12
@@ -320,7 +321,7 @@ def _passive_generalized_2d(state, sample: GradientSample, cfg: SamplerConfig, r
     g0, g1 = sample.gradient.tolist()
     half_beta, step, root = 0.5 * cfg.beta, cfg.step, math.sqrt(cfg.step)
     out = []
-    for (e0, e1), (w0, w1) in zip(state, rng.pairs()):
+    for (e0, e1), (w0, w1) in zip(state, rng.standard_normal()):
         a = half_beta * kernel.scaled_eval_2d(p0 - e0, p1 - e1)
         pval, d0, d1 = density.density_and_grad_2d(e0, e1)
         gain, sd = step * pval, root * pval
@@ -358,7 +359,7 @@ def _passive_gated_2d(state, sample: GradientSample, cfg: SamplerConfig, rng) ->
     h0, h1 = a * g0 + d0, a * g1 + d1
     ratio = cfg.step / band**kernel.dim
     out = []
-    for (e0, e1), (w0, w1) in zip(state, rng.pairs()):
+    for (e0, e1), (w0, w1) in zip(state, rng.standard_normal()):
         gate = ratio * kernel.raw_eval_2d((p0 - e0) / band, (p1 - e1) / band)
         sd = math.sqrt(gate * pval)
         out.append((e0 + gate * h0 + sd * w0, e1 + gate * h1 + sd * w1))
@@ -455,7 +456,7 @@ def _classical_2d(state, pairs: Callable, cfg: SamplerConfig, rng) -> list:
     gradients = pairs(state)
     return [
         (e0 + gain * g0 + root * w0, e1 + gain * g1 + root * w1)
-        for (e0, e1), (g0, g1), (w0, w1) in zip(state, gradients, rng.pairs())
+        for (e0, e1), (g0, g1), (w0, w1) in zip(state, gradients, rng.standard_normal())
     ]
 
 
@@ -475,7 +476,7 @@ class Variant:
     SamplerConfig fields that must not be None, and `draws` the normal vectors
     a step draws from its rng. `float_step`, when set, is the same update on
     a 2-D state held as (e0, e1) pairs, one per chain (module docstring);
-    its rng's `pairs()` gives one (w0, w1) draw per chain, and an oracle
+    its rng's `standard_normal()` gives one [w0, w1] draw per chain, and an oracle
     variant's float step gets the oracle's float form in place of the oracle.
     """
 
@@ -548,7 +549,7 @@ class _ChainNoise:
     alone. `fill(count)` draws the next `count` ahead in one call per chain,
     which gives the same PCG64 numbers; without a fill, each draw is taken
     when the step asks for it. For a float step (`floats`, a (chains, 2)
-    shape) a draw is one [w0, w1] list per chain, taken with `pairs()`.
+    shape) a draw is one [w0, w1] list per chain.
     """
 
     def __init__(self, rngs, shape, floats=False):
@@ -570,8 +571,6 @@ class _ChainNoise:
             self.fill(1)
             row = next(self._rows)
         return row
-
-    pairs = standard_normal
 
 
 def check_run(variant: str, cfg: SamplerConfig, num_steps: int, burn_in: int | None = None) -> Variant:
@@ -671,31 +670,28 @@ def run_chains(
     else:
         step, state = row.step, starts[0] if chains == 1 else starts
     noise = _ChainNoise(rngs, np.shape(state), floats)
-    # Step k makes row k + 1. Rows are written a batch of steps at a time and
-    # checked for finiteness a block at a time.
-    for lo in range(0, num_steps + 1, _FINITE_CHECK_BLOCK):
-        hi = min(lo + _FINITE_CHECK_BLOCK, num_steps + 1)
-        for first in range(max(lo - 1, 0), hi - 1, _STEP_BATCH):
-            steps = range(first, min(first + _STEP_BATCH, hi - 1))
-            if block_noise:
-                noise.fill(len(steps) * row.draws)
-            batch = []
-            for k in steps:
-                try:
-                    item = next(items)
-                except StopIteration:
-                    raise SourceExhausted(
-                        f"{row.source} source exhausted after {k} of {num_steps} steps"
-                    ) from None
-                try:
-                    state = step(state, item, cfg, noise, *extra)
-                except DensityFloorError as exc:
-                    raise DensityFloorError(f"{exc} at sampler step {k + 1}") from exc
-                batch.append(state)
-            if floats:
-                flat = itertools.chain.from_iterable(itertools.chain.from_iterable(batch))
-                batch = np.fromiter(flat, np.float64, len(steps) * chains * 2)
-            rows[first + 1:steps.stop + 1] = np.reshape(batch, (len(steps), chains, cfg.dim))
+    # Step k makes row k + 1. Rows are written and checked for finiteness a
+    # block at a time.
+    for lo in range(0, num_steps + 1, _STEP_BLOCK):
+        hi = min(lo + _STEP_BLOCK, num_steps + 1)
+        steps = range(max(lo - 1, 0), hi - 1)
+        if block_noise:
+            noise.fill(len(steps) * row.draws)
+        block = []
+        for k in steps:
+            try:
+                item = next(items)
+            except StopIteration:
+                raise SourceExhausted(f"{row.source} source exhausted after {k} of {num_steps} steps") from None
+            try:
+                state = step(state, item, cfg, noise, *extra)
+            except DensityFloorError as exc:
+                raise DensityFloorError(f"{exc} at sampler step {k + 1}") from exc
+            block.append(state)
+        if floats:
+            flat = itertools.chain.from_iterable(itertools.chain.from_iterable(block))
+            block = np.fromiter(flat, np.float64, len(steps) * chains * 2)
+        rows[steps.start + 1:hi] = np.reshape(block, (len(steps), chains, cfg.dim))
         _check_block(rows, lo, hi)
 
     resets = np.broadcast_to(stats.underflow_resets, chains)

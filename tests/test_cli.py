@@ -605,9 +605,9 @@ def mixture_with_baseline_chains(output):
 
 @pytest.mark.parametrize("failure", ["none", "fork"])
 def test_chain_files_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, cpus, forks, deadline, failure):
-    # Three sampler chains and two baseline chains; the run writes one sampler
-    # chain's files and a writer the other two, while the baseline worker
-    # writes one baseline chain's files and its own writer the other.
+    # Three sampler chains and two baseline chains; on two CPUs the run writes
+    # one sampler chain's files and a writer the other two, while the baseline
+    # worker writes both baseline chains' files itself.
     files = {}
     for count in (2, 1):
         cpus(count)
@@ -644,16 +644,25 @@ def test_a_failed_chain_writer_ends_the_run(tmp_path, monkeypatch, cpus, forks, 
     monkeypatch.setattr(langirl.cli, "save_trajectory", failing_save)
     config = quadratic_config(out)
     del config["baseline"]
-    if where == "run":
-        with pytest.raises(OSError, match="No space left"):
-            main(["run", write_config(tmp_path, config), "--chains", "3"])
-    else:
-        assert main(["run", write_config(tmp_path, config), "--chains", "3"]) == 1
-        failure = read_json(out / "failure.json")
-        assert (failure["phase"], failure["error"]) == ("sampler", "ChildProcessError")
-        assert "No space left" in capfd.readouterr().err
+    assert main(["run", write_config(tmp_path, config), "--chains", "3"]) == 1
+    failure = read_json(out / "failure.json")
+    error = "OSError" if where == "run" else "ChildProcessError"
+    assert (failure["phase"], failure["error"]) == ("sampler", error)
+    assert "No space left" in capfd.readouterr().err
     assert not (out / "metrics.json").exists()
     assert_reaped(forks)
+
+
+def test_the_baseline_worker_writes_its_files_itself(tmp_path, cpus, forks):
+    # Stopping the baseline worker must stop every baseline write, so the
+    # worker forks no writer of its own, even for several chains on several CPUs.
+    cpus(2)
+    exp = _Experiment(resolve_config(mixture_with_baseline_chains(tmp_path / "run")))
+    langirl.cli._baseline_chains(exp, str(tmp_path))
+    assert forks == []
+    assert sorted(p.name for p in tmp_path.glob("baseline_c*")) == [
+        f"baseline_c{chain}.{ext}" for chain in range(2) for ext in ("csv", "json")
+    ]
 
 
 def test_a_runaway_cmdp_chain_is_a_failure(tmp_path, capsys):

@@ -201,7 +201,7 @@ class QueuedPairs:
     def __init__(self, draws):
         self.draws = np.asarray(draws, dtype=np.float64).reshape(-1, 2).tolist()
 
-    def pairs(self):
+    def standard_normal(self):
         return self.draws
 
 

@@ -87,6 +87,7 @@ from .core import (
     RNG_ALGORITHM,
     ConfigError,
     DensityFloorError,
+    DomainError,
     GradientPool,
     NonFiniteError,
     RngStream,
@@ -124,7 +125,7 @@ _RNG_AGENTS = 5
 _RNG_CHAIN_NOISE = 10
 _RNG_CHAIN_ORACLE = 40
 
-_RUNTIME_ERRORS = (NonFiniteError, DensityFloorError, SourceExhausted)
+_RUNTIME_ERRORS = (NonFiniteError, DensityFloorError, SourceExhausted, DomainError)
 
 
 def _merge(base, overlay):
@@ -821,6 +822,14 @@ def _analyze(exp, pooled, base_post, metrics):
     if exp.kind == "quadratic":
         metrics["analytic_variance_target"] = 1.0 / (exp.curvature * exp.sampler_cfg.beta)
     if exp.kind == "cmdp":
+        # Policies are periodic in the angles, so a chain off the box would still give plausible ones.
+        off = ((pooled < cmdp.ANGLE_LOW) | (pooled > cmdp.ANGLE_HIGH)).any(axis=1)
+        if off.any():
+            first, per_chain = int(np.argmax(off)), len(pooled) // exp.chains
+            raise DomainError(
+                f"chain {first // per_chain}: angles {pooled[first].tolist()} at sampler step "
+                f"{exp.num_steps + 1 - per_chain + first % per_chain} are off [{cmdp.ANGLE_LOW}, {cmdp.ANGLE_HIGH}]"
+            )
         policies = cmdp.spherical_to_policy(
             pooled.reshape(-1, exp.model.num_states, exp.model.num_actions - 1)
         )

@@ -27,6 +27,10 @@ class SourceExhausted(RuntimeError):
     """Raised when a sample source runs dry before the requested step count."""
 
 
+class DomainError(ArithmeticError):
+    """Raised when an estimate leaves the domain its problem is defined on."""
+
+
 def as_param(values) -> np.ndarray:
     """Coerce to a finite 1-D float64 vector.
 
@@ -132,6 +136,9 @@ class RngStream:
 
     def uniform(self, low=0.0, high=1.0, size=None):
         return self.generator.uniform(low, high, size)
+
+    def random(self, size=None):
+        return self.generator.random(size)
 
     def integers(self, low, high=None, size=None):
         return self.generator.integers(low, high, size)

@@ -32,11 +32,7 @@ PoolOracle = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class InitDensity:
-    """Gaussian initialization density with a diagonal covariance.
-
-    The mean and variances are kept as Python floats too, for the plain-float
-    evaluation `density_and_grad_2d`.
-    """
+    """Gaussian initialization density with a diagonal covariance."""
 
     mean: np.ndarray
     variances: np.ndarray
@@ -52,8 +48,6 @@ class InitDensity:
             raise ConfigError("variances must be strictly positive")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "variances", var)
-        object.__setattr__(self, "_mean_floats", tuple(mean.tolist()))
-        object.__setattr__(self, "_var_floats", tuple(var.tolist()))
         norm = float(np.prod(2.0 * np.pi * var) ** -0.5)
         object.__setattr__(self, "_norm", norm)
 
@@ -79,18 +73,6 @@ class InitDensity:
         z = point - self.mean
         val = self._norm * np.exp(-0.5 * (z * z / self.variances).sum(-1))
         return val, -z / self.variances * (val[..., None] if z.ndim > 1 else val)
-
-    def density_and_grad_2d(self, x0: float, x1: float) -> tuple[float, float, float]:
-        """Value and gradient (g0, g1) of a 2-D density at (x0, x1) in plain floats.
-
-        Bit for bit `density_and_grad` at that point: the same operations in
-        the same order, every division kept, the exponent's sum one addition
-        of two non-negative terms, and NumPy's exponential, not `math.exp`.
-        """
-        (m0, m1), (v0, v1) = self._mean_floats, self._var_floats
-        z0, z1 = x0 - m0, x1 - m1
-        val = self._norm * float(np.exp(-0.5 * (z0 * z0 / v0 + z1 * z1 / v1)))
-        return val, -z0 / v0 * val, -z1 / v1 * val
 
     def sample(self, rng: RngStream, size: int | None = None) -> np.ndarray:
         if size is None:

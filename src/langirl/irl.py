@@ -63,22 +63,24 @@ drawing from that rng when it needs noise. A batch rounds every chain exactly
 as that chain would round alone, so a chain's samples do not depend on how
 many chains run beside it.
 
-`run_chains` decides once per run whether it takes the plain-float path: a
-2-D run of at most 12 chains whose variant has a float step in its row
-(`passive_generalized`, `passive_gated` and `classical`). The state is then
-a list of (e0, e1) pairs, one per chain, from the first step to the last;
-each step gets the chains' noise as [w0, w1] pairs, and the sample rows go
-into the sample array a block of steps at a time. The float steps update
-each chain with Python floats, through `Kernel.raw_eval_2d`/`scaled_eval_2d`
-and `InitDensity.density_and_grad_2d`, instead of some 25 NumPy calls on
-tiny arrays. They give the NumPy form's bits: they do the same IEEE
-operations in the same order with every division kept; each sum in a 2-D
-step is one addition of two non-negative terms, so it rounds alike however
-`einsum` or `.sum(-1)` would reduce it (with three or more terms it would
-not, which is why the path is 2-D only); and each exponential is NumPy's
-`exp` on a float, which rounds as the array loop does, where `math.exp` may
-not. The step functions themselves are the NumPy forms; every other run
-takes them.
+`run_chains` takes the plain-float path for a 2-D run of at most 12 chains
+whose variant has a float step (`passive_generalized`, `passive_gated`,
+`classical`). A float step advances every chain over a block of up to 128
+steps in Python floats, the kernel and the density written out inline, and
+returns the block's rows; the next block starts from the last row written.
+Chain c draws a block's noise in one `rngs[c].standard_normal((n, 2))` call,
+the numbers per-step draws would give; without block noise a block is one
+step. The float steps give the NumPy form's bits: the same IEEE operations
+in the same order, every division kept; each sum in a 2-D step is one
+addition of two non-negative terms, so it rounds alike however `einsum` or
+`.sum(-1)` would reduce it (with three or more terms it would not, hence
+2-D only); and each exponential is NumPy's `exp` on a float, which rounds as
+the array loop does, where `math.exp` may not. The stream variants loop
+chain by chain: every chain reads the same read-only samples and draws only
+from its own rng, so the order of the chains changes no bit
+(`passive_gated` computes its shared density bracket once per step, ahead
+of the chain loop). `classical` loops step by step: a step makes one oracle
+call on every chain, so a shared noisy oracle draws in row order.
 
 `classical` takes the float path only through its oracle's float form: an
 `oracle.pairs` attribute that answers a list of n (t0, t1) points with a
@@ -88,14 +90,13 @@ block contract below). `synthetic.quadratic_oracle` with a scalar curvature
 and center and `mixture.make_stream_oracle` have one; an oracle without one
 (logistic, a vector curvature) keeps the NumPy form.
 
-The cap: a passive float step costs about 2 µs a chain while the NumPy form
-is nearly flat in the chain count; the two meet at 13 to 16 chains. For
-`classical` with one float-form oracle per chain the float path is 1.2 to
-1.9 times faster at every count up to 24; with one shared noise-free
-quadratic block oracle the NumPy form wins from about 7 chains. The cap of
-12 chains holds for every variant. The CLI's block oracle over several
-chains' oracles has no float form, so only a one-chain classical set there
-takes the float path.
+The cap: a passive chain costs about 2 µs a step in floats while the NumPy
+form is nearly flat in the chain count; floats still win at 24 chains, by
+1.1 to 1.3 times. With one shared noise-free quadratic oracle, `classical`
+is about even at 8 chains and the NumPy form is some 15% faster at 12. The
+cap of 12 chains holds for every variant. The CLI's block oracle over
+several chains' oracles has no float form, so only a one-chain classical
+set there takes the float path.
 
 An oracle is called once per step on the whole state: a (dim,) point for one
 chain, a (chains, dim) block for several. On a block it must meet the forward
@@ -130,7 +131,7 @@ from .core import (
     write_json,
 )
 from .forward import InitDensity
-from .kernels import Kernel, raw_eval, scaled_eval
+from .kernels import TRUNCATED_GAUSSIAN, TRUNCATION_RADIUS, Kernel, raw_eval, scaled_eval
 
 PASSIVE_GENERALIZED = "passive_generalized"
 PASSIVE_GATED = "passive_gated"
@@ -315,18 +316,26 @@ def step_passive_generalized(est, sample: GradientSample, cfg: SamplerConfig, rn
     return est + (cfg.step * pval) * drift + (math.sqrt(cfg.step) * pval) * w
 
 
-def _passive_generalized_2d(state, sample: GradientSample, cfg: SamplerConfig, rng) -> list:
+def _passive_generalized_2d(state, items, cfg: SamplerConfig, rngs) -> np.ndarray:
     kernel, density = cfg.kernel, cfg.init_density
-    p0, p1 = sample.point.tolist()
-    g0, g1 = sample.gradient.tolist()
-    half_beta, step, root = 0.5 * cfg.beta, cfg.step, math.sqrt(cfg.step)
+    # `cut` is the truncated family's bound on q, or False.
+    band, norm, cut = kernel.bandwidth, kernel._norm, kernel.family == TRUNCATED_GAUSSIAN and TRUNCATION_RADIUS**2
+    dnorm, (m0, m1), (v0, v1) = density._norm, density.mean.tolist(), density.variances.tolist()
+    half_beta, step, root, scale, exp = 0.5 * cfg.beta, cfg.step, math.sqrt(cfg.step), kernel._scale, np.exp
+    samples = [(s.point.tolist(), s.gradient.tolist()) for s in items]
     out = []
-    for (e0, e1), (w0, w1) in zip(state, rng.standard_normal()):
-        a = half_beta * kernel.scaled_eval_2d(p0 - e0, p1 - e1)
-        pval, d0, d1 = density.density_and_grad_2d(e0, e1)
-        gain, sd = step * pval, root * pval
-        out.append((e0 + gain * (a * g0 + d0) + sd * w0, e1 + gain * (a * g1 + d1) + sd * w1))
-    return out
+    for (e0, e1), rng in zip(state, rngs):
+        for ((p0, p1), (g0, g1)), (w0, w1) in zip(samples, rng.standard_normal((len(items), 2)).tolist()):
+            u0, u1 = (p0 - e0) / band, (p1 - e1) / band
+            q = u0 * u0 + u1 * u1
+            a = half_beta * ((0.0 if cut and not q <= cut else norm * float(exp(-0.5 * q))) * scale)
+            z0, z1 = e0 - m0, e1 - m1
+            pval = dnorm * float(exp(-0.5 * (z0 * z0 / v0 + z1 * z1 / v1)))
+            gain, sd = step * pval, root * pval
+            h0, h1 = a * g0 + -z0 / v0 * pval, a * g1 + -z1 / v1 * pval
+            e0, e1 = e0 + gain * h0 + sd * w0, e1 + gain * h1 + sd * w1
+            out += (e0, e1)
+    return np.reshape(out, (len(state), len(items), 2)).swapaxes(0, 1)
 
 
 def step_passive_gated(est, sample: GradientSample, cfg: SamplerConfig, rng) -> np.ndarray:
@@ -348,22 +357,29 @@ def step_passive_gated(est, sample: GradientSample, cfg: SamplerConfig, rng) -> 
     return est + drift + np.sqrt(gate * pval) * w
 
 
-def _passive_gated_2d(state, sample: GradientSample, cfg: SamplerConfig, rng) -> list:
-    kernel = cfg.kernel
-    band = kernel.bandwidth
-    p0, p1 = sample.point.tolist()
-    g0, g1 = sample.gradient.tolist()
+def _passive_gated_2d(state, items, cfg: SamplerConfig, rngs) -> np.ndarray:
+    kernel, density = cfg.kernel, cfg.init_density
+    band, norm, cut = kernel.bandwidth, kernel._norm, kernel.family == TRUNCATED_GAUSSIAN and TRUNCATION_RADIUS**2
+    dnorm, (m0, m1), (v0, v1) = density._norm, density.mean.tolist(), density.variances.tolist()
+    half_beta, ratio, exp = 0.5 * cfg.beta, cfg.step / band**kernel.dim, np.exp
     # The density and the gated drift's bracket belong to the shared sample point.
-    pval, d0, d1 = cfg.init_density.density_and_grad_2d(p0, p1)
-    a = 0.5 * cfg.beta * pval
-    h0, h1 = a * g0 + d0, a * g1 + d1
-    ratio = cfg.step / band**kernel.dim
+    shared = []
+    for s in items:
+        (p0, p1), (g0, g1) = s.point.tolist(), s.gradient.tolist()
+        z0, z1 = p0 - m0, p1 - m1
+        pval = dnorm * float(exp(-0.5 * (z0 * z0 / v0 + z1 * z1 / v1)))
+        a = half_beta * pval
+        shared.append((p0, p1, a * g0 + -z0 / v0 * pval, a * g1 + -z1 / v1 * pval, pval))
     out = []
-    for (e0, e1), (w0, w1) in zip(state, rng.standard_normal()):
-        gate = ratio * kernel.raw_eval_2d((p0 - e0) / band, (p1 - e1) / band)
-        sd = math.sqrt(gate * pval)
-        out.append((e0 + gate * h0 + sd * w0, e1 + gate * h1 + sd * w1))
-    return out
+    for (e0, e1), rng in zip(state, rngs):
+        for (p0, p1, h0, h1, pval), (w0, w1) in zip(shared, rng.standard_normal((len(items), 2)).tolist()):
+            u0, u1 = (p0 - e0) / band, (p1 - e1) / band
+            q = u0 * u0 + u1 * u1
+            gate = ratio * (0.0 if cut and not q <= cut else norm * float(exp(-0.5 * q)))
+            sd = math.sqrt(gate * pval)
+            e0, e1 = e0 + gate * h0 + sd * w0, e1 + gate * h1 + sd * w1
+            out += (e0, e1)
+    return np.reshape(out, (len(state), len(items), 2)).swapaxes(0, 1)
 
 
 def _classical_form_update(est, kern, gradient, cfg, rng) -> np.ndarray:
@@ -450,14 +466,19 @@ def step_classical(est, oracle: Callable, cfg: SamplerConfig, rng) -> np.ndarray
     return est + (cfg.step * 0.5 * cfg.beta) * gradient + math.sqrt(cfg.step) * w
 
 
-def _classical_2d(state, pairs: Callable, cfg: SamplerConfig, rng) -> list:
-    # `pairs` is the oracle's float form; as in the NumPy form, it answers before the noise is drawn.
+def _classical_2d(state, items, cfg: SamplerConfig, rngs) -> np.ndarray:
     gain, root = cfg.step * 0.5 * cfg.beta, math.sqrt(cfg.step)
-    gradients = pairs(state)
-    return [
-        (e0 + gain * g0 + root * w0, e1 + gain * g1 + root * w1)
-        for (e0, e1), (g0, g1), (w0, w1) in zip(state, gradients, rng.standard_normal())
-    ]
+    out, noise = [], None
+    for pairs in items:
+        gradients = pairs(state)
+        # Drawn after the oracle's first answer, as in the NumPy form: a one-step block needs it.
+        noise = noise or zip(*[rng.standard_normal((len(items), 2)).tolist() for rng in rngs])
+        rows = []
+        for (e0, e1), (g0, g1), (w0, w1) in zip(state, gradients, next(noise)):
+            rows.append((e0 + gain * g0 + root * w0, e1 + gain * g1 + root * w1))
+        out += rows
+        state = rows
+    return np.fromiter(itertools.chain.from_iterable(out), np.float64)
 
 
 def step_naive(est, sample: GradientSample, cfg: SamplerConfig, rng) -> np.ndarray:
@@ -474,10 +495,11 @@ class Variant:
     for a stream source, a GradientPool for a pool source (pool steps also get
     the run's SamplerStats), or the oracle callable itself. `needs` names the
     SamplerConfig fields that must not be None, and `draws` the normal vectors
-    a step draws from its rng. `float_step`, when set, is the same update on
-    a 2-D state held as (e0, e1) pairs, one per chain (module docstring);
-    its rng's `standard_normal()` gives one [w0, w1] draw per chain, and an oracle
-    variant's float step gets the oracle's float form in place of the oracle.
+    a step draws from its rng. `float_step(state, items, cfg, rngs)`, when
+    set, makes one update per item for a 2-D run of up to 12 chains in plain
+    floats (module docstring): `state` holds each chain's [e0, e1], chain c
+    draws its noise from `rngs[c]`, an oracle variant's items are the
+    oracle's float form, and it returns the block's rows, step-major.
     """
 
     step: Callable
@@ -543,19 +565,17 @@ def _fingerprint(variant: str, cfg: SamplerConfig, num_steps: int, seed) -> str:
 
 
 class _ChainNoise:
-    """The rng the driver hands a step: each draw is one normal vector per chain.
+    """The rng `run_chains` hands a NumPy step: each draw is one normal vector per chain.
 
     Chain c's numbers come from `rngs[c]` in the order it would draw them
     alone. `fill(count)` draws the next `count` ahead in one call per chain,
     which gives the same PCG64 numbers; without a fill, each draw is taken
-    when the step asks for it. For a float step (`floats`, a (chains, 2)
-    shape) a draw is one [w0, w1] list per chain.
+    when the step asks for it.
     """
 
-    def __init__(self, rngs, shape, floats=False):
+    def __init__(self, rngs, shape):
         self._rngs = rngs
         self._shape = shape
-        self._floats = floats
         self._rows = iter(())
 
     def fill(self, count: int) -> None:
@@ -563,7 +583,7 @@ class _ChainNoise:
             block = self._rngs[0].standard_normal((count, *self._shape))
         else:
             block = np.stack([r.standard_normal((count, self._shape[-1])) for r in self._rngs], axis=1)
-        self._rows = iter(block.tolist() if self._floats else block)
+        self._rows = iter(block)
 
     def standard_normal(self, size=None):
         row = next(self._rows, None)
@@ -658,40 +678,40 @@ def run_chains(
     stats = SamplerStats()
     extra = (stats,) if row.source == POOL else ()
 
-    # `rows[k]` is every chain's sample k. The float path keeps the state as
-    # (e0, e1) pairs; otherwise one chain keeps a (dim,) state, several a
-    # (chains, dim) one.
+    # `rows[k]` is every chain's sample k. One chain's NumPy state is a
+    # (dim,) vector, several chains' a (chains, dim) block; a float block
+    # starts from the last row written.
     starts = np.stack([c.init for c in cfgs])
     samples = np.empty((chains, num_steps + 1, cfg.dim))
     rows = samples.swapaxes(0, 1)
     rows[0] = starts
-    if floats:
-        step, state = row.float_step, starts.tolist()
-    else:
-        step, state = row.step, starts[0] if chains == 1 else starts
-    noise = _ChainNoise(rngs, np.shape(state), floats)
+    state = starts[0] if chains == 1 else starts
+    noise = _ChainNoise(rngs, state.shape)
     # Step k makes row k + 1. Rows are written and checked for finiteness a
-    # block at a time.
-    for lo in range(0, num_steps + 1, _STEP_BLOCK):
-        hi = min(lo + _STEP_BLOCK, num_steps + 1)
+    # block at a time. A float block takes its items ahead, so without block
+    # noise it is one step: the source may draw from the chains' rngs.
+    size = _STEP_BLOCK if block_noise or not floats else 1
+    for lo in range(0, num_steps + 1, size):
+        hi = min(lo + size, num_steps + 1)
         steps = range(max(lo - 1, 0), hi - 1)
-        if block_noise:
-            noise.fill(len(steps) * row.draws)
-        block = []
-        for k in steps:
-            try:
-                item = next(items)
-            except StopIteration:
-                raise SourceExhausted(f"{row.source} source exhausted after {k} of {num_steps} steps") from None
-            try:
-                state = step(state, item, cfg, noise, *extra)
-            except DensityFloorError as exc:
-                raise DensityFloorError(f"{exc} at sampler step {k + 1}") from exc
-            block.append(state)
         if floats:
-            flat = itertools.chain.from_iterable(itertools.chain.from_iterable(block))
-            block = np.fromiter(flat, np.float64, len(steps) * chains * 2)
-        rows[steps.start + 1:hi] = np.reshape(block, (len(steps), chains, cfg.dim))
+            block = list(itertools.islice(items, len(steps)))
+            out = row.float_step(rows[steps.start].tolist(), block, cfg, rngs)
+        else:
+            if block_noise:
+                noise.fill(len(steps) * row.draws)
+            block = []  # one state per item taken
+            for k, item in zip(steps, items):
+                try:
+                    state = row.step(state, item, cfg, noise, *extra)
+                except DensityFloorError as exc:
+                    raise DensityFloorError(f"{exc} at sampler step {k + 1}") from exc
+                block.append(state)
+            out = block
+        if len(block) < len(steps):
+            done = steps.start + len(block)
+            raise SourceExhausted(f"{row.source} source exhausted after {done} of {num_steps} steps")
+        rows[steps.start + 1:hi] = np.reshape(out, (len(steps), chains, cfg.dim))
         _check_block(rows, lo, hi)
 
     resets = np.broadcast_to(stats.underflow_resets, chains)

@@ -9,11 +9,6 @@ Two families are provided, both normalized to unit mass:
 ``scaled_eval`` applies the usual bandwidth scaling ``b**-dim * K(diff / b)``
 so that the scaled kernel again integrates to one and concentrates to a point
 mass as the bandwidth shrinks, at second order in the bandwidth.
-
-``Kernel.raw_eval_2d`` and ``Kernel.scaled_eval_2d`` evaluate a 2-D kernel at
-one point in plain Python floats, bit for bit what ``raw_eval`` and
-``scaled_eval`` give for that point, at a fraction of the cost of NumPy calls
-on a 2-vector. They serve the per-chain float path of the passive samplers.
 """
 
 from __future__ import annotations
@@ -59,24 +54,6 @@ class Kernel:
             object.__setattr__(self, "_scale", self.bandwidth ** -self.dim)
         except OverflowError:
             raise ConfigError(f"kernel bandwidth {self.bandwidth} is too small: bandwidth**-dim overflows") from None
-
-    def raw_eval_2d(self, u0: float, u1: float) -> float:
-        """The unscaled kernel at the 2-D point (u0, u1), bit for bit `raw_eval`.
-
-        Does `raw_eval`'s operations in its order: the squared norm is one sum
-        of two non-negative products, which rounds the same whatever order
-        `einsum` sums in, and the exponential is NumPy's, which rounds as
-        its array loop does where `math.exp` may not.
-        """
-        q = u0 * u0 + u1 * u1
-        if self.family == TRUNCATED_GAUSSIAN and not q <= TRUNCATION_RADIUS**2:
-            return 0.0
-        return self._norm * float(np.exp(-0.5 * q))
-
-    def scaled_eval_2d(self, d0: float, d1: float) -> float:
-        """The bandwidth-scaled kernel at the 2-D displacement (d0, d1), bit for bit `scaled_eval`."""
-        b = self.bandwidth
-        return self.raw_eval_2d(d0 / b, d1 / b) * self._scale
 
 
 def raw_eval(kernel: Kernel, u) -> np.ndarray:

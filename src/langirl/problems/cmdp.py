@@ -192,10 +192,12 @@ def simulate_batch(model: CmdpModel, policies: np.ndarray, horizon: int, rng: Rn
     paths start at the model's start state and share the step loop, so the
     cost is one vectorized sweep.
 
-    Draws: every step takes one ``rng.uniform(size=batch)`` for the actions,
-    then one for the next states, so a call consumes 2 * horizon * batch
-    uniforms. A path takes the first category whose CDF value is not below its
-    uniform, or the last category if none is.
+    Draws: every step takes one ``rng.random(batch)`` for the actions, then
+    one for the next states, so a call consumes 2 * horizon * batch
+    uniforms (``uniform(size=batch)`` would give the same doubles, as
+    ``0 + 1 * d``, and leave the stream at the same place). A path takes the
+    first category whose CDF value is not below its uniform, or the last
+    category if none is.
 
     The CDFs of the policies and of the transition stack are summed once,
     before the loop. A cumulative sum is the same whichever rows are later
@@ -226,11 +228,11 @@ def simulate_batch(model: CmdpModel, policies: np.ndarray, horizon: int, rng: Rn
     reward_sum = np.zeros(m)
     cost_sum = np.zeros(m)
     for _ in range(horizon):
-        u = _categorical(rng.uniform(size=m), policy_cdf, rows + x)
+        u = _categorical(rng.random(m), policy_cdf, rows + x)
         pair = x * num_actions + u
         reward_sum += rewards[pair]
         cost_sum += costs[pair]
-        x = _categorical(rng.uniform(size=m), transition_cdf, u * num_states + x)
+        x = _categorical(rng.random(m), transition_cdf, u * num_states + x)
     return reward_sum / horizon, cost_sum / horizon
 
 

@@ -100,7 +100,9 @@ def make_stream_oracle(model: MixtureModel, rng: RngStream):
     Each observation is one `integers(0, 2)` draw picking the component and
     then one `standard_normal()` draw, taken from `rng.generator` in the
     order and with the arithmetic of `sample_observation`, so the stream
-    and the observations match it draw for draw.
+    and the observations match it draw for draw. The pick is read straight
+    off the bit generator: `integers(0, 2)` is Lemire's method on one
+    buffered 32-bit draw, which comes to that draw's top bit.
 
     The oracle has a plain-float form, `oracle.pairs`: a list of n (t0, t1)
     points gives the list of n (g0, g1) gradients, drawing one observation
@@ -125,9 +127,10 @@ def make_stream_oracle(model: MixtureModel, rng: RngStream):
     p0, p1 = map(float, model.prior_variances)
     w = float(model.likelihood_weight)
     generator = rng.generator
+    bits = generator.bit_generator.ctypes
 
     def draw():
-        pick = int(generator.integers(0, 2))
+        pick = bits.next_uint32(bits.state) >> 31
         return means[pick] + scale * generator.standard_normal()
 
     def pairs(points):

@@ -11,6 +11,7 @@ from langirl.core import (
     GradientSample,
     NonFiniteError,
     RngStream,
+    SourceExhausted,
 )
 from langirl.forward import InitDensity
 from langirl.irl import (
@@ -160,6 +161,15 @@ def test_infinite_gradient_names_chain_and_step(variant, chains):
     with pytest.raises(NonFiniteError, match=rf"^{prefix}estimate became non-finite at sampler step 6$"):
         with np.errstate(all="ignore"):
             run_chains(variant, stream, configs(inits=BEYOND_FLOAT_CAP[:chains]), 10, chain_rngs(chains))
+
+
+@pytest.mark.parametrize("items", [50, 200])
+@pytest.mark.parametrize("chains", [1, 3, len(BEYOND_FLOAT_CAP)])
+@pytest.mark.parametrize("variant", [PASSIVE_GENERALIZED, PASSIVE_GATED])
+def test_a_source_running_out_mid_block_names_its_step(variant, chains, items):
+    # The first and a later 128-step block, in floats (1 and 3 chains) or in NumPy.
+    with pytest.raises(SourceExhausted, match=rf"^stream source exhausted after {items} of 300 steps$"):
+        run_chains(variant, corpus(n=items), configs(inits=BEYOND_FLOAT_CAP[:chains]), 300, chain_rngs(chains))
 
 
 def test_density_floor_names_chain_and_step():

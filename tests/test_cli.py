@@ -400,13 +400,14 @@ def test_a_run_ended_by_a_signal_takes_its_worker_with_it(tmp_path):
 
 
 def cmdp_config(output):
+    # At step 1e-6 the chain leaves the angle box (most samples off it), which is a failure.
     return {
         "schema": 1,
         "experiment": "cli-cmdp",
         "seed": 0,
         "output": str(output),
         "problem": {"kind": "cmdp", "horizon": 20, "perturbation": 0.05},
-        "sampler": {"variant": "multikernel", "step": 1e-6, "beta": 1.0, "pool_size": 2,
+        "sampler": {"variant": "multikernel", "step": 1e-7, "beta": 1.0, "pool_size": 2,
                     "conditional_std": 0.3, "init": [0.8, 0.8], "num_steps": 401},
     }
 
@@ -465,7 +466,7 @@ def active_chains(root):
 def cmdp_chains(root):
     # Each chain reads its own SPSA pools, drawn on stream 40 + chain, in three
     # chunks of 200, 200 and 1 pools, however the run splits them among workers.
-    cfg = SamplerConfig(step=1e-6, beta=1.0, init=np.array([0.8, 0.8]), pool_size=2, conditional_std=0.3)
+    cfg = SamplerConfig(step=1e-7, beta=1.0, init=np.array([0.8, 0.8]), pool_size=2, conditional_std=0.3)
     model = cmdp.CmdpModel.two_state_example()
     return {
         f"trajectory_c{chain}": run_sampler(
@@ -677,6 +678,25 @@ def test_a_runaway_cmdp_chain_is_a_failure(tmp_path, capsys):
     out = tmp_path / "run"
     failure = read_json(out / "failure.json")
     assert (failure["phase"], failure["error"]) == ("analysis", "NonFiniteError")
+    assert not (out / "metrics.json").exists()
+    assert "run complete" not in capsys.readouterr().out
+
+
+def test_a_cmdp_chain_off_the_angle_box_is_a_failure(tmp_path, capsys):
+    # Step 100 throws the angles far off the box while they stay finite; the
+    # periodic policy map would still turn them into plausible policies.
+    config = load_config(BENCH_CONFIGS / "cmdp_spsa.json")
+    config["output"] = str(tmp_path / "run")
+    config["problem"]["horizon"] = 20
+    config["sampler"].update(step=100, pool_size=2, num_steps=401)
+    assert main(["run", write_config(tmp_path, config)]) == 1
+    out = tmp_path / "run"
+    failure = read_json(out / "failure.json")
+    assert (failure["phase"], failure["error"]) == ("analysis", "DomainError")
+    post = load_trajectory(out)[0].post
+    off = ((post < 0.0) | (post > math.pi / 2)).any(axis=1)
+    first = int(np.argmax(off))
+    assert failure["message"].startswith(f"chain 0: angles {post[first].tolist()} at sampler step {40 + first} ")
     assert not (out / "metrics.json").exists()
     assert "run complete" not in capsys.readouterr().out
 

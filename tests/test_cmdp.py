@@ -299,8 +299,10 @@ class TestSimulation:
                 self.rng = RngStream(seed)
                 self.values = np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.6, 0.75, 0.8])
 
-            def uniform(self, size=None):
+            def random(self, size=None):
                 return self.values[self.rng.integers(0, len(self.values), size=size)]
+
+            uniform = random  # what the reference simulator and the final check draw
 
         policies = np.array([[[0.5, 0.5], [0.25, 0.75]], [[0.75, 0.25], [0.5, 0.5]]] * 10)
         assert_matches_reference(MODEL, policies, 100, TieRng(54), TieRng(54))

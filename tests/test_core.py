@@ -28,6 +28,14 @@ class TestRngStream:
         b = RngStream(11).child(3).uniform(size=50)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("n", [1, 7, 4000])
+    def test_random_is_uniform_on_zero_one_bit_for_bit(self, n):
+        a, b = RngStream(5).child(2), RngStream(5).child(2)
+        for _ in range(3):
+            assert a.random(n).tobytes() == b.uniform(size=n).tobytes()
+        assert a.generator.bit_generator.state == b.generator.bit_generator.state
+        assert a.random() == b.uniform()
+
     def test_children_differ_from_parent_and_siblings(self):
         root = RngStream(11)
         draws = {

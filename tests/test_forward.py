@@ -4,9 +4,6 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from langirl.core import ConfigError, NonFiniteError, RngStream
 from langirl.forward import (
@@ -18,7 +15,6 @@ from langirl.forward import (
 )
 from langirl.problems import logistic, mixture
 from langirl.problems.synthetic import quadratic_oracle
-from strategies import EDGE_FLOATS
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -50,19 +46,6 @@ class TestInitDensity:
             _, grad = d.density_and_grad(pt)
             fd = numeric_grad(d.density, pt)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-12)
-
-    @settings(max_examples=300, derandomize=True, database=None)
-    @given(
-        point=arrays(np.float64, 2, elements=EDGE_FLOATS),
-        mean=arrays(np.float64, 2, elements=st.floats(-1e3, 1e3)),
-        variances=arrays(np.float64, 2, elements=st.floats(1e-3, 1e3)),
-    )
-    def test_float_value_and_gradient_are_the_array_ones_bit_for_bit(self, point, mean, variances):
-        d = InitDensity(mean, variances)
-        with np.errstate(all="ignore"):
-            val, grad = d.density_and_grad(point)
-        got = np.array(d.density_and_grad_2d(*point.tolist()))
-        assert got.tobytes() == np.array([val, *grad]).tobytes()
 
     def test_sample_moments(self):
         d = InitDensity(np.array([2.0, -1.0]), np.array([3.0, 0.5]))

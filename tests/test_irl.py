@@ -195,16 +195,6 @@ class TestStepFormulas:
             step_active(np.zeros(1), lambda p: np.ones(1), cfg, QueuedRng([45.0], [0.0]))
 
 
-class QueuedPairs:
-    """Hands a float step pre-chosen draws, one [w0, w1] list per chain."""
-
-    def __init__(self, draws):
-        self.draws = np.asarray(draws, dtype=np.float64).reshape(-1, 2).tolist()
-
-    def standard_normal(self):
-        return self.draws
-
-
 def float_steps_fail():
     """Patch every float step in `VARIANTS` to fail the test when a run takes it."""
     def fail(*args):
@@ -233,55 +223,76 @@ ORACLE_PAIRS = st.one_of(
 )
 
 
+def numpy_block(row, est, items, cfg, draws):
+    """The NumPy step iterated over a block, one chain's (2,) state or several chains' (chains, 2)."""
+    state, rows = est[0] if len(est) == 1 else est, []
+    for item, draw in zip(items, draws):
+        state = row.step(state, item, cfg, QueuedRng(draw[0] if len(est) == 1 else draw))
+        rows.append(state)
+    return np.reshape(rows, (len(items), *est.shape))
+
+
+def block_draws(seed, chains, steps):
+    """The (steps, chains, 2) draws a float block takes from `chain_rngs(seed, chains)`."""
+    return np.stack([rng.standard_normal((steps, 2)) for rng in chain_rngs(seed, chains)], axis=1)
+
+
+def chain_rngs(seed, chains):
+    return [RngStream(seed + chain) for chain in range(chains)]
+
+
+NEAR_OR_EDGE = st.one_of(st.floats(-50, 50), EDGE_FLOATS)
+
+
 class TestFloatPath:
-    """The plain-float steps of 2-D runs and the oracles' float forms against their NumPy forms."""
+    """The plain-float blocks of 2-D runs and the oracles' float forms against their NumPy forms."""
 
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(
         variant=st.sampled_from([PASSIVE_GENERALIZED, PASSIVE_GATED]),
         family=st.sampled_from(FAMILIES),
-        est=arrays(np.float64, st.sampled_from([(2,), (1, 2), (2, 2), (3, 2), (4, 2)]),
-                   elements=st.floats(-50, 50)),
-        point=arrays(np.float64, 2, elements=st.floats(-50, 50)),
-        gradient=arrays(np.float64, 2, elements=EDGE_FLOATS),
+        est=arrays(np.float64, st.tuples(st.integers(1, 4), st.just(2)), elements=NEAR_OR_EDGE),
+        points=arrays(np.float64, st.tuples(st.integers(1, 5), st.just(2)), elements=NEAR_OR_EDGE),
+        gradients=arrays(np.float64, (5, 2), elements=EDGE_FLOATS),
         bandwidth=st.floats(1e-2, 1e2),
-        mean=arrays(np.float64, 2, elements=st.floats(-10, 10)),
-        variances=arrays(np.float64, 2, elements=st.floats(1e-2, 1e2)),
+        mean=arrays(np.float64, 2, elements=st.floats(-1e3, 1e3)),
+        variances=arrays(np.float64, 2, elements=st.floats(1e-3, 1e3)),
         beta=st.floats(1e-3, 1e3),
         step=st.floats(1e-6, 1.0),
-        seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 8),
     )
     def test_matches_the_numpy_form_bit_for_bit(
-        self, variant, family, est, point, gradient, bandwidth, mean, variances, beta, step, seed
+        self, variant, family, est, points, gradients, bandwidth, mean, variances, beta, step, seed
     ):
         cfg = SamplerConfig(step=step, beta=beta, init=np.zeros(2), kernel=Kernel(family, bandwidth, 2),
                             init_density=InitDensity(mean, variances))
-        sample = GradientSample(point, gradient)
-        draws = np.random.default_rng(seed).standard_normal(est.shape)
-        row = VARIANTS[variant]
+        items = [GradientSample(p, g) for p, g in zip(points, gradients)]
+        row, rngs = VARIANTS[variant], chain_rngs(seed, len(est))
         with np.errstate(all="ignore"):
-            want = row.step(est, sample, cfg, QueuedRng(draws))
-            got = row.float_step(est.reshape(-1, 2).tolist(), sample, cfg, QueuedPairs(draws))
-        assert want.shape == est.shape
-        assert np.array(got).reshape(est.shape).tobytes() == want.tobytes()
+            want = numpy_block(row, est, items, cfg, block_draws(seed, len(est), len(items)))
+            got = row.float_step(est.tolist(), items, cfg, rngs)
+        assert np.reshape(got, want.shape).tobytes() == want.tobytes()
+        # The block took exactly its own draws.
+        fresh = chain_rngs(seed, len(est))
+        assert [rng.standard_normal() for rng in rngs] == [r.standard_normal(2 * len(items) + 1)[-1] for r in fresh]
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(
         oracles=ORACLE_PAIRS,
-        est=arrays(np.float64, st.sampled_from([(2,), (1, 2), (3, 2)]), elements=st.floats(-50, 50)),
+        est=arrays(np.float64, st.tuples(st.integers(1, 4), st.just(2)), elements=st.floats(-50, 50)),
+        steps=st.integers(1, 5),
         beta=st.floats(1e-3, 1e3),
         step=st.floats(1e-6, 1.0),
-        seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 8),
     )
-    def test_classical_matches_the_numpy_form_bit_for_bit(self, oracles, est, beta, step, seed):
+    def test_classical_matches_the_numpy_form_bit_for_bit(self, oracles, est, steps, beta, step, seed):
         block, floats = oracles
         cfg = SamplerConfig(step=step, beta=beta, init=np.zeros(2))
-        draws = np.random.default_rng(seed).standard_normal(est.shape)
         row = VARIANTS[CLASSICAL]
         with np.errstate(all="ignore"):
-            want = row.step(est, block, cfg, QueuedRng(draws))
-            got = row.float_step(est.reshape(-1, 2).tolist(), floats.pairs, cfg, QueuedPairs(draws))
-        assert np.array(got).reshape(est.shape).tobytes() == want.tobytes()
+            want = numpy_block(row, est, [block] * steps, cfg, block_draws(seed, len(est), steps))
+            got = row.float_step(est.tolist(), [floats.pairs] * steps, cfg, chain_rngs(seed, len(est)))
+        assert np.reshape(got, want.shape).tobytes() == want.tobytes()
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(oracles=ORACLE_PAIRS, points=arrays(np.float64, st.tuples(st.integers(1, 5), st.just(2)),

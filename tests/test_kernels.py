@@ -89,22 +89,6 @@ def test_scaled_eval_is_raw_eval_at_diff_over_bandwidth(family, bandwidth, diff)
     assert got.tobytes() == want.tobytes()
 
 
-@settings(max_examples=300, derandomize=True, database=None)
-@given(
-    family=st.sampled_from(FAMILIES),
-    bandwidth=BANDWIDTHS,
-    diff=arrays(np.float64, 2, elements=EDGE_FLOATS),
-)
-def test_float_evaluations_are_the_array_ones_bit_for_bit(family, bandwidth, diff):
-    kernel = Kernel(family, bandwidth, 2)
-    d0, d1 = diff.tolist()
-    with np.errstate(all="ignore"):
-        raw = raw_eval(kernel, diff)
-        scaled = scaled_eval(kernel, diff)
-    assert np.float64(kernel.raw_eval_2d(d0, d1)).tobytes() == raw.tobytes()
-    assert np.float64(kernel.scaled_eval_2d(d0, d1)).tobytes() == scaled.tobytes()
-
-
 @pytest.mark.parametrize("family", FAMILIES)
 def test_second_moment_is_finite_and_positive(family):
     report = verify_kernel_axioms(Kernel(family, 1.0, 1))

@@ -149,6 +149,17 @@ class TestSampling:
         got = oracle(np.array([0.2, 0.3]))
         assert got.tobytes() == reward_grad(MODEL, np.array([0.2, 0.3]), y).tobytes()
 
+    @pytest.mark.parametrize("count", [100_000, 100_001])
+    def test_stream_oracle_draws_what_sample_observation_draws(self, count):
+        # The component pick comes off the bit generator's buffered 32-bit draw;
+        # an odd count leaves half of a 64-bit draw in the buffer.
+        rng, twin = RngStream(8), RngStream(8)
+        points = np.zeros((count, 2))
+        got = make_stream_oracle(MODEL, rng)(points)
+        ys = np.array([sample_observation(MODEL, twin) for _ in range(count)])
+        assert got.tobytes() == reward_grad(MODEL, points, ys).tobytes()
+        assert rng.generator.bit_generator.state == twin.generator.bit_generator.state
+
     def test_pool_oracle_shares_one_observation_across_points(self):
         pool_oracle = make_pool_oracle(MODEL, RngStream(6))
         replay = RngStream(6)

@@ -4,8 +4,11 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from langirl.core import ConfigError, NonFiniteError, RngStream
+from langirl.core import ConfigError, GradientSample, NonFiniteError, RngStream
 from langirl.forward import (
     AgentPoolConfig,
     GradientStream,
@@ -13,8 +16,11 @@ from langirl.forward import (
     pool_stream,
     run_agent_pool,
 )
+from langirl.irl import PASSIVE_GENERALIZED, VARIANTS, SamplerConfig
+from langirl.kernels import GAUSSIAN, Kernel
 from langirl.problems import logistic, mixture
 from langirl.problems.synthetic import quadratic_oracle
+from strategies import EDGE_FLOATS
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -46,6 +52,37 @@ class TestInitDensity:
             _, grad = d.density_and_grad(pt)
             fd = numeric_grad(d.density, pt)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-12)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        offset=EDGE_FLOATS,
+        variances=arrays(np.float64, 2, elements=st.floats(1e-3, 1e3)),
+        axis=st.integers(0, 1),
+    )
+    def test_float_value_and_gradient_are_the_array_ones_bit_for_bit(self, offset, variances, axis):
+        # A passive_generalized float block writes the density out inline. Its
+        # step from the origin, with a zero gradient, step 1 and noise only on
+        # the other axis, moves `axis` by value * gradient and the other axis
+        # by the value itself, the mean sitting at the origin along that axis.
+        mean = np.zeros(2)
+        mean[axis] = offset
+        d = InitDensity(mean, variances)
+        cfg = SamplerConfig(step=1.0, beta=2.0, init=np.zeros(2), kernel=Kernel(GAUSSIAN, 1.0, 2), init_density=d)
+        other = 1 - axis
+
+        class OtherAxisNoise:
+            def standard_normal(self, size):
+                draws = np.zeros(size)
+                draws[..., other] = 1.0
+                return draws
+
+        items = [GradientSample(np.zeros(2), np.zeros(2))]
+        with np.errstate(all="ignore"):
+            val, grad = d.density_and_grad(np.zeros(2))
+            rows = VARIANTS[PASSIVE_GENERALIZED].float_step([[0.0, 0.0]], items, cfg, [OtherAxisNoise()])
+        got = np.asarray(rows, dtype=np.float64).reshape(2)
+        assert got[other].tobytes() == val.tobytes()
+        assert got[axis].tobytes() == np.float64(0.0 + val * (0.0 + grad[axis]) + 0.0).tobytes()
 
     def test_sample_moments(self):
         d = InitDensity(np.array([2.0, -1.0]), np.array([3.0, 0.5]))

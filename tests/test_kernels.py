@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from langirl.core import ConfigError
+from langirl.core import ConfigError, GradientSample
+from langirl.forward import InitDensity
+from langirl.irl import PASSIVE_GENERALIZED, VARIANTS, SamplerConfig
 from langirl.kernels import (
     FAMILIES,
     GAUSSIAN,
@@ -87,6 +89,47 @@ def test_scaled_eval_is_raw_eval_at_diff_over_bandwidth(family, bandwidth, diff)
         want = raw_eval(kernel, diff / bandwidth) * bandwidth ** (-kernel.dim)
         got = scaled_eval(kernel, diff)
     assert got.tobytes() == want.tobytes()
+
+
+class ZeroNoise:
+    """A chain stream whose normal draws are all zero."""
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
+def float_block_kernel(kernel: Kernel, diff: np.ndarray) -> np.ndarray:
+    """The scaled kernel at `diff` as a 2-D passive_generalized float block evaluates it inline.
+
+    A noiseless block step from the origin, with the gradient (1, 1), beta 2,
+    step 1 and a unit-peak density centred on the origin, moves each
+    coordinate by exactly that kernel value.
+    """
+    var = 1.0 / (2.0 * math.pi)
+    density = InitDensity(np.zeros(2), np.array([var, var]))
+    assert density._norm == 1.0
+    cfg = SamplerConfig(step=1.0, beta=2.0, init=np.zeros(2), kernel=kernel, init_density=density)
+    items = [GradientSample(diff, np.ones(2))]
+    rows = VARIANTS[PASSIVE_GENERALIZED].float_step([[0.0, 0.0]], items, cfg, [ZeroNoise()])
+    return np.asarray(rows, dtype=np.float64).reshape(2)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    bandwidth=BANDWIDTHS,
+    diff=arrays(np.float64, 2, elements=EDGE_FLOATS),
+)
+def test_float_evaluations_are_the_array_ones_bit_for_bit(family, bandwidth, diff):
+    kernel = Kernel(family, bandwidth, 2)
+    with np.errstate(all="ignore"):
+        raw = raw_eval(kernel, diff)
+        scaled = scaled_eval(kernel, diff)
+        # At bandwidth 1 the scaled kernel is the raw one.
+        got_raw = float_block_kernel(Kernel(family, 1.0, 2), diff)
+        got_scaled = float_block_kernel(kernel, diff)
+    assert got_raw.tobytes() == np.array([raw, raw]).tobytes()
+    assert got_scaled.tobytes() == np.array([scaled, scaled]).tobytes()
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -20,30 +20,26 @@ chain when there are several. A set's trajectory files are written only once
 every chain of the set has finished. A run first removes from its output
 directory every file an earlier run may have written there but the manifest.
 
-Two chain sets are computed in forked worker processes. A config's baseline
-chain set runs in one worker, started before the forward phase, while the run
-goes on with the forward, sampler and trajectory-write phases; the run then
-joins it and analyses both sets. A CMDP run splits its SPSA pool chunks into
-one share per CPU the process may use (never more shares than chunks): the
-run computes the first share as its chains read it, and one worker per later
-share computes that share meanwhile. A chunk depends only on its chain's
-stream and its index, so every byte a run writes is the same whatever the
-CPU count. When `os.fork` fails, the run makes a worker's call itself when
-it needs the result, with the same bytes. The earliest failing phase wins,
-in the order forward, sampler, baseline, analysis: a forward or sampler
-failure kills the workers and removes what the baseline worker wrote. A
-pooled mean or variance that overflows is an analysis failure. On Linux a
-run ended by a signal takes its workers with it.
-
-The sampler chain set's files are written on every CPU too: its chains
-split into contiguous shares, one per CPU but never more shares than chains.
-The run writes the first share, and one forked writer per later share writes
-that share meanwhile; all are joined before the analysis. A chain's files
-depend only on that chain, so their bytes do not depend on the CPU count,
-and a failed fork leaves the share to the run. The baseline worker writes
-its own set's files itself, so stopping it stops every baseline write. A
-failed write ends the run with exit 1 and `failure.json`: an `OSError` in
-the run, or a `ChildProcessError` from a writer or the baseline worker.
+A config's baseline chain set runs in a forked worker process, started
+before the forward phase, while the run goes on with the forward, sampler and
+trajectory-write phases; the run then joins it and analyses both sets. The
+worker writes its set's files itself, so stopping it stops every baseline
+write. Two jobs split their items with `_shares` into contiguous shares, one
+per CPU the process may use but never more shares than items: the run does
+the first share and one forked worker per later share does that share
+meanwhile. They are a CMDP run's SPSA pool chunks, whose first share the run
+computes as its chains read it, and the sampler chain set's files, all
+written before the analysis. A pool chunk depends only on its chain's stream
+and its index, and a chain's files only on that chain, so every byte a run
+writes is the same whatever the CPU count. When `os.fork` fails, the run
+makes a worker's call itself when it needs the result, with the same bytes.
+The earliest failing phase wins, in the order forward, sampler, baseline,
+analysis: a forward or sampler failure kills the workers and removes what the
+baseline worker wrote. A pooled mean or variance that overflows is an
+analysis failure. A failed write ends the run with exit 1 and
+`failure.json`: an `OSError` in the run, or a `ChildProcessError` from a
+writer or the baseline worker. On Linux a run ended by a signal takes its
+workers with it.
 
 Each entry of `timings_seconds` adds up the time its phase took in the
 process that ran it, so the phases overlap and their sum can exceed the
@@ -485,6 +481,14 @@ def _sampler_config(path, variant, num_steps, burn_in=None, **fields):
     return cfg
 
 
+def _make_dirs(path):
+    """Create the output directory `path` unless it exists; a path it cannot take is a config error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory: {exc}") from None
+
+
 @contextlib.contextmanager
 def _timed(timings, phase):
     """Add the perf_counter seconds the block takes to timings[phase]."""
@@ -497,7 +501,7 @@ def run_experiment(config):
     """Execute one resolved config. Returns (exit_code, output_dir)."""
     exp = _Experiment(config)
     outdir = exp.output
-    os.makedirs(outdir, exist_ok=True)
+    _make_dirs(outdir)
     # The files of an earlier run into this directory would describe it, not this run.
     _remove_artifacts(outdir)
     timings = {}
@@ -732,54 +736,46 @@ def _chain_source(exp, kind, corpus, rngs):
     return lambda points: np.stack([oracle(point) for oracle, point in zip(oracles, points)])
 
 
-def _cuts(count):
-    """Bounds of `count` items split into contiguous shares: one per CPU this process may use, at most `count`."""
+def _shares(fn, items, *args):
+    """`items` split into contiguous shares, one per CPU this process may use but never more than there are items.
+
+    Returns the first share, for the caller, and a started `_Worker` running
+    `fn(share, *args)` for each later share.
+    """
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         cpus = os.cpu_count() or 1
-    shares = max(1, min(cpus, count))
-    return [count * share // shares for share in range(shares + 1)]
+    shares = max(1, min(cpus, len(items)))
+    cuts = [len(items) * share // shares for share in range(shares + 1)]
+    return items[:cuts[1]], [_Worker(fn, items[lo:hi], *args) for lo, hi in zip(cuts[1:], cuts[2:])]
 
 
-def _stacked(sources):
-    """One chain's pool source unchanged, or several stacked to (chains, pool, dim) pools."""
-    if len(sources) == 1:
-        return sources[0]
-    return (GradientPool(*map(np.stack, zip(*pools))) for pools in zip(*sources))
+def _pool_chunks(chunks, exp, rngs):
+    """Chunks `chunks` of every chain's SPSA pools, as (points, gradients) arrays.
 
-
-def _pool_chunks(exp, rngs, chunks):
-    """Chunks `chunks` of each chain's SPSA pools: per chain, (points, gradients) as (pools, pool, dim) arrays."""
+    Each is (pools, pool, dim) for one chain, (pools, chains, pool, dim) with chain c's pools in row c.
+    """
     args = exp.model, exp.sampler_cfg.pool_size, exp.num_steps, exp.horizon, exp.perturbation
-    return [
-        tuple(map(np.concatenate, zip(*(cmdp.angle_pool_chunk(*args, rng, c) for c in chunks))))
+    per_chain = [
+        [np.concatenate(arrays) for arrays in zip(*(cmdp.angle_pool_chunk(*args, rng, c) for c in chunks))]
         for rng in rngs
     ]
+    return [arrays[0] if len(rngs) == 1 else np.stack(arrays, axis=1) for arrays in zip(*per_chain)]
 
 
 def _spsa_pools(exp, rngs):
     """Each chain's CMDP SPSA pools, as `cmdp.make_angle_pool_source` makes them from `rngs[c]`.
 
-    Chunk k of a chain's pools depends only on the model, the settings, the
-    chain's stream and k. So the chunks split into contiguous shares, one per
-    CPU this process may use but never more than there are chunks, every
-    chain's chunk k in the same share. The parent computes the first share
-    as the chains read it; each later share runs in a `_Worker`, started now
-    and joined when the chains reach its chunks. The pools do not depend on
-    the number of shares. The workers are added to `exp.workers`.
+    The chunks split into `_shares`, every chain's chunk k in the same share.
+    The run computes the first share a chunk at a time, as the chains read
+    it; a later share's worker, added to `exp.workers`, is joined when the
+    chains reach its chunks.
     """
-    size = cmdp.POOL_CHUNK
-    cuts = _cuts(-(-exp.num_steps // size))
-    workers = [_Worker(_pool_chunks, exp, rngs, range(lo, hi)) for lo, hi in zip(cuts[1:], cuts[2:])]
+    own, workers = _shares(_pool_chunks, range(-(-exp.num_steps // cmdp.POOL_CHUNK)), exp, rngs)
     exp.workers.extend(workers)
-    own = min(cuts[1] * size, exp.num_steps)
-    first = _stacked([
-        cmdp.make_angle_pool_source(exp.model, exp.sampler_cfg.pool_size, own, exp.horizon, exp.perturbation, rng)
-        for rng in rngs
-    ])
-    later = (_stacked([map(GradientPool, *pools) for pools in result]) for result in map(_Worker.join, workers))
-    return itertools.chain(first, itertools.chain.from_iterable(later))
+    parts = itertools.chain((_pool_chunks([c], exp, rngs) for c in own), map(_Worker.join, workers))
+    return (GradientPool(*pool) for points, gradients in parts for pool in zip(points, gradients))
 
 
 def _chain_stems(name, chains):
@@ -788,17 +784,10 @@ def _chain_stems(name, chains):
 
 
 def _save_chains(trajs, cfgs, outdir, name):
-    """Write a chain set's files, its chains split into contiguous shares by `_cuts`.
-
-    The caller writes the first share; a `_Worker` writes each later share
-    meanwhile, and all are joined before this returns. A chain's files depend
-    only on that chain, so the bytes do not depend on the number of shares.
-    """
-    chains = list(zip(_chain_stems(name, len(trajs)), trajs, cfgs))
-    cuts = _cuts(len(chains))
-    workers = [_Worker(_write_chains, chains[lo:hi], outdir) for lo, hi in zip(cuts[1:], cuts[2:])]
+    """Write a chain set's files: the caller its chains' first share of `_shares`, a worker each later share."""
+    own, workers = _shares(_write_chains, list(zip(_chain_stems(name, len(trajs)), trajs, cfgs)), outdir)
     try:
-        _write_chains(chains[:cuts[1]], outdir)
+        _write_chains(own, outdir)
         for worker in workers:
             worker.join()
     finally:
@@ -861,11 +850,14 @@ def _analyze(exp, pooled, base_post, metrics):
 
 def _pooled_posts(rundir):
     """The pooled post-burn-in samples of the chains named by a finished run's metrics.json."""
+    path = os.path.join(rundir, "metrics.json")
     try:
-        with open(os.path.join(rundir, "metrics.json")) as fh:
+        with open(path) as fh:
             chains = json.load(fh)["chains"]
+        if isinstance(chains, bool) or not isinstance(chains, int) or chains < 1:
+            raise ValueError(f"chains must be a whole number of at least 1, got {chains!r}")
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"{rundir}: not a finished run ({type(exc).__name__}: {exc})") from None
+        raise ConfigError(f"{path}: not a finished run ({type(exc).__name__}: {exc})") from None
     posts = [load_trajectory(rundir, stem=stem)[0].post for stem in _chain_stems("trajectory", chains)]
     return np.vstack(posts)
 
@@ -939,7 +931,7 @@ def main(argv=None):
             return code
         report = compare_runs(args.dir_a, args.dir_b)
         if args.out:
-            os.makedirs(args.out, exist_ok=True)
+            _make_dirs(args.out)
             _write_json(os.path.join(args.out, "compare.json"), report)
             _write_compare_csv(report, os.path.join(args.out, "compare.csv"))
         print(json.dumps(report, indent=2, sort_keys=True))

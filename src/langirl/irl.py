@@ -46,12 +46,11 @@ a step; at a 21-D estimate where p ≈ 4e-9, step 0.002 advances about 3e-20.
 
 A variant is declared by one row of the `VARIANTS` table and one step
 function. The row names the step, the kind of source it consumes (a stream of
-GradientSample, a stream of GradientPool, or an oracle callable), the
-SamplerConfig fields that must be set and how many normal draws a step takes.
-`run_chains` is the only sampling loop and reads everything it needs to know
-about a variant from that row. It advances several chains at once: they read
-one source, and each draws its noise from its own stream. `run_sampler` is
-its one-chain call.
+GradientSample, a stream of GradientPool, or an oracle callable) and the
+SamplerConfig fields that must be set. `run_chains` is the only sampling loop
+and reads everything it needs to know about a variant from that row. It
+advances several chains at once: they read one source, and each draws its
+noise from its own stream. `run_sampler` is its one-chain call.
 
 Each step function is written once for both shapes. For one chain `est` is a
 (dim,) vector and the per-chain factors (kernel weight, density, gate) are
@@ -156,9 +155,9 @@ _UNDERFLOW_LOG = math.log(math.ulp(0.0))
 # A gated gain ratio at or above this is no longer "small" and draws a warning.
 _GAIN_RATIO_WARN = 0.5
 
-# Steps per noise draw, per write into the sample array and per finiteness
-# check. The float path holds a block's noise and states as Python floats,
-# so a block stays small.
+# Steps per float-path noise draw, per write into the sample array and per
+# finiteness check. The float path holds a block's noise and states as Python
+# floats, so a block stays small.
 _STEP_BLOCK = 128
 
 # A 2-D run of at most this many chains steps in plain floats.
@@ -494,18 +493,17 @@ class Variant:
     `step(est, item, cfg, rng)` makes one update from `item`: a GradientSample
     for a stream source, a GradientPool for a pool source (pool steps also get
     the run's SamplerStats), or the oracle callable itself. `needs` names the
-    SamplerConfig fields that must not be None, and `draws` the normal vectors
-    a step draws from its rng. `float_step(state, items, cfg, rngs)`, when
-    set, makes one update per item for a 2-D run of up to 12 chains in plain
-    floats (module docstring): `state` holds each chain's [e0, e1], chain c
-    draws its noise from `rngs[c]`, an oracle variant's items are the
-    oracle's float form, and it returns the block's rows, step-major.
+    SamplerConfig fields that must not be None. `float_step(state, items,
+    cfg, rngs)`, when set, makes one update per item for a 2-D run of up to
+    12 chains in plain floats (module docstring): `state` holds each chain's
+    [e0, e1], chain c draws its noise from `rngs[c]`, an oracle variant's
+    items are the oracle's float form, and it returns the block's rows,
+    step-major.
     """
 
     step: Callable
     source: str
     needs: tuple = ()
-    draws: int = 1
     float_step: Callable | None = None
 
 
@@ -518,7 +516,7 @@ VARIANTS = {
     NONREVERSIBLE: Variant(step_nonreversible, STREAM, ("kernel", "init_density", "skew")),
     NAIVE: Variant(step_naive, STREAM),
     MULTIKERNEL: Variant(step_multikernel, POOL, ("conditional_std",)),
-    ACTIVE: Variant(step_active, ORACLE, ("kernel", "conditional_std"), draws=2),
+    ACTIVE: Variant(step_active, ORACLE, ("kernel", "conditional_std")),
     CLASSICAL: Variant(step_classical, ORACLE, float_step=_classical_2d),
 }
 
@@ -567,30 +565,18 @@ def _fingerprint(variant: str, cfg: SamplerConfig, num_steps: int, seed) -> str:
 class _ChainNoise:
     """The rng `run_chains` hands a NumPy step: each draw is one normal vector per chain.
 
-    Chain c's numbers come from `rngs[c]` in the order it would draw them
-    alone. `fill(count)` draws the next `count` ahead in one call per chain,
-    which gives the same PCG64 numbers; without a fill, each draw is taken
-    when the step asks for it.
+    Chain c's numbers come from `rngs[c]`, drawn when the step asks for them,
+    in the order it would draw them alone.
     """
 
     def __init__(self, rngs, shape):
         self._rngs = rngs
         self._shape = shape
-        self._rows = iter(())
-
-    def fill(self, count: int) -> None:
-        if len(self._rngs) == 1:
-            block = self._rngs[0].standard_normal((count, *self._shape))
-        else:
-            block = np.stack([r.standard_normal((count, self._shape[-1])) for r in self._rngs], axis=1)
-        self._rows = iter(block)
 
     def standard_normal(self, size=None):
-        row = next(self._rows, None)
-        if row is None:
-            self.fill(1)
-            row = next(self._rows)
-        return row
+        if len(self._rngs) == 1:
+            return self._rngs[0].standard_normal(self._shape)
+        return np.stack([r.standard_normal(self._shape[-1]) for r in self._rngs])
 
 
 def check_run(variant: str, cfg: SamplerConfig, num_steps: int, burn_in: int | None = None) -> Variant:
@@ -641,10 +627,11 @@ def run_chains(
     and draws its noise from `rngs[c]`; the configs may differ in nothing
     else.
 
-    With `block_noise` each chain's noise is drawn ahead, one block of steps
-    at a time, which gives the same numbers as drawing at every step only
-    if nothing else draws from the chain's rng during the run. Pass False
-    when the source draws from it too.
+    With `block_noise` a float block draws each chain's noise ahead, one
+    block of steps at a time, which gives the same numbers as drawing at
+    every step only if nothing else draws from the chain's rng during the
+    run. Pass False when the source draws from it too. A NumPy step draws
+    its noise only when it asks for it.
 
     Raises SourceExhausted if an iterable runs out early, and NonFiniteError
     or DensityFloorError naming the sampler step (and, for several chains,
@@ -698,8 +685,6 @@ def run_chains(
             block = list(itertools.islice(items, len(steps)))
             out = row.float_step(rows[steps.start].tolist(), block, cfg, rngs)
         else:
-            if block_noise:
-                noise.fill(len(steps) * row.draws)
             block = []  # one state per item taken
             for k, item in zip(steps, items):
                 try:

@@ -291,15 +291,14 @@ def angle_pool_chunk(
     perturbation: float,
     rng: RngStream,
     c: int,
-    chunk: int = POOL_CHUNK,
 ):
     """Chunk c of `make_angle_pool_source`'s pools with the same arguments, from one batched sweep.
 
-    The chunk holds pools c * chunk up to the next chunk or `num_pools`, all
-    drawn from the stream ``rng.child(c)``. Returns (points, gradients), each
-    a (pools, pool_size, width) array.
+    The chunk holds pools c * POOL_CHUNK up to the next chunk or `num_pools`,
+    all drawn from the stream ``rng.child(c)``. Returns (points, gradients),
+    each a (pools, pool_size, width) array.
     """
-    take = min(chunk, num_pools - c * chunk)
+    take = min(POOL_CHUNK, num_pools - c * POOL_CHUNK)
     width = model.num_states * (model.num_actions - 1)
     stream = rng.child(c)
     pts = stream.uniform(ANGLE_LOW, ANGLE_HIGH, size=(take * pool_size, model.num_states, model.num_actions - 1))
@@ -314,28 +313,22 @@ def make_angle_pool_source(
     horizon: int,
     perturbation: float,
     rng: RngStream,
-    chunk: int = POOL_CHUNK,
 ):
     """Yield `num_pools` pools of (flattened angle point, SPSA gradient) pairs.
 
     Points are uniform over the angle box; the estimator never influences
     them. Flattening is row-major over (states, actions - 1). Pools are
-    produced ``chunk`` at a time so the probe simulations share one batched
-    sweep; the barrier keeps the probed objective non-periodic off the box.
-    Chunk c draws from its own stream ``rng.child(c)``, so it depends only on
-    the model, the settings, `rng` and c, and can be computed apart
-    (`angle_pool_chunk`). The chunk size is therefore part of the stream's
-    definition: another chunk size gives other pools. Raises ConfigError for
-    a chunk below 1.
+    produced `POOL_CHUNK` at a time so the probe simulations share one
+    batched sweep; the barrier keeps the probed objective non-periodic off
+    the box. Chunk c draws from its own stream ``rng.child(c)``, so it depends
+    only on the model, the settings, `rng` and c, and can be computed apart
+    (`angle_pool_chunk`). `POOL_CHUNK` is therefore part of the stream's
+    definition: another chunk size would give other pools.
     """
-    if chunk < 1:
-        raise ConfigError(f"chunk must be at least 1, got {chunk}")
     return (
         GradientPool(points, gradients)
-        for c in range(-(-num_pools // chunk))
-        for points, gradients in zip(
-            *angle_pool_chunk(model, pool_size, num_pools, horizon, perturbation, rng, c, chunk)
-        )
+        for c in range(-(-num_pools // POOL_CHUNK))
+        for points, gradients in zip(*angle_pool_chunk(model, pool_size, num_pools, horizon, perturbation, rng, c))
     )
 
 

@@ -94,10 +94,6 @@ class LogisticModel:
         object.__setattr__(self, "labels", labels)
 
     @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
-    @property
     def num_rows(self) -> int:
         return len(self.labels)
 

@@ -103,15 +103,34 @@ def test_density_floor_failure_is_recorded(tmp_path):
     assert not (out / "metrics.json").exists()
 
 
-def test_manifest_rerun_is_byte_identical(tmp_path):
+def bundled_logistic_config(output):
+    # 4-D: the bias column and the 3 busiest feature columns.
+    config = quadratic_config(output, init=[0.0] * 4)
+    config["problem"] = {"kind": "logistic", "data": "bundled", "num_rows": 200, "num_features": 3}
+    config["forward"].update(num_agents=100, run_length=3)
+    del config["baseline"]
+    return config
+
+
+def assert_manifest_rerun_is_byte_identical(tmp_path, make_config):
     first = tmp_path / "first"
     second = tmp_path / "second"
-    assert main(["run", write_config(tmp_path, quadratic_config(first)), "--chains", "2"]) == 0
+    assert main(["run", write_config(tmp_path, make_config(first)), "--chains", "2"]) == 0
     assert main(["run", str(first / "manifest.json"), "--out", str(second)]) == 0
     names = sorted(p.name for p in first.glob("trajectory*.csv"))
     assert names == ["trajectory_c0.csv", "trajectory_c1.csv"]
     for name in names:
         assert filecmp.cmp(first / name, second / name, shallow=False), name
+
+
+def test_manifest_rerun_is_byte_identical(tmp_path):
+    assert_manifest_rerun_is_byte_identical(tmp_path, quadratic_config)
+
+
+def test_a_bundled_logistic_run_reruns_byte_identical(tmp_path):
+    # The only CLI run of problem.kind "logistic": the bundled data, its row
+    # and column subset and the logistic oracle.
+    assert_manifest_rerun_is_byte_identical(tmp_path, bundled_logistic_config)
 
 
 def test_compare_counts_match_post_samples(tmp_path, capsys):
@@ -175,6 +194,29 @@ def put_abc(path):
     path.write_text("".join(lines))
 
 
+def put_nan(path):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[3] = "2,nan,0.5\n"
+    path.write_text("".join(lines))
+
+
+def drop_variant(path):
+    meta = read_json(path)
+    del meta["variant"]
+    path.write_text(json.dumps(meta))
+
+
+def drop_the_last_axis(run):
+    for path in run.glob("trajectory*.csv"):
+        path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in path.read_text().splitlines()))
+
+
+def set_chains(run, value):
+    metrics = read_json(run / "metrics.json")
+    metrics["chains"] = value
+    (run / "metrics.json").write_text(json.dumps(metrics))
+
+
 def widen_a_row(path):
     lines = path.read_text().splitlines(keepends=True)
     lines[5] = lines[5].replace("\n", ",1.0\n")
@@ -191,6 +233,14 @@ BAD_TRAJECTORIES = {
     "json without num_steps": (
         lambda run: (run / "trajectory_c0.json").write_text('{"burn_in": 2}'), "trajectory_c0.json"),
     "a field too many": (lambda run: widen_a_row(run / "trajectory_c0.csv"), "trajectory_c0.csv"),
+    "nan in a row": (lambda run: put_nan(run / "trajectory_c1.csv"), "trajectory_c1.csv"),
+    "json without variant": (lambda run: drop_variant(run / "trajectory_c0.json"), "trajectory_c0.json"),
+    # The error names the run, not one of its files.
+    "one axis fewer": (drop_the_last_axis, ""),
+    **{
+        f"chains {value}": (lambda run, value=value: set_chains(run, value), "metrics.json")
+        for value in ("x", 2.5, None, 0, -1, True)
+    },
 }
 
 
@@ -211,6 +261,29 @@ def test_compare_of_a_damaged_run_is_a_config_error(tmp_path, capsys, case):
     assert err.startswith("config error: ") and str(bad / name) in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("under", [False, True], ids=["a file", "under a file"])
+def test_an_out_no_directory_can_take_is_a_config_error(tmp_path, capsys, command, under):
+    # Exit 2, nothing written and the file left as it was, not an OSError traceback.
+    config = quadratic_config(tmp_path / "run")
+    del config["baseline"]
+    path = write_config(tmp_path, config)
+    if command == "compare":
+        assert main(["run", path]) == 0
+    before = sorted(tmp_path.rglob("*"))
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    out = blocker / "sub" if under else blocker
+    argv = ["run", path] if command == "run" else ["compare", str(tmp_path / "run"), str(tmp_path / "run")]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: output directory: ") and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert blocker.read_text() == "kept"
+    assert sorted(tmp_path.rglob("*")) == sorted([*before, blocker])
 
 
 def test_a_rerun_removes_the_files_of_an_earlier_run(tmp_path):
@@ -563,10 +636,16 @@ def test_a_failed_fork_runs_the_call_in_the_run(tmp_path, monkeypatch, cpus, for
             assert (unforked / name).read_bytes() == (forked / name).read_bytes(), name
 
 
+def in_a_worker(action):
+    """A `_pool_chunks` that ends in `action()` in a forked worker, and computes the run's own share."""
+    parent, pool_chunks = os.getpid(), langirl.cli._pool_chunks
+    return lambda *args: pool_chunks(*args) if os.getpid() == parent else action()
+
+
 def test_a_pool_worker_ending_without_a_result_is_a_failure(tmp_path, monkeypatch, cpus, forks, deadline):
     cpus(2)
     out = tmp_path / "run"
-    monkeypatch.setattr(langirl.cli, "_pool_chunks", lambda exp, rngs, chunks: os._exit(3))
+    monkeypatch.setattr(langirl.cli, "_pool_chunks", in_a_worker(lambda: os._exit(3)))
     assert main(["run", write_config(tmp_path, cmdp_config(out))]) == 1
     failure = read_json(out / "failure.json")
     assert (failure["phase"], failure["error"]) == ("sampler", "ChildProcessError")
@@ -579,7 +658,7 @@ def test_sampler_failure_kills_the_pool_worker(tmp_path, monkeypatch, cpus, fork
     # The worker would run for ten minutes; the failed run must end it.
     cpus(2)
     out = tmp_path / "run"
-    monkeypatch.setattr(langirl.cli, "_pool_chunks", lambda exp, rngs, chunks: time.sleep(600))
+    monkeypatch.setattr(langirl.cli, "_pool_chunks", in_a_worker(lambda: time.sleep(600)))
 
     def fails_at_the_first_step(variant, source, *args, **kwargs):
         next(iter(source))
@@ -931,6 +1010,24 @@ TWO_STATE_MODEL = {"states": 2, "actions": 2, "P": [[[0.8, 0.2], [0.3, 0.7]], [[
                      "problem.data: cannot read no-such-data.libsvm", id="logistic-data-missing"),
         pytest.param(logistic_config, "problem.data", file_holding(b"+1 1:\xcd\xff\n"),
                      "problem.data: cannot read", id="logistic-data-not-utf8"),
+        pytest.param(quadratic_config, "schema", 2, "schema: expected 1, got 2", id="schema-mismatch"),
+        pytest.param(quadratic_config, "scales", [], "scales: must be an object", id="scales-not-an-object"),
+        pytest.param(quadratic_config, "chains", 0, "chains: must be at least 1", id="chains-0"),
+        pytest.param(quadratic_config, "forward", MISSING, "forward: required by sampler.variant",
+                     id="forward-missing"),
+        pytest.param(quadratic_config, "analysis.grid", [[-3.0, 3.0, 10]],
+                     "analysis.grid: 1 axes do not match problem dimension 2", id="grid-axes-mismatch"),
+        pytest.param(mixture_config, "analysis.compare_marginals", True,
+                     "analysis.compare_marginals: requires a baseline section", id="compare-without-baseline"),
+        pytest.param(quadratic_config, "problem.kind", "cubic", "problem.kind: unknown kind 'cubic'",
+                     id="problem-kind-unknown"),
+        pytest.param(quadratic_config, "forward.sweeps", 0, "forward.sweeps: must be at least 1", id="sweeps-0"),
+        pytest.param(quadratic_config, "forward.init.mean", [0.0],
+                     "forward.init: dimension does not match problem dimension 2", id="forward-init-1d"),
+        pytest.param(mixture_config, "sampler.init", "sample",
+                     "sampler.init: 'sample' requires a forward section", id="sample-init-without-forward"),
+        pytest.param(mixture_config, "sampler.num_steps", MISSING,
+                     "sampler.num_steps: required for variant 'classical'", id="oracle-num-steps-missing"),
     ],
 )
 def test_config_error_fails_before_any_output(tmp_path, capsys, make_config, path, value, message):
@@ -957,7 +1054,8 @@ def test_bench_configs_pass_every_config_check(path):
     _Experiment(resolve_config(load_config(path)))
 
 
-@pytest.mark.parametrize("content", [None, b"{not json", b"\xcd\xff{}"], ids=["missing", "invalid-json", "not-utf8"])
+@pytest.mark.parametrize("content", [None, b"{not json", b"\xcd\xff{}", b"[1]"],
+                         ids=["missing", "invalid-json", "not-utf8", "not-an-object"])
 def test_unreadable_config_file_exits_2(tmp_path, capsys, content):
     path = tmp_path / "config.json"
     if content is not None:

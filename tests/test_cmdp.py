@@ -398,9 +398,9 @@ class TestBarrierAndPools:
         assert angle_barrier(pts)[0] == pytest.approx(want, rel=1e-10)
 
     def test_pool_source_shapes_and_count(self):
-        pools = list(make_angle_pool_source(MODEL, 5, 7, horizon=10, perturbation=0.1,
-                                            rng=RngStream(50), chunk=3))
-        assert len(pools) == 7
+        # Three chunks of 200, 200 and 1 pools.
+        pools = list(make_angle_pool_source(MODEL, 5, 401, horizon=10, perturbation=0.1, rng=RngStream(50)))
+        assert len(pools) == 401
         for pool in pools:
             assert isinstance(pool, GradientPool)
             assert pool.points.shape == (5, 2)
@@ -418,21 +418,15 @@ class TestBarrierAndPools:
         # Chunk c of the source is drawn from rng.child(c) alone, whatever
         # was drawn for the chunks before it: its uniform points, then the
         # SPSA gradients at them.
-        pools = list(make_angle_pool_source(MODEL, 3, 7, 10, 0.1, RngStream(52), chunk=3))
-        for c, size in enumerate([3, 3, 1]):
+        pools = list(make_angle_pool_source(MODEL, 3, 401, 10, 0.1, RngStream(52)))
+        for c, size in enumerate([200, 200, 1]):
             stream = RngStream(52).child(c)
             points = stream.uniform(0.0, math.pi / 2, size=(3 * size, 2, 1))
             gradients = spsa_gradient_batch(MODEL, points, 10, 0.1, stream)
-            chunk = pools[3 * c : 3 * c + size]
+            chunk = pools[200 * c : 200 * c + size]
             assert len(chunk) == size
             np.testing.assert_array_equal([pool.points for pool in chunk], points.reshape(size, 3, 2))
             np.testing.assert_array_equal([pool.gradients for pool in chunk], gradients.reshape(size, 3, 2))
-
-    @pytest.mark.parametrize("chunk", [0, -1])
-    def test_pool_source_chunk_below_one_is_a_config_error(self, chunk):
-        # A chunk of 0 used to make a source that looped forever at its first item.
-        with pytest.raises(ConfigError, match="chunk must be at least 1"):
-            make_angle_pool_source(MODEL, 4, 5, 10, 0.1, RngStream(53), chunk=chunk)
 
 
 class TestModelPlumbing:

@@ -12,6 +12,7 @@ KEPT = {
     "kernels.py:verify_kernel_axioms": "reference for the kernel mass and symmetry tests (ROADMAP item 6)",
     "problems/cmdp.py:policy_to_spherical": "reference inverse of spherical_to_policy in tests/test_cmdp.py",
     "problems/cmdp.py:ground_truth_penalized": "exact objective the SPSA gradients are tested against",
+    "problems/cmdp.py:make_angle_pool_source": "reference pool stream the CLI's chunked SPSA pools are tested against",
     "problems/logistic.py:make_pool_oracle": "pool oracle for pool_stream (ROADMAP item 4)",
     "problems/mixture.py:make_pool_oracle": "pool oracle for pool_stream (ROADMAP item 4); bench/tracer.py binds",
     "problems/mixture.py:expected_reward": "locates the two modes for tests/test_mixture.py and bench/analyse.py",

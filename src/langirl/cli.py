@@ -22,32 +22,29 @@ directory every file an earlier run may have written there but the manifest.
 
 A config's baseline chain set runs in a forked worker process, started
 before the forward phase, while the run goes on with the forward, sampler and
-trajectory-write phases; the run then joins it and analyses both sets. The
-worker writes its set's files itself, so stopping it stops every baseline
-write. Two jobs split their items with `_shares` into contiguous shares, one
-per CPU the process may use but never more shares than items: the run does
-the first share and one forked worker per later share does that share
-meanwhile. They are a CMDP run's SPSA pool chunks, whose first share the run
-computes as its chains read it, and the sampler chain set's files, all
-written before the analysis. A pool chunk depends only on its chain's stream
-and its index, and a chain's files only on that chain, so every byte a run
-writes is the same whatever the CPU count. When `os.fork` fails, the run
-makes a worker's call itself when it needs the result, with the same bytes.
-The earliest failing phase wins, in the order forward, sampler, baseline,
-analysis: a forward or sampler failure kills the workers and removes what the
-baseline worker wrote. A pooled mean or variance that overflows is an
-analysis failure. A failed write ends the run with exit 1 and
-`failure.json`: an `OSError` in the run, or a `ChildProcessError` from a
-writer or the baseline worker. On Linux a run ended by a signal takes its
-workers with it.
+trajectory-write phases; the run then joins it and analyses both sets. Each
+chain set's files are written by the process that ran the set: the worker
+writes the baseline's, so stopping it stops every baseline write, and the run
+writes the sampler set's before the analysis. A CMDP run splits its SPSA pool
+chunks with `_shares` into contiguous shares, one per CPU the process may use
+but never more shares than chunks: the run computes the first share as its
+chains read it, and one forked worker per later share computes that share
+meanwhile. A pool chunk depends only on its chain's stream and its index, so
+every byte a run writes is the same whatever the CPU count. When `os.fork`
+fails, the run makes a worker's call itself when it needs the result, with
+the same bytes. The earliest failing phase wins, in the order forward,
+sampler, baseline, analysis: a forward or sampler failure kills the workers
+and removes what the baseline worker wrote. A pooled mean or variance that
+overflows is an analysis failure. A failed write ends the run with exit 1
+and `failure.json`: an `OSError` in the run, or a `ChildProcessError` from
+the baseline worker. On Linux a run ended by a signal takes its workers with
+it.
 
 Each entry of `timings_seconds` adds up the time its phase took in the
 process that ran it, so the phases overlap and their sum can exceed the
-wall time. The `write` entry counts the run's and the baseline worker's own
-writes and the run's waits for its writers; a writer's or a pool worker's
-own time is in no entry. `os.fork` makes a run with a baseline, with more than
-one chain on more than one CPU, or with more than one CMDP pool chunk
-POSIX-only.
+wall time. The `write` entry counts the writes of the run and of the
+baseline worker; a pool worker's own time is in no entry. `os.fork` makes a
+run with a baseline or with more than one CMDP pool chunk POSIX-only.
 
 Regime tracking is library-only: call `tracking.run_tracking`; a config has
 no tracking section.
@@ -597,8 +594,8 @@ def _remove_artifacts(outdir):
 def _baseline_chains(exp, outdir):
     """Run and write the baseline chain set: (pooled post-burn-in samples, phase timings).
 
-    The files are written in this process, never by a writer of its own, so
-    stopping the worker that runs this stops every baseline write.
+    The files are written in this process, so stopping the worker that runs
+    this stops every baseline write.
     """
     timings = {}
     with _timed(timings, "baseline"):
@@ -609,7 +606,7 @@ def _baseline_chains(exp, outdir):
         source = _chain_source(exp, ORACLE, None, oracle_rngs)
         bases = run_chains(CLASSICAL, source, cfgs, exp.baseline_steps, rngs)
     with _timed(timings, "write"):
-        _write_chains(list(zip(_chain_stems("baseline", len(bases)), bases, cfgs)), outdir)
+        _save_chains(bases, cfgs, outdir, "baseline")
     return np.vstack([base.post for base in bases]), timings
 
 
@@ -779,24 +776,13 @@ def _spsa_pools(exp, rngs):
 
 
 def _chain_stems(name, chains):
-    """The file stem of each chain: `name` for one chain, `name_c<c>` for chain c of several."""
-    return [name] if chains == 1 else [f"{name}_c{chain}" for chain in range(chains)]
+    """The file stem of each chain, made as they are read: `name` for one chain, `name_c<c>` for chain c of several."""
+    return (name,) if chains == 1 else (f"{name}_c{chain}" for chain in range(chains))
 
 
 def _save_chains(trajs, cfgs, outdir, name):
-    """Write a chain set's files: the caller its chains' first share of `_shares`, a worker each later share."""
-    own, workers = _shares(_write_chains, list(zip(_chain_stems(name, len(trajs)), trajs, cfgs)), outdir)
-    try:
-        _write_chains(own, outdir)
-        for worker in workers:
-            worker.join()
-    finally:
-        for worker in workers:
-            worker.stop()
-
-
-def _write_chains(chains, outdir):
-    for stem, traj, cfg in chains:
+    """Write the files of a chain set, in this process."""
+    for stem, traj, cfg in zip(_chain_stems(name, len(trajs)), trajs, cfgs):
         save_trajectory(traj, cfg, outdir, stem=stem)
 
 
@@ -882,12 +868,15 @@ def compare_runs(dir_a, dir_b):
         tv.append(
             variational_distance(build_density(a[:, axis], grid), build_density(b[:, axis], grid))
         )
+    # np.median's arithmetic, the mean of the middle one or two values, without its import of numpy.ma.
+    ordered = np.sort(w1)
+    middle = ordered[(len(ordered) - 1) // 2:len(ordered) // 2 + 1]
     return {
         "marginals": a.shape[1],
         "samples_a": int(a.shape[0]),
         "samples_b": int(b.shape[0]),
         "w1": w1,
-        "w1_median": float(np.median(w1)),
+        "w1_median": float(np.mean(middle)),
         "w1_mean": float(np.mean(w1)),
         "w1_max": float(np.max(w1)),
         "variational_distance": tv,

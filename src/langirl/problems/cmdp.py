@@ -177,14 +177,6 @@ def _cdf_columns(stack: np.ndarray) -> np.ndarray:
     return cdf.transpose(2, 0, 1).reshape(n - 1, lead * rows)
 
 
-def _categorical(r: np.ndarray, cdf_columns: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Category of each uniform in `r`: the number of its CDF columns below it."""
-    k = np.zeros(len(r), dtype=np.intp)
-    for column in cdf_columns:
-        k += r > column[index]
-    return k
-
-
 def simulate_batch(model: CmdpModel, policies: np.ndarray, horizon: int, rng: RngStream):
     """Run one sample path per policy; returns average (rewards, costs).
 
@@ -192,12 +184,13 @@ def simulate_batch(model: CmdpModel, policies: np.ndarray, horizon: int, rng: Rn
     paths start at the model's start state and share the step loop, so the
     cost is one vectorized sweep.
 
-    Draws: every step takes one ``rng.random(batch)`` for the actions, then
-    one for the next states, so a call consumes 2 * horizon * batch
-    uniforms (``uniform(size=batch)`` would give the same doubles, as
-    ``0 + 1 * d``, and leave the stream at the same place). A path takes the
-    first category whose CDF value is not below its uniform, or the last
-    category if none is.
+    Draws: every step takes one ``rng.random((2, batch))``, its row 0 for the
+    actions and its row 1 for the next states, so a call consumes 2 * horizon
+    * batch uniforms in the order of one ``rng.random(batch)`` for the actions
+    and then one for the next states (``uniform(size=batch)`` would give the
+    same doubles, as ``0 + 1 * d``, and leave the stream at the same place).
+    A path takes the first category whose CDF value is not below its uniform,
+    or the last category if none is.
 
     The CDFs of the policies and of the transition stack are summed once,
     before the loop. A cumulative sum is the same whichever rows are later
@@ -220,20 +213,27 @@ def simulate_batch(model: CmdpModel, policies: np.ndarray, horizon: int, rng: Rn
         raise ConfigError("horizon must be at least 1")
     m = len(policies)
     policy_cdf = _cdf_columns(policies)
-    transition_cdf = _cdf_columns(model.transitions)
-    rewards = model.rewards.ravel()
-    costs = model.constraint_cost.ravel()
+    # Next-state CDFs indexed, like the rewards and costs, by pair = state * actions + action.
+    transition_cdf = _cdf_columns(model.transitions.transpose(1, 0, 2))
+    # Reward and cost side by side: adding an entry makes the two additions of the real sums.
+    table = np.empty(num_states * num_actions, dtype=np.complex128)
+    table.real = model.rewards.ravel()
+    table.imag = model.constraint_cost.ravel()
     rows = np.arange(m) * num_states
     x = np.full(m, model.start_state, dtype=np.intp)
-    reward_sum = np.zeros(m)
-    cost_sum = np.zeros(m)
+    sums = np.zeros(m, dtype=np.complex128)
+    hit = np.empty(m, dtype=bool)
     for _ in range(horizon):
-        u = _categorical(rng.random(m), policy_cdf, rows + x)
-        pair = x * num_actions + u
-        reward_sum += rewards[pair]
-        cost_sum += costs[pair]
-        x = _categorical(rng.random(m), transition_cdf, u * num_states + x)
-    return reward_sum / horizon, cost_sum / horizon
+        r = rng.random((2, m))
+        # A category is the count of its CDF columns below the uniform.
+        pair = x * num_actions
+        for column in policy_cdf:
+            pair += np.greater(r[0], column[rows + x], out=hit)
+        sums += table[pair]
+        x = np.zeros(m, dtype=np.intp)
+        for column in transition_cdf:
+            x += np.greater(r[1], column[pair], out=hit)
+    return sums.real / horizon, sums.imag / horizon
 
 
 def penalized_value(model: CmdpModel, avg_reward, avg_cost):

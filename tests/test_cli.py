@@ -13,6 +13,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +242,8 @@ BAD_TRAJECTORIES = {
         f"chains {value}": (lambda run, value=value: set_chains(run, value), "metrics.json")
         for value in ("x", 2.5, None, 0, -1, True)
     },
+    # Compare stops at the first missing chain, before making the stems of the rest.
+    "chains 10**6": (lambda run: set_chains(run, 10**6), "trajectory_c2.json"),
 }
 
 
@@ -256,7 +259,12 @@ def test_compare_of_a_damaged_run_is_a_config_error(tmp_path, capsys, case):
     damage(bad)
     capsys.readouterr()
     out = tmp_path / "cmp"
-    assert main(["compare", str(good), str(bad), "--out", str(out)]) == 2
+    tracemalloc.start()
+    try:
+        assert main(["compare", str(good), str(bad), "--out", str(out)]) == 2
+        assert tracemalloc.get_traced_memory()[1] < 10 * 2**20
+    finally:
+        tracemalloc.stop()
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(bad / name) in err
     assert "Traceback" not in err
@@ -333,6 +341,9 @@ def test_chain_files_match_golden_digests(tmp_path):
 @pytest.mark.parametrize("rows", [1, 1024, 2053])
 def test_save_trajectory_writes_the_csv_module_bytes(tmp_path, rows):
     special = [1e-05, 1e16, -0.0, 5e-324, 0.1, 1 / 3, -2.5e-300, 1.7976931348623157e308, 123456789.0]
+    # Where repr switches to exponent form, and the floats next to those bounds.
+    bounds = [np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e16, 0), 1e16]
+    special += bounds + [-value for value in bounds]
     samples = np.random.default_rng(0).standard_normal((rows, 3)) * 10.0 ** np.arange(-8, 10, 6)
     samples.flat[: len(special)] = special[: samples.size]
     traj = Trajectory(samples=samples, burn_in=0, variant=CLASSICAL, fingerprint="0")
@@ -598,7 +609,7 @@ def test_batched_chains_match_one_chain_runs(tmp_path, case):
 @pytest.mark.parametrize("chains", [1, 3])
 def test_cmdp_pools_do_not_depend_on_the_cpu_count(tmp_path, cpus, forks, deadline, chains):
     # 401 steps are three pool chunks: no worker on one CPU, one on two, two on three.
-    # Three chains' files are written the same way; one chain's files by the run alone.
+    # The run writes every chain's files itself.
     files = {}
     for count in (1, 2, 3):
         cpus(count)
@@ -607,8 +618,7 @@ def test_cmdp_pools_do_not_depend_on_the_cpu_count(tmp_path, cpus, forks, deadli
         files[count] = {p.name: p.read_bytes() for p in out.iterdir() if p.name.startswith("trajectory")}
     assert len(files[1]) == 2 * chains
     assert files[1] == files[2] == files[3]
-    writers = 0 + 1 + 2 if chains == 3 else 0
-    assert_reaped(forks, count=0 + 1 + 2 + writers)
+    assert_reaped(forks, count=0 + 1 + 2)
 
 
 @pytest.mark.parametrize("make_config", [with_noisy_baseline, cmdp_config], ids=["baseline", "cmdp"])
@@ -618,9 +628,8 @@ def test_a_failed_fork_runs_the_call_in_the_run(tmp_path, monkeypatch, cpus, for
     cpus(2)
     forked, unforked = tmp_path / "forked", tmp_path / "unforked"
     assert main(["run", write_config(tmp_path, make_config(forked)), "--chains", "2"]) == 0
-    # The baseline or pool worker and the writer of the second sampler chain's files;
-    # the baseline worker's own writer is its child, not the run's.
-    assert_reaped(forks, count=2)
+    # The baseline or pool worker; the run writes both sampler chains' files itself.
+    assert_reaped(forks, count=1)
     monkeypatch.setattr(os, "fork", failing_fork)
     fds = open_fds()
     assert main(["run", write_config(tmp_path, make_config(unforked)), "--chains", "2"]) == 0
@@ -685,17 +694,16 @@ def mixture_with_baseline_chains(output):
 
 @pytest.mark.parametrize("failure", ["none", "fork"])
 def test_chain_files_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, cpus, forks, deadline, failure):
-    # Three sampler chains and two baseline chains; on two CPUs the run writes
-    # one sampler chain's files and a writer the other two, while the baseline
-    # worker writes both baseline chains' files itself.
+    # Three sampler chains and two baseline chains: the run writes the sampler
+    # chains' files, and the baseline worker both baseline chains' files.
     files = {}
     for count in (2, 1):
         cpus(count)
         out = tmp_path / f"cpus{count}"
         assert main(["run", write_config(tmp_path, mixture_with_baseline_chains(out))]) == 0
         files[count] = chain_files(out)
-    # The baseline worker and the sampler set's writer on two CPUs, the baseline worker on one.
-    assert_reaped(forks, count=2 + 1)
+    # The baseline worker on two CPUs, and on one.
+    assert_reaped(forks, count=1 + 1)
     if failure == "fork":
         cpus(2)
         monkeypatch.setattr(os, "fork", failing_fork)
@@ -708,9 +716,10 @@ def test_chain_files_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, cpus,
     assert all(got == files[1] for got in files.values())
 
 
-@pytest.mark.parametrize("where", ["run", "writer"])
+@pytest.mark.parametrize("where", ["run", "baseline"])
 def test_a_failed_chain_writer_ends_the_run(tmp_path, monkeypatch, cpus, forks, deadline, capfd, where):
-    # Three chains on two CPUs: the run writes chain 0's files, a writer chains 1 and 2.
+    # Three chains on two CPUs: the run writes every sampler chain's files, and
+    # the baseline worker, forked before the sampler phase, the baseline's.
     cpus(2)
     out = tmp_path / "run"
     parent = os.getpid()
@@ -723,14 +732,15 @@ def test_a_failed_chain_writer_ends_the_run(tmp_path, monkeypatch, cpus, forks, 
 
     monkeypatch.setattr(langirl.cli, "save_trajectory", failing_save)
     config = quadratic_config(out)
-    del config["baseline"]
+    if where == "run":
+        del config["baseline"]
     assert main(["run", write_config(tmp_path, config), "--chains", "3"]) == 1
     failure = read_json(out / "failure.json")
-    error = "OSError" if where == "run" else "ChildProcessError"
-    assert (failure["phase"], failure["error"]) == ("sampler", error)
+    want = ("sampler", "OSError") if where == "run" else ("baseline", "ChildProcessError")
+    assert (failure["phase"], failure["error"]) == want
     assert "No space left" in capfd.readouterr().err
     assert not (out / "metrics.json").exists()
-    assert_reaped(forks)
+    assert_reaped(forks, count=0 if where == "run" else 1)
 
 
 def test_the_baseline_worker_writes_its_files_itself(tmp_path, cpus, forks):

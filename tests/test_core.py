@@ -1,15 +1,23 @@
-"""Seeded RNG streams, parameter coercion, and the shared error types."""
+"""Seeded RNG streams, parameter coercion, the shared error types and the artifact writers."""
+
+import csv
+import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from langirl.core import (
     ConfigError,
     NonFiniteError,
     RngStream,
     as_param,
+    write_indexed_csv,
     write_json,
 )
+from strategies import EDGE_FLOATS
 
 
 class TestRngStream:
@@ -99,3 +107,22 @@ def test_error_types_are_catchable_as_builtins():
 def test_write_json_refuses_non_standard_tokens(tmp_path, value):
     with pytest.raises(ValueError):
         write_json(tmp_path / "out.json", {"mean": [0.0, value]})
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 2100), st.integers(1, 4)),
+    pool=st.lists(st.one_of(EDGE_FLOATS, st.sampled_from([math.nan, math.inf, -math.inf])), min_size=1, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_write_indexed_csv_writes_the_csv_module_bytes(tmp_path_factory, shape, pool, seed):
+    # Up to 2100 rows cross the writer's 1024-row blocks; each value is drawn from `pool`.
+    values = np.array(pool)[np.random.default_rng(seed).integers(len(pool), size=shape)]
+    header = ["step"] + [f"est_{i + 1}" for i in range(shape[1])]
+    path = tmp_path_factory.mktemp("csv") / "values.csv"
+    write_indexed_csv(path, header, values)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(header)
+    writer.writerows([i, *row] for i, row in enumerate(values.tolist()))
+    assert path.read_bytes() == want.getvalue().encode()

@@ -25,7 +25,11 @@ before the forward phase, while the run goes on with the forward, sampler and
 trajectory-write phases; the run then joins it and analyses both sets. Each
 chain set's files are written by the process that ran the set: the worker
 writes the baseline's, so stopping it stops every baseline write, and the run
-writes the sampler set's before the analysis. A CMDP run splits its SPSA pool
+writes the sampler set's before the analysis. The worker sends back the
+baseline's density on `analysis.grid` (none without a grid), not its samples.
+A run keeps each phase's data only while a later phase reads it: the forward
+corpus until the sampler chains have read it, and their trajectories until
+they are written and pooled, before the join. A CMDP run splits its SPSA pool
 chunks with `_shares` into contiguous shares, one per CPU the process may use
 but never more shares than chunks: the run computes the first share as its
 chains read it, and one forked worker per later share computes that share
@@ -42,9 +46,9 @@ it.
 
 Each entry of `timings_seconds` adds up the time its phase took in the
 process that ran it, so the phases overlap and their sum can exceed the
-wall time. The `write` entry counts the writes of the run and of the
-baseline worker; a pool worker's own time is in no entry. `os.fork` makes a
-run with a baseline or with more than one CMDP pool chunk POSIX-only.
+wall time. The `write` and `analysis` entries count the work of the run and
+of the baseline worker; a pool worker's own time is in no entry. `os.fork`
+makes a run with a baseline or with more than one CMDP pool chunk POSIX-only.
 
 Regime tracking is library-only: call `tracking.run_tracking`; a config has
 no tracking section.
@@ -198,15 +202,27 @@ def load_config(path):
     return doc
 
 
-def resolve_config(doc, scale="desk", seed=None, out=None, chains=None):
-    """Apply the scale overlay and CLI overrides, returning the final config."""
+def resolve_config(doc, scale=None, seed=None, out=None, chains=None):
+    """Apply the scale overlay (desk unless `scale` names another) and CLI overrides, returning the final config.
+
+    A resolved config, a manifest's (a `scale` and no `scales`), keeps the scale it records.
+    """
     if doc.get("schema") != SCHEMA_VERSION:
         raise ConfigError(f"schema: expected {SCHEMA_VERSION}, got {doc.get('schema')!r}")
     scales = doc.get("scales", {})
     if not isinstance(scales, dict):
         raise ConfigError("scales: must be an object keyed by scale name")
+    for name, overlay in scales.items():
+        if not isinstance(overlay, (dict, type(None))):
+            raise ConfigError(f"scales.{name}: must be an object")
+    recorded = None if "scales" in doc else doc.get("scale")
+    if not isinstance(recorded, (str, type(None))):
+        raise ConfigError(f"scale: expected a scale name, got {recorded!r}")
+    if recorded is not None and scale not in (None, recorded):
+        raise ConfigError(f"scale: this config was resolved at scale {recorded!r}, not {scale!r}")
+    scale = recorded or scale or "desk"
     overlay = scales.get(scale)
-    if overlay is None and scale != "desk":
+    if overlay is None and scale not in ("desk", recorded):
         raise ConfigError(f"scales.{scale}: not defined in this config")
     merged = _merge({k: v for k, v in doc.items() if k != "scales"}, overlay or {})
     merged["scale"] = scale
@@ -264,9 +280,7 @@ class _Experiment:
             )
         needs_corpus = self.source_kind == STREAM or (self.source_kind == POOL and self.kind != "cmdp")
         if needs_corpus and forward is None:
-            raise ConfigError(
-                f"forward: required by sampler.variant {self.variant!r} for problem.kind {self.kind!r}"
-            )
+            raise ConfigError(f"forward: required by sampler.variant {self.variant!r} for problem.kind {self.kind!r}")
         self._build_forward(forward)
         self._build_sampler(sampler)
         self._build_baseline(baseline)
@@ -292,9 +306,7 @@ class _Experiment:
         )
         if self.compare_marginals and baseline is None:
             raise ConfigError("analysis.compare_marginals: requires a baseline section")
-        self.constraint_tolerance = _number(
-            analysis, "constraint_tolerance", "analysis", required=False, default=0.15
-        )
+        self.constraint_tolerance = _number(analysis, "constraint_tolerance", "analysis", required=False, default=0.15)
         if not self.constraint_tolerance > 0:
             raise ConfigError(f"analysis.constraint_tolerance: must be positive, got {self.constraint_tolerance}")
         for path in _unread(config, "config"):
@@ -386,9 +398,7 @@ class _Experiment:
         mean = _vector(init, "mean", "forward.init", required=False, default=[0.0] * self.dim)
         variances = _vector(init, "variances", "forward.init", required=False, default=[1.0] * self.dim)
         if mean.size != self.dim or variances.size != self.dim:
-            raise ConfigError(
-                f"forward.init: dimension does not match problem dimension {self.dim}"
-            )
+            raise ConfigError(f"forward.init: dimension does not match problem dimension {self.dim}")
         self.density = InitDensity(mean, variances)
 
     def _start(self, section, path, density, default=None):
@@ -502,16 +512,9 @@ def run_experiment(config):
     # The files of an earlier run into this directory would describe it, not this run.
     _remove_artifacts(outdir)
     timings = {}
+    manifest = {"config": config, "seed": exp.seed, "rng_algorithm": RNG_ALGORITHM, "version": __version__}
     with _timed(timings, "write"):
-        _write_json(
-            os.path.join(outdir, "manifest.json"),
-            {
-                "config": config,
-                "seed": exp.seed,
-                "rng_algorithm": RNG_ALGORITHM,
-                "version": __version__,
-            },
-        )
+        _write_json(os.path.join(outdir, "manifest.json"), manifest)
 
     metrics = {"experiment": exp.name, "variant": exp.variant, "chains": exp.chains}
     phase = "setup"
@@ -541,22 +544,24 @@ def run_experiment(config):
             oracle_rngs = [exp.root.child(_RNG_CHAIN_ORACLE + chain) for chain in range(exp.chains)]
             source = _chain_source(exp, exp.source_kind, corpus, oracle_rngs)
             trajs = run_chains(exp.variant, source, cfgs, exp.num_steps, rngs, burn_in=exp.burn_in)
+        del corpus, source  # only the chains read them: free them before the writes
         with _timed(timings, "write"):
             _save_chains(trajs, cfgs, outdir, "trajectory")
         pooled = np.vstack([traj.post for traj in trajs])
         metrics["post_samples"] = int(pooled.shape[0])
         metrics["underflow_resets"] = sum(traj.underflow_resets for traj in trajs)
+        del trajs  # written and pooled: free them before the join
 
-        base_post = None
+        base_density = None
         if baseline is not None:
             phase = "baseline"
-            base_post, worker_timings = baseline.join()
+            base_density, worker_timings = baseline.join()
             for name, sec in worker_timings.items():
                 timings[name] = timings.get(name, 0.0) + sec
 
         phase = "analysis"
         with _timed(timings, "analysis"):
-            densities = _analyze(exp, pooled, base_post, metrics)
+            densities = _analyze(exp, pooled, base_density, metrics)
         with _timed(timings, "write"):
             for name, dens in densities.items():
                 density_to_csv(dens, os.path.join(outdir, name))
@@ -592,12 +597,14 @@ def _remove_artifacts(outdir):
 
 
 def _baseline_chains(exp, outdir):
-    """Run and write the baseline chain set: (pooled post-burn-in samples, phase timings).
+    """Run and write the baseline chain set: (its density on `exp.grid`, or None without a grid; phase timings).
 
     The files are written in this process, so stopping the worker that runs
-    this stops every baseline write.
+    this stops every baseline write. The density of the pooled post-burn-in
+    samples, all the analysis reads of the set, is built after the writes and
+    timed under `analysis`; the samples themselves are not sent back.
     """
-    timings = {}
+    timings, density = {}, None
     with _timed(timings, "baseline"):
         chains = range(exp.baseline_chains)
         rngs = [exp.root.child(_RNG_BASE_NOISE).child(chain) for chain in chains]
@@ -607,7 +614,10 @@ def _baseline_chains(exp, outdir):
         bases = run_chains(CLASSICAL, source, cfgs, exp.baseline_steps, rngs)
     with _timed(timings, "write"):
         _save_chains(bases, cfgs, outdir, "baseline")
-    return np.vstack([base.post for base in bases]), timings
+    if exp.grid is not None:
+        with _timed(timings, "analysis"):
+            density = build_density(np.vstack([base.post for base in bases]), exp.grid)
+    return density, timings
 
 
 class _Worker:
@@ -786,8 +796,12 @@ def _save_chains(trajs, cfgs, outdir, name):
         save_trajectory(traj, cfg, outdir, stem=stem)
 
 
-def _analyze(exp, pooled, base_post, metrics):
-    """Fill `metrics` from the pooled samples; return the densities to write by file name."""
+def _analyze(exp, pooled, base_density, metrics):
+    """Fill `metrics` from the pooled samples; return the densities to write by file name.
+
+    `base_density` is the baseline's density from `_baseline_chains`, None
+    without a baseline or a grid; no baseline sample reaches the analysis.
+    """
     densities = {}
     variance, mean = pooled.var(axis=0), pooled.mean(axis=0)
     if not (np.isfinite(variance).all() and np.isfinite(mean).all()):
@@ -805,9 +819,7 @@ def _analyze(exp, pooled, base_post, metrics):
                 f"chain {first // per_chain}: angles {pooled[first].tolist()} at sampler step "
                 f"{exp.num_steps + 1 - per_chain + first % per_chain} are off [{cmdp.ANGLE_LOW}, {cmdp.ANGLE_HIGH}]"
             )
-        policies = cmdp.spherical_to_policy(
-            pooled.reshape(-1, exp.model.num_states, exp.model.num_actions - 1)
-        )
+        policies = cmdp.spherical_to_policy(pooled.reshape(-1, exp.model.num_states, exp.model.num_actions - 1))
         _, _, avg_cost = cmdp.stationary_joint_batch(exp.model, policies)
         near = np.abs(avg_cost - exp.model.constraint_bound) < exp.constraint_tolerance
         metrics["constraint_tolerance"] = exp.constraint_tolerance
@@ -818,17 +830,14 @@ def _analyze(exp, pooled, base_post, metrics):
         densities["density.csv"] = dens
         metrics["out_of_range_fraction"] = dens.out_of_range_fraction
         if exp.find_modes:
-            modes = find_modes(dens)
             metrics["modes"] = [
-                {"center": [float(c) for c in center], "mass": float(mass)}
-                for _, center, mass in modes
+                {"center": [float(c) for c in center], "mass": float(mass)} for _, center, mass in find_modes(dens)
             ]
-        if base_post is not None:
-            bdens = build_density(base_post, exp.grid)
-            densities["baseline_density.csv"] = bdens
+        if base_density is not None:
+            densities["baseline_density.csv"] = base_density
             if exp.compare_marginals:
                 metrics["variational_distance"] = [
-                    variational_distance(marginal(dens, axis), marginal(bdens, axis))
+                    variational_distance(marginal(dens, axis), marginal(base_density, axis))
                     for axis in range(exp.dim)
                 ]
     return densities
@@ -850,14 +859,10 @@ def _pooled_posts(rundir):
 
 def compare_runs(dir_a, dir_b):
     """Per-marginal W1 and variational distance between two run directories."""
-    a = _pooled_posts(dir_a)
-    b = _pooled_posts(dir_b)
+    a, b = _pooled_posts(dir_a), _pooled_posts(dir_b)
     if a.shape[1] != b.shape[1]:
-        raise ConfigError(
-            f"dimension mismatch: {dir_a} has {a.shape[1]}, {dir_b} has {b.shape[1]}"
-        )
-    w1 = []
-    tv = []
+        raise ConfigError(f"dimension mismatch: {dir_a} has {a.shape[1]}, {dir_b} has {b.shape[1]}")
+    w1, tv = [], []
     for axis in range(a.shape[1]):
         w1.append(wasserstein1(a[:, axis], b[:, axis]))
         lo = float(min(a[:, axis].min(), b[:, axis].min()))
@@ -865,9 +870,7 @@ def compare_runs(dir_a, dir_b):
         if hi <= lo:
             hi = lo + 1.0
         grid = GridSpec(((lo, hi, 60),))
-        tv.append(
-            variational_distance(build_density(a[:, axis], grid), build_density(b[:, axis], grid))
-        )
+        tv.append(variational_distance(build_density(a[:, axis], grid), build_density(b[:, axis], grid)))
     # np.median's arithmetic, the mean of the middle one or two values, without its import of numpy.ma.
     ordered = np.sort(w1)
     middle = ordered[(len(ordered) - 1) // 2:len(ordered) // 2 + 1]
@@ -884,11 +887,8 @@ def compare_runs(dir_a, dir_b):
 
 
 def _write_compare_csv(report, path):
-    write_csv(
-        path,
-        ["marginal", "w1", "variational_distance"],
-        ([i, w, t] for i, (w, t) in enumerate(zip(report["w1"], report["variational_distance"]))),
-    )
+    rows = ([i, w, t] for i, (w, t) in enumerate(zip(report["w1"], report["variational_distance"])))
+    write_csv(path, ["marginal", "w1", "variational_distance"], rows)
 
 
 def main(argv=None):
@@ -899,7 +899,7 @@ def main(argv=None):
     runp.add_argument("config", help="path to a config or manifest JSON file")
     runp.add_argument("--seed", type=int, default=None, help="override the config seed")
     runp.add_argument("--out", default=None, help="override the output directory")
-    runp.add_argument("--scale", choices=("desk", "paper"), default="desk")
+    runp.add_argument("--scale", choices=("desk", "paper"), default=None, help="scale overlay (default desk)")
     runp.add_argument("--chains", type=int, default=None, help="independent chains to pool")
 
     cmpp = sub.add_parser("compare", help="compare two finished run directories")
@@ -911,9 +911,7 @@ def main(argv=None):
     try:
         if args.command == "run":
             doc = load_config(args.config)
-            config = resolve_config(
-                doc, scale=args.scale, seed=args.seed, out=args.out, chains=args.chains
-            )
+            config = resolve_config(doc, scale=args.scale, seed=args.seed, out=args.out, chains=args.chains)
             code, outdir = run_experiment(config)
             if code == 0:
                 print(f"run complete: {outdir}")

@@ -14,12 +14,14 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import langirl.cli
+from langirl.analysis import build_density
 from langirl.cli import _Experiment, load_config, main, resolve_config
 from langirl.core import NonFiniteError, RngStream
 from langirl.forward import AgentPoolConfig, InitDensity, run_agent_pool
@@ -113,19 +115,43 @@ def bundled_logistic_config(output):
     return config
 
 
-def assert_manifest_rerun_is_byte_identical(tmp_path, make_config):
+def assert_manifest_rerun_is_byte_identical(tmp_path, make_config, *flags):
+    # `flags` go to the first run only: the rerun takes everything from the manifest.
     first = tmp_path / "first"
     second = tmp_path / "second"
-    assert main(["run", write_config(tmp_path, make_config(first)), "--chains", "2"]) == 0
+    assert main(["run", write_config(tmp_path, make_config(first)), "--chains", "2", *flags]) == 0
     assert main(["run", str(first / "manifest.json"), "--out", str(second)]) == 0
     names = sorted(p.name for p in first.glob("trajectory*.csv"))
     assert names == ["trajectory_c0.csv", "trajectory_c1.csv"]
     for name in names:
         assert filecmp.cmp(first / name, second / name, shallow=False), name
+    want, got = (read_json(run / "manifest.json")["config"] for run in (first, second))
+    assert (want.pop("output"), got.pop("output")) == (str(first), str(second))
+    assert got == want
+    return want
 
 
 def test_manifest_rerun_is_byte_identical(tmp_path):
     assert_manifest_rerun_is_byte_identical(tmp_path, quadratic_config)
+
+
+def paper_scale_config(output):
+    config = quadratic_config(output)
+    # A null overlay is no overlay.
+    config["scales"] = {"paper": {"sampler": {"num_steps": 150}, "baseline": {"num_steps": 100}}, "desk": None}
+    return config
+
+
+def test_a_paper_scale_run_reruns_at_paper_scale(tmp_path, capsys):
+    resolved = assert_manifest_rerun_is_byte_identical(tmp_path, paper_scale_config, "--scale", "paper")
+    assert resolved["scale"] == "paper"
+    assert load_trajectory(tmp_path / "second", stem="trajectory_c0")[1]["num_steps"] == 150
+    manifest = str(tmp_path / "first" / "manifest.json")
+    assert main(["run", manifest, "--out", str(tmp_path / "again"), "--scale", "paper"]) == 0
+    # A manifest's config is resolved: another scale cannot be laid over it.
+    assert main(["run", manifest, "--out", str(tmp_path / "desk"), "--scale", "desk"]) == 2
+    assert "scale: this config was resolved at scale 'paper', not 'desk'" in capsys.readouterr().err
+    assert not (tmp_path / "desk").exists()
 
 
 def test_a_bundled_logistic_run_reruns_byte_identical(tmp_path):
@@ -748,11 +774,66 @@ def test_the_baseline_worker_writes_its_files_itself(tmp_path, cpus, forks):
     # worker forks no writer of its own, even for several chains on several CPUs.
     cpus(2)
     exp = _Experiment(resolve_config(mixture_with_baseline_chains(tmp_path / "run")))
-    langirl.cli._baseline_chains(exp, str(tmp_path))
+    density, timings = langirl.cli._baseline_chains(exp, str(tmp_path))
     assert forks == []
     assert sorted(p.name for p in tmp_path.glob("baseline_c*")) == [
         f"baseline_c{chain}.{ext}" for chain in range(2) for ext in ("csv", "json")
     ]
+    # It sends back the density of the samples it wrote, bit for bit, not the samples.
+    posts = [load_trajectory(tmp_path, stem=f"baseline_c{chain}")[0].post for chain in range(2)]
+    assert density.mass.tobytes() == build_density(np.vstack(posts), exp.grid).mass.tobytes()
+    assert timings.keys() == {"baseline", "write", "analysis"}
+
+
+def test_a_baseline_without_a_grid_returns_no_density(tmp_path):
+    exp = _Experiment(resolve_config(quadratic_config(tmp_path / "run")))
+    density, timings = langirl.cli._baseline_chains(exp, str(tmp_path))
+    assert density is None
+    assert timings.keys() == {"baseline", "write"}
+    assert (tmp_path / "baseline.csv").is_file()
+
+
+def test_a_run_drops_each_phase_data_once_it_is_read(tmp_path, monkeypatch, forks, deadline):
+    # The forward corpus must be gone before the trajectory writes, and the
+    # sampler chains' samples, once pooled, before the analysis: the run's
+    # peak memory would hold them otherwise.
+    config = load_config(BENCH_CONFIGS / "quad_chains.json")
+    config["output"] = str(tmp_path / "run")
+    config["forward"]["num_agents"] = 2000
+    config["baseline"]["num_steps"] = 2000
+    alive, held = {}, {}
+    chain_source, chains = langirl.cli._chain_source, langirl.cli.run_chains
+    save_chains, analyze = langirl.cli._save_chains, langirl.cli._analyze
+
+    def keep_corpus(exp, kind, corpus, rngs):
+        if corpus is not None:
+            alive["corpus"], alive["corpus rows"] = weakref.ref(corpus), weakref.ref(corpus.points)
+        return chain_source(exp, kind, corpus, rngs)
+
+    def keep_samples(*args, **kwargs):
+        trajs = chains(*args, **kwargs)
+        alive["samples"] = weakref.ref(trajs[0].samples.base)
+        return trajs
+
+    def holding(phase, names):
+        held[phase] = [name for name in names if alive[name]() is not None]
+
+    def saving(trajs, cfgs, outdir, name):
+        if name == "trajectory":  # the baseline worker's own writes run in its process
+            holding("write", ["corpus", "corpus rows"])
+        return save_chains(trajs, cfgs, outdir, name)
+
+    def analyzing(*args):
+        holding("analysis", ["corpus", "corpus rows", "samples"])
+        return analyze(*args)
+
+    monkeypatch.setattr(langirl.cli, "_chain_source", keep_corpus)
+    monkeypatch.setattr(langirl.cli, "run_chains", keep_samples)
+    monkeypatch.setattr(langirl.cli, "_save_chains", saving)
+    monkeypatch.setattr(langirl.cli, "_analyze", analyzing)
+    assert main(["run", write_config(tmp_path, config)]) == 0
+    assert held == {"write": [], "analysis": []}
+    assert_reaped(forks)
 
 
 def test_a_runaway_cmdp_chain_is_a_failure(tmp_path, capsys):
@@ -859,6 +940,17 @@ def test_paper_scale_merges_its_overlay(tmp_path):
     assert resolved["baseline"] == {"step": 0.1, "num_steps": 20}
     assert load_trajectory(out)[1]["num_steps"] == 50
     assert load_trajectory(out, stem="baseline")[1]["num_steps"] == 20
+
+
+@pytest.mark.parametrize("flags", [[], ["--scale", "paper"]], ids=["desk", "paper"])
+def test_a_scale_overlay_not_an_object_is_a_config_error(tmp_path, capsys, flags):
+    # Every overlay is checked, whether the run selects it or not.
+    out = tmp_path / "run"
+    config = quadratic_config(out)
+    config["scales"] = {"paper": [1]}
+    assert main(["run", write_config(tmp_path, config), *flags]) == 2
+    assert "scales.paper: must be an object" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_undefined_scale_is_a_config_error(tmp_path, capsys):
@@ -1022,6 +1114,10 @@ TWO_STATE_MODEL = {"states": 2, "actions": 2, "P": [[[0.8, 0.2], [0.3, 0.7]], [[
                      "problem.data: cannot read", id="logistic-data-not-utf8"),
         pytest.param(quadratic_config, "schema", 2, "schema: expected 1, got 2", id="schema-mismatch"),
         pytest.param(quadratic_config, "scales", [], "scales: must be an object", id="scales-not-an-object"),
+        pytest.param(quadratic_config, "scales.desk", 5, "scales.desk: must be an object",
+                     id="scales-entry-not-an-object"),
+        # Without `scales` a config is a resolved one, whose `scale` names the overlay it took.
+        pytest.param(quadratic_config, "scale", 5, "scale: expected a scale name, got 5", id="scale-not-a-name"),
         pytest.param(quadratic_config, "chains", 0, "chains: must be at least 1", id="chains-0"),
         pytest.param(quadratic_config, "forward", MISSING, "forward: required by sampler.variant",
                      id="forward-missing"),

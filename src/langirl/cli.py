@@ -134,56 +134,78 @@ def _merge(base, overlay):
     return overlay
 
 
-class _Fields(dict):
-    """A config object, its nested objects wrapped too, that records the fields `_expect` read."""
+class _Section(dict):
+    """A config object at dotted `path`, its nested objects wrapped too, that records the fields the readers read.
 
-    def __init__(self, fields):
-        super().__init__({key: _Fields(val) if isinstance(val, dict) else val for key, val in fields.items()})
-        self.read = set()
+    The top level's path is `config`; the paths of its sections leave it out (`problem`, `sampler.kernel`).
+    """
+
+    def __init__(self, fields, path):
+        super().__init__(fields)
+        self.path, self.read = path, set()
+        for key, val in self.items():
+            if isinstance(val, dict):
+                self[key] = _Section(val, key if path == "config" else f"{path}.{key}")
+
+    def unread(self):
+        """`<path>.<field>` of each field that was never read, in nested objects too."""
+        for field, value in self.items():
+            if field not in self.read:
+                yield f"{self.path}.{field}"
+            elif isinstance(value, _Section):
+                yield from value.unread()
 
 
-def _unread(section, path):
-    """`<path>.<field>` of each field of `section` that was never read, in nested objects too."""
-    for field, value in section.items():
-        if field not in section.read:
-            yield f"{path}.{field}"
-        elif isinstance(value, _Fields):
-            yield from _unread(value, f"{path}.{field}".removeprefix("config."))
-
-
-def _expect(section, field, kinds, path, required=True, default=None):
+def _expect(section, field, kinds, required=True, default=None, least=None):
+    """Field `field` of `section`, one of `kinds` and at least `least` when given; `default` when it is absent."""
     if field not in section:
         if required:
-            raise ConfigError(f"{path}.{field}: missing required field")
+            raise ConfigError(f"{section.path}.{field}: missing required field")
         return default
     section.read.add(field)
     value = section[field]
     # JSON true and false load as bools, which Python also counts as ints.
     if isinstance(value, bool) and kinds is not bool or not isinstance(value, kinds):
-        raise ConfigError(f"{path}.{field}: expected {kinds}, got {type(value).__name__}")
+        raise ConfigError(f"{section.path}.{field}: expected {kinds}, got {type(value).__name__}")
+    if least is not None and value < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise ConfigError(f"{section.path}.{field}: must be {bound}, got {value}")
     return value
 
 
-def _number(section, field, path, required=True, default=None):
-    """A number field as a float, or `default` when it is absent."""
-    value = _expect(section, field, (int, float), path, required, default)
-    return None if value is None else float(value)
+def _number(section, field, required=True, default=None, least=None, positive=False):
+    """A number field as a float, or `default` when it is absent; `positive` rejects one that is not above 0."""
+    value = _expect(section, field, (int, float), required, default, least)
+    if value is None:
+        return None
+    if positive and not value > 0:
+        raise ConfigError(f"{section.path}.{field}: must be positive, got {float(value)}")
+    return float(value)
 
 
-def _vector(section, field, path, required=True, default=None):
+def _vector(section, field, required=True, default=None):
     """A list of finite numbers (or a list of such lists) as a float64 array, or `default` when absent.
 
     Every entry's type is checked: `np.asarray(x, dtype=float)` would also
     take strings such as "1" and JSON true. JSON NaN and Infinity are
     rejected here too, not later as a runtime failure.
     """
-    value = _expect(section, field, list, path, required, default)
+    value = _expect(section, field, list, required, default)
     if value is None:
         return None
     entries = np.asarray(value, dtype=object).flat
     if not all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) for x in entries):
-        raise ConfigError(f"{path}.{field}: expected a list of finite numbers, got {value!r}")
+        raise ConfigError(f"{section.path}.{field}: expected a list of finite numbers, got {value!r}")
     return np.asarray(value, dtype=np.float64)
+
+
+@contextlib.contextmanager
+def _prefixed(path):
+    """Name the config section `path` in a ConfigError raised inside the block."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def load_config(path):
@@ -246,33 +268,29 @@ class _Experiment:
     """
 
     def __init__(self, config):
-        config = _Fields(config)
+        config = _Section(config, "config")
         config.read.update(("schema", "scale"))  # read by resolve_config
-        self.name = _expect(config, "experiment", str, "config")
-        self.seed = _expect(config, "seed", int, "config")
-        if self.seed < 0:
-            raise ConfigError(f"config.seed: must be non-negative, got {self.seed}")
-        self.output = _expect(config, "output", str, "config")
-        self.chains = _expect(config, "chains", int, "config", required=False, default=1)
-        if self.chains < 1:
-            raise ConfigError("chains: must be at least 1")
+        self.name = _expect(config, "experiment", str)
+        self.seed = _expect(config, "seed", int, least=0)
+        self.output = _expect(config, "output", str)
+        self.chains = _expect(config, "chains", int, required=False, default=1, least=1)
         self.root = RngStream(self.seed)
         # The forked workers that compute pools for this run; the run stops them.
         self.workers = []
 
-        problem = _expect(config, "problem", dict, "config")
-        self.kind = _expect(problem, "kind", str, "problem")
+        problem = _expect(config, "problem", dict)
+        self.kind = _expect(problem, "kind", str)
         self._build_problem(problem)
 
-        sampler = _expect(config, "sampler", dict, "config")
-        self.variant = _expect(sampler, "variant", str, "sampler")
+        sampler = _expect(config, "sampler", dict)
+        self.variant = _expect(sampler, "variant", str)
         if self.variant not in VARIANTS:
             raise ConfigError(f"sampler.variant: unknown variant {self.variant!r}")
         # Stream and pool variants read the forward corpus; CMDP pools come
         # from SPSA instead.
         self.source_kind = VARIANTS[self.variant].source
-        forward = _expect(config, "forward", dict, "config", required=False)
-        baseline = _expect(config, "baseline", dict, "config", required=False)
+        forward = _expect(config, "forward", dict, required=False)
+        baseline = _expect(config, "baseline", dict, required=False)
         if self.oracle is None and (self.source_kind != POOL or forward is not None or baseline is not None):
             raise ConfigError(
                 f"problem.kind {self.kind!r} has no gradient oracle: it runs only the multikernel "
@@ -285,93 +303,83 @@ class _Experiment:
         self._build_sampler(sampler)
         self._build_baseline(baseline)
 
-        analysis = _expect(config, "analysis", dict, "config", required=False, default={})
-        grid = _vector(analysis, "grid", "analysis", required=False)
+        analysis = _expect(config, "analysis", dict, required=False, default={})
+        grid = _vector(analysis, "grid", required=False)
         self.grid = None
         if grid is not None:
-            if grid.ndim != 2 or grid.shape[1] != 3:
-                raise ConfigError(f"analysis.grid: expected one [low, high, bins] per axis, got {grid.tolist()!r}")
-            try:
+            with _prefixed("analysis.grid"):
+                if grid.ndim != 2 or grid.shape[1] != 3:
+                    raise ConfigError(f"expected one [low, high, bins] per axis, got {grid.tolist()!r}")
                 self.grid = GridSpec(tuple(map(tuple, grid.tolist())))
-            except ConfigError as exc:
-                raise ConfigError(f"analysis.grid: {exc}") from None
-            if self.grid.dim != self.dim:
-                raise ConfigError(
-                    f"analysis.grid: {self.grid.dim} axes do not match problem dimension "
-                    f"{self.dim} (problem.kind {self.kind!r})"
-                )
+                if self.grid.dim != self.dim:
+                    raise ConfigError(
+                        f"{self.grid.dim} axes do not match problem dimension {self.dim} (problem.kind {self.kind!r})"
+                    )
         self.find_modes, self.compare_marginals = (
-            _expect(analysis, field, bool, "analysis", required=False, default=False)
+            _expect(analysis, field, bool, required=False, default=False)
             for field in ("find_modes", "compare_marginals")
         )
         if self.compare_marginals and baseline is None:
             raise ConfigError("analysis.compare_marginals: requires a baseline section")
-        self.constraint_tolerance = _number(analysis, "constraint_tolerance", "analysis", required=False, default=0.15)
-        if not self.constraint_tolerance > 0:
-            raise ConfigError(f"analysis.constraint_tolerance: must be positive, got {self.constraint_tolerance}")
-        for path in _unread(config, "config"):
+        self.constraint_tolerance = _number(
+            analysis, "constraint_tolerance", required=False, default=0.15, positive=True
+        )
+        for path in config.unread():
             raise ConfigError(f"{path}: unknown field")
 
     # -- problem ---------------------------------------------------------
 
     def _build_problem(self, problem):
         if self.kind == "quadratic":
-            self.dim = _expect(problem, "dim", int, "problem", required=False, default=1)
-            curvature = self.curvature = _number(problem, "curvature", "problem", required=False, default=1.0)
-            center = _number(problem, "center", "problem", required=False, default=0.0)
-            noise = _number(problem, "noise_std", "problem", required=False, default=0.0)
+            self.dim = _expect(problem, "dim", int, required=False, default=1, least=1)
+            curvature = self.curvature = _number(problem, "curvature", required=False, default=1.0, positive=True)
+            center = _number(problem, "center", required=False, default=0.0)
+            noise = _number(problem, "noise_std", required=False, default=0.0, least=0)
             self.oracle = lambda rng: synthetic.quadratic_oracle(curvature, center, noise, rng)
         elif self.kind == "mixture":
-            variances = _vector(problem, "prior_variances", "problem", required=False, default=[10.0, 2.0])
-            model = mixture.MixtureModel(
-                _vector(problem, "true_param", "problem"),
-                likelihood_weight=_number(problem, "likelihood_weight", "problem", required=False, default=20.0),
-                prior_variances=tuple(variances.tolist()),
-                component_var=_number(problem, "component_var", "problem", required=False, default=2.0),
-            )
-            self.model = model
+            true_param = _vector(problem, "true_param")
+            weight = _number(problem, "likelihood_weight", required=False, default=20.0)
+            variances = _vector(problem, "prior_variances", required=False, default=[10.0, 2.0])
+            component_var = _number(problem, "component_var", required=False, default=2.0)
+            with _prefixed("problem"):
+                model = mixture.MixtureModel(true_param, weight, tuple(variances.tolist()), component_var)
             self.dim = 2
             self.oracle = lambda rng: mixture.make_stream_oracle(model, rng)
         elif self.kind == "logistic":
-            data = _expect(problem, "data", str, "problem")
-            if data == "bundled":
-                source = resources.files("langirl").joinpath("data/synthetic_sparse.libsvm")
-                with resources.as_file(source) as real:
-                    features, labels = logistic.parse_libsvm(str(real))
-            else:
-                try:
-                    features, labels = logistic.parse_libsvm(data)
-                except (OSError, UnicodeDecodeError) as exc:
-                    raise ConfigError(f"problem.data: cannot read {data}: {exc}") from None
-            rows = _expect(problem, "num_rows", int, "problem", required=False)
-            cols = _expect(problem, "num_features", int, "problem", required=False)
-            if rows is not None or cols is not None:
-                features, labels = logistic.top_frequency_subset(
-                    features,
-                    labels,
-                    rows if rows is not None else features.shape[0],
-                    cols if cols is not None else features.shape[1] - 1,
-                    self.root.child(_RNG_DATA_SUBSET),
-                )
-            weight = _number(problem, "likelihood_weight", "problem", required=False, default=10.0)
-            model = logistic.LogisticModel(features, labels, likelihood_weight=weight)
-            self.model = model
+            data = _expect(problem, "data", str)
+            rows = _expect(problem, "num_rows", int, required=False, least=1)
+            cols = _expect(problem, "num_features", int, required=False, least=0)
+            weight = _number(problem, "likelihood_weight", required=False, default=10.0)
+            with _prefixed("problem.data"):
+                if data == "bundled":
+                    source = resources.files("langirl").joinpath("data/synthetic_sparse.libsvm")
+                    with resources.as_file(source) as real:
+                        features, labels = logistic.parse_libsvm(str(real))
+                else:
+                    try:
+                        features, labels = logistic.parse_libsvm(data)
+                    except (OSError, UnicodeDecodeError) as exc:
+                        raise ConfigError(f"cannot read {data}: {exc}") from None
+            with _prefixed("problem"):
+                if rows is not None or cols is not None:
+                    features, labels = logistic.top_frequency_subset(
+                        features,
+                        labels,
+                        rows if rows is not None else features.shape[0],
+                        cols if cols is not None else features.shape[1] - 1,
+                        self.root.child(_RNG_DATA_SUBSET),
+                    )
+                model = logistic.LogisticModel(features, labels, likelihood_weight=weight)
             self.dim = features.shape[1]
             self.oracle = lambda rng: logistic.make_stream_oracle(model)
         elif self.kind == "cmdp":
-            spec = _expect(problem, "model", str, "problem", required=False, default="two-state")
-            try:
+            spec = _expect(problem, "model", str, required=False, default="two-state")
+            self.horizon = _expect(problem, "horizon", int, least=1)
+            self.perturbation = _number(problem, "perturbation", positive=True)
+            with _prefixed("problem.model"):
                 model = cmdp.CmdpModel.two_state_example() if spec == "two-state" else cmdp.CmdpModel.from_json(spec)
-            except ConfigError as exc:
-                raise ConfigError(f"problem.model: {exc}") from None
             self.model = model
             self.dim = model.num_angles
-            self.horizon = _expect(problem, "horizon", int, "problem")
-            self.perturbation = _number(problem, "perturbation", "problem")
-            if self.horizon < 1:
-                raise ConfigError(f"problem.horizon: must be at least 1, got {self.horizon}")
-            if not self.perturbation > 0:
-                raise ConfigError(f"problem.perturbation: must be positive, got {self.perturbation}")
             self.oracle = None
         else:
             raise ConfigError(f"problem.kind: unknown kind {self.kind!r}")
@@ -385,49 +393,48 @@ class _Experiment:
         self.shuffle = False
         if fwd is None:
             return
-        self.agents = AgentPoolConfig(
-            step=_number(fwd, "step", "forward"),
-            num_agents=_expect(fwd, "num_agents", int, "forward"),
-            run_length=_expect(fwd, "run_length", int, "forward"),
-        )
-        self.sweeps = _expect(fwd, "sweeps", int, "forward", required=False, default=1)
-        if self.sweeps < 1:
-            raise ConfigError(f"forward.sweeps: must be at least 1, got {self.sweeps}")
-        self.shuffle = _expect(fwd, "shuffle", bool, "forward", required=False, default=False)
-        init = _expect(fwd, "init", dict, "forward", required=False, default={})
-        mean = _vector(init, "mean", "forward.init", required=False, default=[0.0] * self.dim)
-        variances = _vector(init, "variances", "forward.init", required=False, default=[1.0] * self.dim)
-        if mean.size != self.dim or variances.size != self.dim:
-            raise ConfigError(f"forward.init: dimension does not match problem dimension {self.dim}")
-        self.density = InitDensity(mean, variances)
+        fields = _number(fwd, "step"), _expect(fwd, "num_agents", int), _expect(fwd, "run_length", int)
+        with _prefixed("forward"):
+            self.agents = AgentPoolConfig(*fields)
+        self.sweeps = _expect(fwd, "sweeps", int, required=False, default=1, least=1)
+        self.shuffle = _expect(fwd, "shuffle", bool, required=False, default=False)
+        init = _expect(fwd, "init", dict, required=False, default={})
+        mean = _vector(init, "mean", required=False, default=[0.0] * self.dim)
+        variances = _vector(init, "variances", required=False, default=[1.0] * self.dim)
+        with _prefixed("forward.init"):
+            if mean.size != self.dim or variances.size != self.dim:
+                raise ConfigError(f"dimension does not match problem dimension {self.dim}")
+            self.density = InitDensity(mean, variances)
 
-    def _start(self, section, path, density, default=None):
+    def _start(self, section, density, default=None):
         """(init vector, density to draw each chain's start from or None) of a section."""
-        init = _expect(section, "init", (list, str), path, required=default is None, default=default)
+        init = _expect(section, "init", (list, str), required=default is None, default=default)
+        path = f"{section.path}.init"
         if isinstance(init, str):
             if init != "sample":
-                raise ConfigError(f"{path}.init: expected a vector or 'sample', got {init!r}")
+                raise ConfigError(f"{path}: expected a vector or 'sample', got {init!r}")
             if density is None:
-                raise ConfigError(f"{path}.init: 'sample' requires a forward section")
+                raise ConfigError(f"{path}: 'sample' requires a forward section")
             return np.zeros(self.dim), density
-        vec = _vector(section, "init", path, required=False, default=default)
+        vec = _vector(section, "init", required=False, default=default)
         if vec.size != self.dim:
             raise ConfigError(
-                f"{path}.init: length {vec.size} does not match problem dimension "
-                f"{self.dim} (problem.kind {self.kind!r})"
+                f"{path}: length {vec.size} does not match problem dimension {self.dim} (problem.kind {self.kind!r})"
             )
         return vec, None
 
     def _build_sampler(self, sampler):
-        kernel = _expect(sampler, "kernel", dict, "sampler", required=False)
+        kernel = _expect(sampler, "kernel", dict, required=False)
         if kernel is not None:
-            family = _expect(kernel, "family", str, "sampler.kernel", required=False, default=GAUSSIAN)
-            kernel = Kernel(family, _number(kernel, "bandwidth", "sampler.kernel"), self.dim)
-        init, self.sample_init = self._start(sampler, "sampler", self.density)
-        pool_size = _expect(sampler, "pool_size", int, "sampler", required=False, default=1)
+            family = _expect(kernel, "family", str, required=False, default=GAUSSIAN)
+            bandwidth = _number(kernel, "bandwidth")
+            with _prefixed("sampler.kernel"):
+                kernel = Kernel(family, bandwidth, self.dim)
+        init, self.sample_init = self._start(sampler, self.density)
+        pool_size = _expect(sampler, "pool_size", int, required=False, default=1)
 
         # Corpus readers take at most what the corpus holds over its sweeps.
-        num_steps = _expect(sampler, "num_steps", int, "sampler", required=False)
+        num_steps = _expect(sampler, "num_steps", int, required=False)
         if self.source_kind != ORACLE and self.agents is not None:
             rows = self.agents.num_agents * self.agents.run_length
             # A pool_size below 1 is the SamplerConfig error raised below.
@@ -442,50 +449,27 @@ class _Experiment:
         elif num_steps is None:
             raise ConfigError(f"sampler.num_steps: required for variant {self.variant!r}")
         self.num_steps = num_steps
-        self.burn_in = _expect(sampler, "burn_in", int, "sampler", required=False)
-        self.sampler_cfg = _sampler_config(
-            "sampler",
-            self.variant,
-            num_steps,
-            self.burn_in,
-            step=_number(sampler, "step", "sampler"),
-            beta=_number(sampler, "beta", "sampler"),
-            init=init,
-            kernel=kernel,
-            init_density=self.density,
-            pool_size=pool_size,
-            conditional_std=_number(sampler, "conditional_std", "sampler", required=False),
-            skew=_vector(sampler, "skew", "sampler", required=False),
-        )
+        self.burn_in = _expect(sampler, "burn_in", int, required=False)
+        step, beta = _number(sampler, "step"), _number(sampler, "beta")
+        conditional_std = _number(sampler, "conditional_std", required=False)
+        skew = _vector(sampler, "skew", required=False)
+        with _prefixed("sampler"):
+            self.sampler_cfg = SamplerConfig(step, beta, init, kernel, self.density, pool_size, conditional_std, skew)
+            check_run(self.variant, self.sampler_cfg, num_steps, self.burn_in)
 
     def _build_baseline(self, baseline):
         self.baseline_cfg = None
         if baseline is None:
             return
-        self.baseline_chains = _expect(baseline, "chains", int, "baseline", required=False, default=1)
-        if self.baseline_chains < 1:
-            raise ConfigError("baseline.chains: must be at least 1")
-        self.baseline_steps = _expect(baseline, "num_steps", int, "baseline")
+        self.baseline_chains = _expect(baseline, "chains", int, required=False, default=1, least=1)
+        self.baseline_steps = _expect(baseline, "num_steps", int)
         density = self.density if self.density is not None else InitDensity.standard(self.dim)
-        init, self.baseline_sample_init = self._start(baseline, "baseline", density, default=[0.0] * self.dim)
-        self.baseline_cfg = _sampler_config(
-            "baseline",
-            CLASSICAL,
-            self.baseline_steps,
-            step=_number(baseline, "step", "baseline"),
-            beta=_number(baseline, "beta", "baseline", required=False, default=self.sampler_cfg.beta),
-            init=init,
-        )
-
-
-def _sampler_config(path, variant, num_steps, burn_in=None, **fields):
-    """A SamplerConfig that `check_run` passes for a run of `variant`; errors name the config section."""
-    try:
-        cfg = SamplerConfig(**fields)
-        check_run(variant, cfg, num_steps, burn_in)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    return cfg
+        init, self.baseline_sample_init = self._start(baseline, density, default=[0.0] * self.dim)
+        step = _number(baseline, "step")
+        beta = _number(baseline, "beta", required=False, default=self.sampler_cfg.beta)
+        with _prefixed("baseline"):
+            self.baseline_cfg = SamplerConfig(step, beta, init)
+            check_run(CLASSICAL, self.baseline_cfg, self.baseline_steps)
 
 
 def _make_dirs(path):
@@ -899,7 +883,7 @@ def main(argv=None):
     runp.add_argument("config", help="path to a config or manifest JSON file")
     runp.add_argument("--seed", type=int, default=None, help="override the config seed")
     runp.add_argument("--out", default=None, help="override the output directory")
-    runp.add_argument("--scale", choices=("desk", "paper"), default=None, help="scale overlay (default desk)")
+    runp.add_argument("--scale", default=None, help="scale overlay the config defines (default desk)")
     runp.add_argument("--chains", type=int, default=None, help="independent chains to pool")
 
     cmpp = sub.add_parser("compare", help="compare two finished run directories")

@@ -112,7 +112,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -141,7 +141,7 @@ NONREVERSIBLE = "nonreversible"
 CLASSICAL = "classical"
 NAIVE = "naive"
 
-# Source kinds: what `run_sampler` hands a step function at every update.
+# Source kinds: what `run_chains` hands a step function at every update.
 STREAM = "stream"
 POOL = "pool"
 ORACLE = "oracle"
@@ -171,6 +171,8 @@ class SamplerConfig:
     Not every field applies to every variant; `check_run` checks that the
     fields its variant needs are present. `conditional_std` is the Gaussian
     scale used both for multikernel pool weights and for active probing.
+    `gain_ratio` is step / bandwidth**dim, the effective gain of fully gated
+    updates, or None without a kernel.
     """
 
     step: float
@@ -181,6 +183,7 @@ class SamplerConfig:
     pool_size: int = 1
     conditional_std: float | None = None
     skew: np.ndarray | None = None
+    gain_ratio: float | None = field(default=None, init=False)
 
     def __post_init__(self):
         if not (self.step > 0 and math.isfinite(self.step)):
@@ -189,8 +192,16 @@ class SamplerConfig:
             raise ConfigError("beta must be positive and finite")
         object.__setattr__(self, "init", as_param(self.init))
         dim = self.init.size
-        if self.kernel is not None and self.kernel.dim != dim:
-            raise ConfigError("kernel dim does not match the initial estimate")
+        if self.kernel is not None:
+            if self.kernel.dim != dim:
+                raise ConfigError("kernel dim does not match the initial estimate")
+            try:
+                ratio = self.step / self.kernel.bandwidth**self.kernel.dim
+            except OverflowError:
+                ratio = math.inf
+            if not math.isfinite(ratio):
+                raise ConfigError("gain ratio step / bandwidth**dim is out of float range")
+            object.__setattr__(self, "gain_ratio", ratio)
         if self.init_density is not None and self.init_density.dim != dim:
             raise ConfigError("init_density dim does not match the initial estimate")
         if self.pool_size < 1:
@@ -208,13 +219,6 @@ class SamplerConfig:
     @property
     def dim(self) -> int:
         return self.init.size
-
-    @property
-    def gain_ratio(self) -> float | None:
-        """step / bandwidth**dim, the effective gain of fully gated updates."""
-        if self.kernel is None:
-            return None
-        return self.step / self.kernel.bandwidth**self.kernel.dim
 
     def to_dict(self) -> dict:
         out = {"step": self.step, "beta": self.beta, "init": self.init.tolist()}
@@ -349,8 +353,7 @@ def step_passive_gated(est, sample: GradientSample, cfg: SamplerConfig, rng) -> 
     u = (sample.point - est) / band
     kraw = _per_chain(raw_eval(cfg.kernel, u))
     pval, pgrad = cfg.init_density.density_and_grad(sample.point)
-    ratio = cfg.step / band**cfg.kernel.dim
-    gate = ratio * kraw
+    gate = cfg.gain_ratio * kraw
     drift = gate * ((0.5 * cfg.beta * pval) * sample.gradient + pgrad)
     w = rng.standard_normal(est.size)
     return est + drift + np.sqrt(gate * pval) * w
@@ -360,7 +363,7 @@ def _passive_gated_2d(state, items, cfg: SamplerConfig, rngs) -> np.ndarray:
     kernel, density = cfg.kernel, cfg.init_density
     band, norm, cut = kernel.bandwidth, kernel._norm, kernel.family == TRUNCATED_GAUSSIAN and TRUNCATION_RADIUS**2
     dnorm, (m0, m1), (v0, v1) = density._norm, density.mean.tolist(), density.variances.tolist()
-    half_beta, ratio, exp = 0.5 * cfg.beta, cfg.step / band**kernel.dim, np.exp
+    half_beta, ratio, exp = 0.5 * cfg.beta, cfg.gain_ratio, np.exp
     # The density and the gated drift's bracket belong to the shared sample point.
     shared = []
     for s in items:

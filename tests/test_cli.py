@@ -182,6 +182,17 @@ def test_compare_counts_match_post_samples(tmp_path, capsys):
     assert float(lines[1].split(",")[1]) == pytest.approx(report["w1"][0])
 
 
+def test_compare_of_constant_marginals_reports_zero_distances(tmp_path, capsys):
+    # Zero-step chains stay at their start, so every marginal is one value in both runs.
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for run in runs:
+        assert main(["run", write_config(tmp_path, quadratic_config(run, num_steps=0))]) == 0
+    capsys.readouterr()
+    assert main(["compare", *map(str, runs)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["w1"] == report["variational_distance"] == [0.0, 0.0]
+
+
 def test_compare_reads_only_the_chains_of_the_latest_run(tmp_path, capsys):
     # A one-chain rerun into a directory that holds three chains of an earlier
     # run removes their trajectory_c* files, and compare pools only its chain.
@@ -953,6 +964,16 @@ def test_a_scale_overlay_not_an_object_is_a_config_error(tmp_path, capsys, flags
     assert not out.exists()
 
 
+def test_a_scale_the_config_defines_runs_under_its_name(tmp_path):
+    # --scale takes any scale the config defines, not only desk and paper.
+    out = tmp_path / "run"
+    config = quadratic_config(out)
+    config["scales"] = {"tiny": {"sampler": {"num_steps": 20}}}
+    assert main(["run", write_config(tmp_path, config), "--scale", "tiny"]) == 0
+    assert read_json(out / "manifest.json")["config"]["scale"] == "tiny"
+    assert load_trajectory(out)[1]["num_steps"] == 20
+
+
 def test_undefined_scale_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["run", write_config(tmp_path, quadratic_config(out)), "--scale", "paper"]) == 2
@@ -1134,6 +1155,37 @@ TWO_STATE_MODEL = {"states": 2, "actions": 2, "P": [[[0.8, 0.2], [0.3, 0.7]], [[
                      "sampler.init: 'sample' requires a forward section", id="sample-init-without-forward"),
         pytest.param(mixture_config, "sampler.num_steps", MISSING,
                      "sampler.num_steps: required for variant 'classical'", id="oracle-num-steps-missing"),
+        # Errors of the library constructors name the section whose fields they were given.
+        pytest.param(quadratic_config, "sampler.kernel.family", "box",
+                     "sampler.kernel: unknown kernel family 'box'", id="kernel-family-unknown"),
+        pytest.param(quadratic_config, "forward.init.variances", [0, 1],
+                     "forward.init: variances must be strictly positive", id="forward-init-variance-0"),
+        pytest.param(quadratic_config, "forward.run_length", 0, "forward: run_length must be at least 1",
+                     id="forward-run-length-0"),
+        pytest.param(mixture_config, "problem.true_param", [-1.0, 2.0, 0.5],
+                     "problem: true_param must be a length-2 vector", id="mixture-true-param-3"),
+        pytest.param(logistic_config, "problem.num_rows", 2001, "problem: asked for 2001 rows but only 2000",
+                     id="logistic-num-rows-over-data"),
+        pytest.param(logistic_config, "problem.num_rows", 0, "problem.num_rows: must be at least 1, got 0",
+                     id="logistic-num-rows-0"),
+        pytest.param(logistic_config, "problem.num_features", -1, "problem.num_features: must be non-negative",
+                     id="logistic-num-features-negative"),
+        pytest.param(quadratic_config, "problem.dim", 0, "problem.dim: must be at least 1, got 0", id="dim-0"),
+        pytest.param(logistic_config, "problem.data", file_holding("2 1:1.0\n"),
+                     "problem.data: line 1: label must be +1 or -1", id="logistic-data-malformed"),
+        # A curvature of 0 would divide by zero in the analysis; a negative one has no stationary law.
+        pytest.param(quadratic_config, "problem.curvature", 0, "problem.curvature: must be positive",
+                     id="curvature-0"),
+        pytest.param(quadratic_config, "problem.curvature", -0.5, "problem.curvature: must be positive",
+                     id="curvature-negative"),
+        # The oracle would reject it only once the run had written its manifest.
+        pytest.param(quadratic_config, "problem.noise_std", -1, "problem.noise_std: must be non-negative",
+                     id="noise-std-negative"),
+        # step / bandwidth**dim out of float range would fail after the run had written its chains.
+        pytest.param(quadratic_config, "sampler.kernel.bandwidth", 1e308, "sampler: gain ratio step / bandwidth**dim",
+                     id="gain-ratio-bandwidth-huge"),
+        pytest.param(quadratic_config, "sampler.step", 1e308, "sampler: gain ratio step / bandwidth**dim",
+                     id="gain-ratio-step-huge"),
     ],
 )
 def test_config_error_fails_before_any_output(tmp_path, capsys, make_config, path, value, message):

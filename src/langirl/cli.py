@@ -8,17 +8,19 @@ between two finished runs, pooling the chains each run's metrics.json names.
 Exit codes: 0 success, 1 runtime failure, 2 config error.
 
 `--chains N` pools N sampler chains, and `baseline.chains` sets the number of
-baseline chains. Each set of chains advances together in one batched
-`run_chains` call, whatever its source. Oracle chains (the baseline's too)
-and CMDP chains each read a source of their own. Chains that read the forward
-corpus all read it in the same order; they differ only in their noise (and
-their start, with `init: "sample"`). Their spread therefore understates the
-error of the pooled estimate, and a between-chain diagnostic such as R-hat
-would overstate how independent they are. A failure reports the earliest
-failing step of any chain of the set (the lowest chain on a tie), naming the
-chain when there are several. A set's trajectory files are written only once
-every chain of the set has finished. A run first removes from its output
-directory every file an earlier run may have written there but the manifest.
+baseline chains. Each set of chains runs in one `run_chains` call, whatever
+its source, which advances the chains one by one at every step. Oracle
+chains (the baseline's too) each call an oracle of their own, passed as a
+list of one per chain, and CMDP chains each read SPSA pools of their own.
+Chains that read the forward corpus all read it in the same order; they
+differ only in their noise (and their start, with `init: "sample"`). Their
+spread therefore understates the error of the pooled estimate, and a
+between-chain diagnostic such as R-hat would overstate how independent they
+are. A failure reports the earliest failing step of any chain of the set
+(the lowest chain on a tie), naming the chain when there are several. A
+set's trajectory files are written only once every chain of the set has
+finished. A run first removes from its output directory every file an
+earlier run may have written there but the manifest.
 
 A config's baseline chain set runs in a forked worker process, started
 before the forward phase, while the run goes on with the forward, sampler and
@@ -174,10 +176,15 @@ def _expect(section, field, kinds, required=True, default=None, least=None):
 
 
 def _number(section, field, required=True, default=None, least=None, positive=False):
-    """A number field as a float, or `default` when it is absent; `positive` rejects one that is not above 0."""
+    """A finite number field as a float, or `default` when it is absent; `positive` rejects one that is not above 0.
+
+    JSON's NaN and Infinity tokens load as floats and are rejected here.
+    """
     value = _expect(section, field, (int, float), required, default, least)
     if value is None:
         return None
+    if not math.isfinite(value):
+        raise ConfigError(f"{section.path}.{field}: must be a finite number, got {value}")
     if positive and not value > 0:
         raise ConfigError(f"{section.path}.{field}: must be positive, got {float(value)}")
     return float(value)
@@ -302,6 +309,15 @@ class _Experiment:
         self._build_forward(forward)
         self._build_sampler(sampler)
         self._build_baseline(baseline)
+        if self.kind == "quadratic":
+            # The stationary variance the analysis reports; metrics.json cannot hold an overflow.
+            product = self.curvature * self.sampler_cfg.beta
+            if not (product > 0 and math.isfinite(1.0 / product)):
+                raise ConfigError(
+                    f"problem.curvature: stationary variance 1/(curvature*beta) is not finite "
+                    f"for curvature {self.curvature} and sampler.beta {self.sampler_cfg.beta}"
+                )
+            self.variance_target = 1.0 / product
 
         analysis = _expect(config, "analysis", dict, required=False, default={})
         grid = _vector(analysis, "grid", required=False)
@@ -711,9 +727,9 @@ def _chain_source(exp, kind, corpus, rngs):
     Chains that read the forward corpus share one reader of it. Otherwise
     chain c has a source of its own, made from `rngs[c]`: a gradient oracle
     or a stream of CMDP SPSA pools (`_spsa_pools`). Several chains' oracles
-    become one block oracle that answers row c from chain c's oracle, and
-    their pools are stacked to (chains, pool, dim) with chain c's pool in
-    row c. One chain's source is passed unchanged.
+    are passed as a list of one per chain, and their pools are stacked to
+    (chains, pool, dim) with chain c's pool in row c. One chain's source is
+    passed unchanged.
     """
     if kind != ORACLE and exp.kind != "cmdp":
         pool_size = exp.sampler_cfg.pool_size
@@ -722,9 +738,7 @@ def _chain_source(exp, kind, corpus, rngs):
     if kind != ORACLE:
         return _spsa_pools(exp, rngs)
     oracles = [exp.oracle(rng) for rng in rngs]
-    if len(oracles) == 1:
-        return oracles[0]
-    return lambda points: np.stack([oracle(point) for oracle, point in zip(oracles, points)])
+    return oracles[0] if len(oracles) == 1 else oracles
 
 
 def _shares(fn, items, *args):
@@ -793,7 +807,7 @@ def _analyze(exp, pooled, base_density, metrics):
     metrics["variance"] = variance.tolist()
     metrics["mean"] = mean.tolist()
     if exp.kind == "quadratic":
-        metrics["analytic_variance_target"] = 1.0 / (exp.curvature * exp.sampler_cfg.beta)
+        metrics["analytic_variance_target"] = exp.variance_target
     if exp.kind == "cmdp":
         # Policies are periodic in the angles, so a chain off the box would still give plausible ones.
         off = ((pooled < cmdp.ANGLE_LOW) | (pooled > cmdp.ANGLE_HIGH)).any(axis=1)

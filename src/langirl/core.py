@@ -104,10 +104,11 @@ def write_json(path, payload) -> None:
     """Write `payload` as JSON with sorted keys, two-space indents and a final newline.
 
     A NaN or infinity in `payload` raises ValueError: standard JSON has no token for them.
+    The whole payload is encoded before the file is opened, so a refused one leaves no file.
     """
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 class GradientSample(NamedTuple):

@@ -46,23 +46,29 @@ a step; at a 21-D estimate where p ≈ 4e-9, step 0.002 advances about 3e-20.
 
 A variant is declared by one row of the `VARIANTS` table and one step
 function. The row names the step, the kind of source it consumes (a stream of
-GradientSample, a stream of GradientPool, or an oracle callable) and the
+GradientSample, a stream of GradientPool, or gradient oracles) and the
 SamplerConfig fields that must be set. `run_chains` is the only sampling loop
-and reads everything it needs to know about a variant from that row. It
-advances several chains at once: they read one source, and each draws its
-noise from its own stream. `run_sampler` is its one-chain call.
+and reads everything it needs to know about a variant from that row.
+`run_sampler` is its one-chain call.
 
-Each step function is written once for both shapes. For one chain `est` is a
-(dim,) vector and the per-chain factors (kernel weight, density, gate) are
-NumPy scalars; for several chains `est` is (chains, dim) and those factors are
-(chains, 1) columns. A stream sample is shared and broadcasts against the
-state; a pool is shared or carries one pool per chain. Called directly with a
-(dim,) estimate and an rng, a step function is the plain one-chain update,
-drawing from that rng when it needs noise. A batch rounds every chain exactly
-as that chain would round alone, so a chain's samples do not depend on how
-many chains run beside it.
+A step function advances one chain: `est` is a (dim,) vector, and the kernel
+weight, density and gate are NumPy scalars. Called directly with an rng, it
+is the plain one-chain update, drawing from that rng when it needs noise.
+`run_chains` steps several chains one by one inside each step, chain 0
+first. Every chain takes the same stream sample; chain c takes row c of a
+(chains, pool, dim) pool and its own oracle from a list of them, draws its
+noise from its own rng and counts in its own SamplerStats. A chain's samples
+therefore do not depend on how many chains run beside it.
 
-`run_chains` takes the plain-float path for a 2-D run of at most 12 chains
+An oracle source is one callable that every chain calls, or a list of one
+callable per chain. A step calls its chain's oracle on its (dim,) point, so a
+shared oracle is called once per chain per step, in chain order. Under the
+forward block contract (see `forward`) that is what one call on the
+(chains, dim) block of those points gives: n gradients bit for bit those of
+n successive single-point calls, its rng or row counter used in row order.
+Every shipped oracle meets it.
+
+`run_chains` takes the plain-float path for a 2-D run, at any chain count,
 whose variant has a float step (`passive_generalized`, `passive_gated`,
 `classical`). A float step advances every chain over a block of up to 128
 steps in Python floats, the kernel and the density written out inline, and
@@ -78,30 +84,18 @@ the array loop does, where `math.exp` may not. The stream variants loop
 chain by chain: every chain reads the same read-only samples and draws only
 from its own rng, so the order of the chains changes no bit
 (`passive_gated` computes its shared density bracket once per step, ahead
-of the chain loop). `classical` loops step by step: a step makes one oracle
-call on every chain, so a shared noisy oracle draws in row order.
+of the chain loop). `classical` loops step by step: a step asks the oracle
+about every chain's point in one call, so a shared noisy oracle draws in
+chain order.
 
-`classical` takes the float path only through its oracle's float form: an
-`oracle.pairs` attribute that answers a list of n (t0, t1) points with a
-list of n (g0, g1) gradients, bit for bit the oracle's answer on the (n, 2)
-block of those points, its rng or row counter used in the same order (the
-block contract below). `synthetic.quadratic_oracle` with a scalar curvature
+`classical` takes the float path only when every chain calls one oracle that
+has a float form: an `oracle.pairs` attribute that answers a list of n
+(t0, t1) points with a list of n (g0, g1) gradients, bit for bit the
+oracle's answer on the (n, 2) block of those points, its rng or row counter
+used in the same order. `synthetic.quadratic_oracle` with a scalar curvature
 and center and `mixture.make_stream_oracle` have one; an oracle without one
-(logistic, a vector curvature) keeps the NumPy form.
-
-The cap: a passive chain costs about 2 µs a step in floats while the NumPy
-form is nearly flat in the chain count; floats still win at 24 chains, by
-1.1 to 1.3 times. With one shared noise-free quadratic oracle, `classical`
-is about even at 8 chains and the NumPy form is some 15% faster at 12. The
-cap of 12 chains holds for every variant. The CLI's block oracle over
-several chains' oracles has no float form, so only a one-chain classical
-set there takes the float path.
-
-An oracle is called once per step on the whole state: a (dim,) point for one
-chain, a (chains, dim) block for several. On a block it must meet the forward
-block contract (see `forward`): n gradients bit for bit those of n successive
-single-point calls, its rng or row counter used in row order. Every shipped
-oracle meets it.
+(logistic, a vector curvature) and a list of several chains' oracles keep
+the NumPy form.
 """
 
 from __future__ import annotations
@@ -159,9 +153,6 @@ _GAIN_RATIO_WARN = 0.5
 # finiteness check. The float path holds a block's noise and states as Python
 # floats, so a block stays small.
 _STEP_BLOCK = 128
-
-# A 2-D run of at most this many chains steps in plain floats.
-_FLOAT_PATH_MAX_CHAINS = 12
 
 
 @dataclass(frozen=True)
@@ -244,76 +235,26 @@ class SamplerConfig:
 
 @dataclass
 class SamplerStats:
-    """Mutable counters a sampler run accumulates.
-
-    `underflow_resets` is a count, or one count per chain once a batched
-    multikernel step has added its (chains,) flags to it.
-    """
+    """Mutable counters one chain of a sampler run accumulates."""
 
     underflow_resets: int = 0
 
 
-def _per_chain(x):
-    """Shape a per-chain factor to scale the state: (chains,) becomes (chains, 1).
-
-    One chain's factor stays a NumPy scalar, whose arithmetic costs far less
-    than a one-element array's.
-    """
-    return x[:, None] if x.ndim else x
-
-
-def _any(flags) -> bool:
-    """Whether any flag is set; a NumPy scalar's own `.any()` costs far more than `bool`."""
-    return bool(flags.any() if getattr(flags, "ndim", 0) else flags)
-
-
 def _check_floor(value, what: str, where: str = "") -> None:
-    """Raise DensityFloorError if a density used as a divisor is below DENSITY_FLOOR.
-
-    `value` is a scalar for one chain or a (chains, 1) column; the message
-    then names the first chain below the floor.
-    """
-    if not _any(value < DENSITY_FLOOR):
-        return
-    chain = int(np.argmax(np.ravel(value) < DENSITY_FLOOR))
-    prefix = f"chain {chain}: " if np.ndim(value) else ""
-    raise DensityFloorError(
-        f"{prefix}{what} {float(np.ravel(value)[chain]):.3e}{where} "
-        f"is below floor {DENSITY_FLOOR:.0e}"
-    )
+    """Raise DensityFloorError if a density used as a divisor is below DENSITY_FLOOR."""
+    if value < DENSITY_FLOOR:
+        raise DensityFloorError(f"{what} {float(value):.3e}{where} is below floor {DENSITY_FLOOR:.0e}")
 
 
-def _exp(x):
-    """`math.exp` of a scalar, or of each entry of an array.
-
-    NumPy's exp may round differently from `math.exp`; going entry by entry
-    keeps a batched chain's bits those of the same chain run alone.
-    """
-    if not x.ndim:
-        return math.exp(x)
-    return np.array([math.exp(t) for t in x.ravel().tolist()]).reshape(x.shape)
-
-
-def _query(oracle: Callable, points: np.ndarray) -> np.ndarray:
-    """Oracle gradients at a (dim,) point or a (chains, dim) block, in one call."""
-    return np.asarray(oracle(points), dtype=np.float64)
-
-
-def _float_path(row: "Variant", cfg: SamplerConfig, chains: int, source) -> bool:
-    """Whether a run takes the plain-float path: a float step, 2-D, at most 12 chains, an oracle's float form."""
-    return (
-        row.float_step is not None
-        and cfg.dim == 2
-        and chains <= _FLOAT_PATH_MAX_CHAINS
-        and (row.source != ORACLE or hasattr(source, "pairs"))
-    )
+def _query(oracle: Callable, point: np.ndarray) -> np.ndarray:
+    """Oracle gradient at a (dim,) point."""
+    return np.asarray(oracle(point), dtype=np.float64)
 
 
 def step_passive_generalized(est, sample: GradientSample, cfg: SamplerConfig, rng) -> np.ndarray:
     """Density-modulated update from one streamed gradient sample."""
-    kern = _per_chain(scaled_eval(cfg.kernel, sample.point - est))
+    kern = scaled_eval(cfg.kernel, sample.point - est)
     pval, pgrad = cfg.init_density.density_and_grad(est)
-    pval = _per_chain(pval)
     drift = (0.5 * cfg.beta * kern) * sample.gradient + pgrad
     w = rng.standard_normal(est.size)
     return est + (cfg.step * pval) * drift + (math.sqrt(cfg.step) * pval) * w
@@ -351,7 +292,7 @@ def step_passive_gated(est, sample: GradientSample, cfg: SamplerConfig, rng) -> 
     """
     band = cfg.kernel.bandwidth
     u = (sample.point - est) / band
-    kraw = _per_chain(raw_eval(cfg.kernel, u))
+    kraw = raw_eval(cfg.kernel, u)
     pval, pgrad = cfg.init_density.density_and_grad(sample.point)
     gate = cfg.gain_ratio * kraw
     drift = gate * ((0.5 * cfg.beta * pval) * sample.gradient + pgrad)
@@ -385,7 +326,7 @@ def _passive_gated_2d(state, items, cfg: SamplerConfig, rngs) -> np.ndarray:
 
 
 def _classical_form_update(est, kern, gradient, cfg, rng) -> np.ndarray:
-    pval = _per_chain(cfg.init_density.density(est))
+    pval = cfg.init_density.density(est)
     _check_floor(pval, "initialization density", " at the estimate")
     w = rng.standard_normal(est.size)
     gain = cfg.step * kern * 0.5 * cfg.beta / pval
@@ -394,7 +335,7 @@ def _classical_form_update(est, kern, gradient, cfg, rng) -> np.ndarray:
 
 def step_passive_classical(est, sample: GradientSample, cfg: SamplerConfig, rng) -> np.ndarray:
     """Kernel-weighted gradient over the initialization density, plain noise."""
-    kern = _per_chain(scaled_eval(cfg.kernel, sample.point - est))
+    kern = scaled_eval(cfg.kernel, sample.point - est)
     return _classical_form_update(est, kern, sample.gradient, cfg, rng)
 
 
@@ -403,7 +344,7 @@ def step_nonreversible(est, sample: GradientSample, cfg: SamplerConfig, rng) -> 
 
     With S = 0 this reproduces step_passive_classical exactly, draw for draw.
     """
-    kern = _per_chain(scaled_eval(cfg.kernel, sample.point - est))
+    kern = scaled_eval(cfg.kernel, sample.point - est)
     gradient = sample.gradient + cfg.skew @ sample.gradient
     return _classical_form_update(est, kern, gradient, cfg, rng)
 
@@ -412,51 +353,38 @@ def normalized_weights(est, points, sigma: float) -> tuple[np.ndarray, bool]:
     """Pool weights from the Gaussian conditional density, in the log domain.
 
     Returns (weights, underflowed). When every unnormalized weight underflows
-    double precision the weights come back uniform and the flag is set. A
-    (chains, dim) `est` gives (chains, pool) weights and (chains,) flags.
+    double precision the weights come back uniform and the flag is set.
     """
-    d = points - est[..., None, :]
-    logw = np.einsum("...ij,...ij->...i", d, d) / (-2.0 * sigma * sigma)
-    m = logw.max(-1)
-    underflowed = m < _UNDERFLOW_LOG
-    w = np.exp(logw - _per_chain(m))
-    w = w / _per_chain(w.sum(-1))
-    if _any(underflowed):
-        w = np.where(_per_chain(underflowed), 1.0 / points.shape[-2], w)
-    return w, underflowed
+    d = points - est
+    logw = np.einsum("ij,ij->i", d, d) / (-2.0 * sigma * sigma)
+    m = logw.max()
+    if m < _UNDERFLOW_LOG:
+        return np.full(len(points), 1.0 / len(points)), True
+    w = np.exp(logw - m)
+    return w / w.sum(), False
 
 
 def step_multikernel(
     est, pool: GradientPool, cfg: SamplerConfig, rng, stats: SamplerStats | None = None
 ) -> np.ndarray:
-    """Average a pool of gradients under conditional-density weights.
-
-    A batch takes one vector-matrix product per chain: a single
-    (chains, pool) @ (pool, dim) product would sum in another order.
-    """
+    """Average a pool of gradients under conditional-density weights."""
     weights, underflowed = normalized_weights(est, pool.points, cfg.conditional_std)
     if stats is not None:
         stats.underflow_resets += underflowed
-    if weights.ndim == 1:
-        drift = weights @ pool.gradients
-    else:
-        drift = np.matmul(weights[:, None, :], pool.gradients)[:, 0]
     w = rng.standard_normal(est.size)
-    return est + (cfg.step * 0.5 * cfg.beta) * drift + math.sqrt(cfg.step) * w
+    return est + (cfg.step * 0.5 * cfg.beta) * (weights @ pool.gradients) + math.sqrt(cfg.step) * w
 
 
 def step_active(est, oracle: Callable, cfg: SamplerConfig, rng) -> np.ndarray:
     """Probe a Gaussian displacement of the estimate and reweight its gradient."""
     sigma = cfg.conditional_std
-    dim = est.shape[-1]
-    v = sigma * rng.standard_normal(est.size)
+    dim = est.size
+    v = sigma * rng.standard_normal(dim)
     gradient = _query(oracle, est + v)
-    kern = _per_chain(scaled_eval(cfg.kernel, v))
-    # v @ v per chain; an einsum would sum in another order than the 1-D product.
-    vv = v @ v if v.ndim == 1 else np.matmul(v[:, None, :], v[:, :, None])[:, 0]
-    pden = (2.0 * math.pi) ** (-0.5 * dim) * sigma**-dim * _exp(-0.5 * vv / (sigma * sigma))
+    kern = scaled_eval(cfg.kernel, v)
+    pden = (2.0 * math.pi) ** (-0.5 * dim) * sigma**-dim * math.exp(-0.5 * (v @ v) / (sigma * sigma))
     _check_floor(pden, "probe density")
-    w = rng.standard_normal(est.size)
+    w = rng.standard_normal(dim)
     gain = cfg.step * kern * 0.5 * cfg.beta / pden
     return est + gain * gradient + math.sqrt(cfg.step) * w
 
@@ -493,15 +421,16 @@ def step_naive(est, sample: GradientSample, cfg: SamplerConfig, rng) -> np.ndarr
 class Variant:
     """One row of the variant table.
 
-    `step(est, item, cfg, rng)` makes one update from `item`: a GradientSample
-    for a stream source, a GradientPool for a pool source (pool steps also get
-    the run's SamplerStats), or the oracle callable itself. `needs` names the
-    SamplerConfig fields that must not be None. `float_step(state, items,
-    cfg, rngs)`, when set, makes one update per item for a 2-D run of up to
-    12 chains in plain floats (module docstring): `state` holds each chain's
-    [e0, e1], chain c draws its noise from `rngs[c]`, an oracle variant's
-    items are the oracle's float form, and it returns the block's rows,
-    step-major.
+    `step(est, item, cfg, rng)` makes one update of one chain's (dim,)
+    estimate from `item`: a GradientSample for a stream source, a
+    GradientPool of (pool, dim) arrays for a pool source (pool steps also get
+    the chain's SamplerStats), or the chain's oracle callable. `needs` names
+    the SamplerConfig fields that must not be None. `float_step(state,
+    items, cfg, rngs)`, when set, makes one update per item for every chain
+    of a 2-D run in plain floats (module docstring): `state` holds each
+    chain's [e0, e1], chain c draws its noise from `rngs[c]`, an oracle
+    variant's items are the shared oracle's float form, and it returns the
+    block's rows, step-major.
     """
 
     step: Callable
@@ -565,23 +494,6 @@ def _fingerprint(variant: str, cfg: SamplerConfig, num_steps: int, seed) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-class _ChainNoise:
-    """The rng `run_chains` hands a NumPy step: each draw is one normal vector per chain.
-
-    Chain c's numbers come from `rngs[c]`, drawn when the step asks for them,
-    in the order it would draw them alone.
-    """
-
-    def __init__(self, rngs, shape):
-        self._rngs = rngs
-        self._shape = shape
-
-    def standard_normal(self, size=None):
-        if len(self._rngs) == 1:
-            return self._rngs[0].standard_normal(self._shape)
-        return np.stack([r.standard_normal(self._shape[-1]) for r in self._rngs])
-
-
 def check_run(variant: str, cfg: SamplerConfig, num_steps: int, burn_in: int | None = None) -> Variant:
     """The `VARIANTS` row of `variant`, once `cfg`, `num_steps` and `burn_in` suit a run of it.
 
@@ -616,18 +528,17 @@ def run_chains(
     *,
     block_noise: bool = True,
 ) -> list[Trajectory]:
-    """Drive one chain of `variant` per config for `num_steps` updates, all at once.
+    """Drive one chain of `variant` per config for `num_steps` updates.
 
     `source` is an iterable of GradientSample for stream variants, an
-    iterable of GradientPool for pool variants, and a gradient oracle
-    callable for oracle variants (see `VARIANTS`). Every chain takes the
-    same stream sample at each step. A pool is shared too, unless its arrays
-    are (chains, pool, dim): then chain c takes pool row c, so each chain can
-    read pools of its own. The oracle is called once per step on every
-    chain's point as one (chains, dim) block, under the block contract in the
-    module docstring; an oracle that answers row c from chain c's own oracle
-    gives each chain an oracle of its own. Chain c starts at `cfgs[c].init`
-    and draws its noise from `rngs[c]`; the configs may differ in nothing
+    iterable of GradientPool for pool variants, and for oracle variants one
+    gradient oracle callable that every chain calls or a list of one per
+    chain (see `VARIANTS`). Each step advances the chains one by one, chain 0
+    first. Every chain takes the same stream sample. A pool is shared too,
+    unless its arrays are (chains, pool, dim): then chain c takes pool row c,
+    so each chain can read pools of its own. Chain c starts at
+    `cfgs[c].init`, draws its noise from `rngs[c]` and counts its underflow
+    resets in a SamplerStats of its own; the configs may differ in nothing
     else.
 
     With `block_noise` a float block draws each chain's noise ahead, one
@@ -636,9 +547,11 @@ def run_chains(
     run. Pass False when the source draws from it too. A NumPy step draws
     its noise only when it asks for it.
 
-    Raises SourceExhausted if an iterable runs out early, and NonFiniteError
-    or DensityFloorError naming the sampler step (and, for several chains,
-    the first chain) at which a chain failed. Returns one Trajectory per chain.
+    Raises ConfigError for an oracle source that is neither a callable nor a
+    list of one per chain, SourceExhausted if an iterable runs out early,
+    and NonFiniteError or DensityFloorError naming the sampler step (and,
+    for several chains, the first chain) at which a chain failed. Returns one
+    Trajectory per chain.
     """
     if not cfgs or len(cfgs) != len(rngs):
         raise ConfigError("run_chains needs at least one config and one rng per config")
@@ -658,25 +571,26 @@ def run_chains(
         )
 
     chains = len(cfgs)
-    floats = _float_path(row, cfg, chains, source)
+    floats = row.float_step is not None and cfg.dim == 2
     if row.source == ORACLE:
-        if not callable(source):
-            raise ConfigError(f"variant {variant!r} expects a gradient oracle callable")
-        items = itertools.repeat(source.pairs if floats else source)
+        oracles = source if isinstance(source, list) else [source] * chains
+        if len(oracles) != chains or not all(map(callable, oracles)):
+            raise ConfigError(
+                f"variant {variant!r} expects a gradient oracle callable or a list of one per chain"
+            )
+        floats = floats and all(o is oracles[0] for o in oracles) and hasattr(oracles[0], "pairs")
+        items = itertools.repeat(oracles[0].pairs if floats else oracles)
     else:
         items = iter(source)
-    stats = SamplerStats()
-    extra = (stats,) if row.source == POOL else ()
+    stats = [SamplerStats() for _ in cfgs]
+    extras = [(chain_stats,) if row.source == POOL else () for chain_stats in stats]
 
-    # `rows[k]` is every chain's sample k. One chain's NumPy state is a
-    # (dim,) vector, several chains' a (chains, dim) block; a float block
-    # starts from the last row written.
-    starts = np.stack([c.init for c in cfgs])
+    # `rows[k]` is every chain's sample k; a float block starts from the last
+    # row written.
+    states = [c.init for c in cfgs]
     samples = np.empty((chains, num_steps + 1, cfg.dim))
     rows = samples.swapaxes(0, 1)
-    rows[0] = starts
-    state = starts[0] if chains == 1 else starts
-    noise = _ChainNoise(rngs, state.shape)
+    rows[0] = states
     # Step k makes row k + 1. Rows are written and checked for finiteness a
     # block at a time. A float block takes its items ahead, so without block
     # noise it is one step: the source may draw from the chains' rngs.
@@ -688,13 +602,15 @@ def run_chains(
             block = list(itertools.islice(items, len(steps)))
             out = row.float_step(rows[steps.start].tolist(), block, cfg, rngs)
         else:
-            block = []  # one state per item taken
+            block = []  # every chain's state after each item taken
             for k, item in zip(steps, items):
-                try:
-                    state = row.step(state, item, cfg, noise, *extra)
-                except DensityFloorError as exc:
-                    raise DensityFloorError(f"{exc} at sampler step {k + 1}") from exc
-                block.append(state)
+                for chain, rng in enumerate(rngs):
+                    try:
+                        states[chain] = row.step(states[chain], _chain_item(item, chain), cfg, rng, *extras[chain])
+                    except DensityFloorError as exc:
+                        prefix = f"chain {chain}: " if chains > 1 else ""
+                        raise DensityFloorError(f"{prefix}{exc} at sampler step {k + 1}") from exc
+                block.append(states[:])
             out = block
         if len(block) < len(steps):
             done = steps.start + len(block)
@@ -702,9 +618,8 @@ def run_chains(
         rows[steps.start + 1:hi] = np.reshape(out, (len(steps), chains, cfg.dim))
         _check_block(rows, lo, hi)
 
-    resets = np.broadcast_to(stats.underflow_resets, chains)
     trajectories = []
-    for chain, (chain_cfg, rng) in enumerate(zip(cfgs, rngs)):
+    for chain, (chain_cfg, rng, chain_stats) in enumerate(zip(cfgs, rngs, stats)):
         seed = getattr(rng, "seed", None)
         trajectories.append(
             Trajectory(
@@ -713,11 +628,20 @@ def run_chains(
                 variant=variant,
                 fingerprint=_fingerprint(variant, chain_cfg, num_steps, seed),
                 seed=seed,
-                underflow_resets=int(resets[chain]),
+                underflow_resets=chain_stats.underflow_resets,
                 gain_ratio=cfg.gain_ratio,
             )
         )
     return trajectories
+
+
+def _chain_item(item, chain: int):
+    """Chain `chain`'s part of a step's item: its oracle of a list, its row of a stacked pool, or the shared item."""
+    if isinstance(item, list):
+        return item[chain]
+    if isinstance(item, GradientPool) and item.points.ndim == 3:
+        return GradientPool(item.points[chain], item.gradients[chain])
+    return item
 
 
 def run_sampler(

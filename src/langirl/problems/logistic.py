@@ -90,6 +90,8 @@ class LogisticModel:
             raise ConfigError("labels must be 0 or 1")
         if len(feats) == 0:
             raise ConfigError("model needs at least one data row")
+        if not (self.likelihood_weight > 0 and np.isfinite(self.likelihood_weight)):
+            raise ConfigError("likelihood_weight must be positive and finite")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
 

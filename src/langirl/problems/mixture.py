@@ -40,8 +40,8 @@ class MixtureModel:
             raise ConfigError("prior_variances must be two positive numbers")
         if self.component_var <= 0:
             raise ConfigError("component_var must be positive")
-        if self.likelihood_weight <= 0:
-            raise ConfigError("likelihood_weight must be positive")
+        if not (self.likelihood_weight > 0 and math.isfinite(self.likelihood_weight)):
+            raise ConfigError("likelihood_weight must be positive and finite")
 
     @property
     def component_means(self) -> np.ndarray:

@@ -1,4 +1,9 @@
-"""Batched chains: `run_chains` against the same chains run one at a time."""
+"""Several chains: `run_chains` against the same chains run one at a time."""
+
+import contextlib
+import dataclasses
+import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from langirl.core import (
 )
 from langirl.forward import InitDensity
 from langirl.irl import (
+    ACTIVE,
     CLASSICAL,
     MULTIKERNEL,
     NAIVE,
@@ -85,9 +91,9 @@ def per_chain_sources(variant):
 
 
 def combined(sources):
-    """The one source that gives chain c its own source's item in row c."""
+    """The one source that gives chain c its own source: the oracles' list, or the pools stacked, chain c's in row c."""
     if callable(sources[0]):
-        return lambda points: np.stack([oracle(p) for oracle, p in zip(sources, points)])
+        return list(sources)
     return [GradientPool(*map(np.stack, zip(*row))) for row in zip(*sources)]
 
 
@@ -102,8 +108,8 @@ OWN = [
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("variant, own_sources", SHARED + OWN)
 def test_batch_matches_chains_run_one_at_a_time(variant, own_sources, family):
-    # With own sources, stacked pools or a block oracle answering row c from
-    # chain c's own oracle give each chain in the batch a source of its own.
+    # With own sources, stacked pools or a list of one oracle per chain give
+    # each chain in the batch a source of its own.
     cfgs = configs(family)
     if own_sources:
         source = combined(per_chain_sources(variant))
@@ -136,40 +142,51 @@ def test_block_noise_equals_drawing_at_every_step(variant):
     assert ahead.standard_normal() == now.standard_normal()
 
 
-# One chain more than a 2-D run steps in plain floats: a batch this size runs in NumPy.
-BEYOND_FLOAT_CAP = tuple([0.2 * chain - 1.5, 0.1 * chain] for chain in range(irl._FLOAT_PATH_MAX_CHAINS + 1))
+# Thirteen chains: a 2-D run with a float step takes floats at any chain count.
+MANY_INITS = tuple([0.2 * chain - 1.5, 0.1 * chain] for chain in range(13))
+
+
+def numpy_steps_only(chains=None):
+    """Drop every float step from `VARIANTS`, so a run takes the NumPy steps; with `chains`, only for 13 chains."""
+    if chains is not None and chains != len(MANY_INITS):
+        return contextlib.nullcontext()
+    rows = {name: dataclasses.replace(row, float_step=None) for name, row in VARIANTS.items() if row.float_step}
+    return mock.patch.dict(irl.VARIANTS, rows)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("variant", [PASSIVE_GENERALIZED, PASSIVE_GATED])
 def test_numpy_batch_beyond_the_float_cap_matches_float_chains(variant, family):
-    cfgs = configs(family, inits=BEYOND_FLOAT_CAP)
-    batch = run_chains(variant, corpus(), cfgs, STEPS, chain_rngs(len(cfgs)))
+    # Thirteen chains stepped one by one in NumPy against each chain alone in floats.
+    cfgs = configs(family, inits=MANY_INITS)
+    with numpy_steps_only():
+        batch = run_chains(variant, corpus(), cfgs, STEPS, chain_rngs(len(cfgs)))
     alone = [run_sampler(variant, corpus(), cfg, STEPS, rng) for cfg, rng in zip(cfgs, chain_rngs(len(cfgs)))]
     for got, want in zip(batch, alone):
         assert got.samples.tobytes() == want.samples.tobytes()
 
 
-@pytest.mark.parametrize("chains", [1, 3, len(BEYOND_FLOAT_CAP)])
+@pytest.mark.parametrize("chains", [1, 3, len(MANY_INITS)])
 @pytest.mark.parametrize("variant", [PASSIVE_GENERALIZED, PASSIVE_GATED])
 def test_infinite_gradient_names_chain_and_step(variant, chains):
     # Every chain turns non-finite at the bad sample; the first one is named,
-    # whether the steps run in floats (1 and 3 chains) or in NumPy (beyond the cap).
+    # whether the steps run in floats (1 and 3 chains) or in NumPy (13).
     stream = corpus(n=10)
     stream[5] = GradientSample(stream[5].point, np.array([np.inf, 1.0]))
     prefix = "chain 0: " if chains > 1 else ""
     with pytest.raises(NonFiniteError, match=rf"^{prefix}estimate became non-finite at sampler step 6$"):
-        with np.errstate(all="ignore"):
-            run_chains(variant, stream, configs(inits=BEYOND_FLOAT_CAP[:chains]), 10, chain_rngs(chains))
+        with np.errstate(all="ignore"), numpy_steps_only(chains):
+            run_chains(variant, stream, configs(inits=MANY_INITS[:chains]), 10, chain_rngs(chains))
 
 
 @pytest.mark.parametrize("items", [50, 200])
-@pytest.mark.parametrize("chains", [1, 3, len(BEYOND_FLOAT_CAP)])
+@pytest.mark.parametrize("chains", [1, 3, len(MANY_INITS)])
 @pytest.mark.parametrize("variant", [PASSIVE_GENERALIZED, PASSIVE_GATED])
 def test_a_source_running_out_mid_block_names_its_step(variant, chains, items):
-    # The first and a later 128-step block, in floats (1 and 3 chains) or in NumPy.
-    with pytest.raises(SourceExhausted, match=rf"^stream source exhausted after {items} of 300 steps$"):
-        run_chains(variant, corpus(n=items), configs(inits=BEYOND_FLOAT_CAP[:chains]), 300, chain_rngs(chains))
+    # The first and a later 128-step block, in floats (1 and 3 chains) or in NumPy (13).
+    message = rf"^stream source exhausted after {items} of 300 steps$"
+    with numpy_steps_only(chains), pytest.raises(SourceExhausted, match=message):
+        run_chains(variant, corpus(n=items), configs(inits=MANY_INITS[:chains]), 300, chain_rngs(chains))
 
 
 def test_density_floor_names_chain_and_step():
@@ -204,3 +221,30 @@ def test_configs_may_differ_only_in_init():
         run_chains(PASSIVE_GENERALIZED, corpus(), cfgs, 5, chain_rngs(2))
     with pytest.raises(ConfigError, match="at least one config"):
         run_chains(PASSIVE_GENERALIZED, corpus(), [], 5, [])
+
+
+def test_an_oracle_list_needs_one_callable_per_chain():
+    oracles = per_chain_sources(CLASSICAL)
+    for source in (oracles[:2], oracles + oracles[:1], oracles[:2] + [np.zeros(2)]):
+        with pytest.raises(ConfigError, match="expects a gradient oracle callable or a list of one per chain"):
+            run_chains(CLASSICAL, source, configs(), 5, chain_rngs())
+
+
+# sha256 of seeded 1,100-step runs of 3 chains on one shared noisy 3-D quadratic
+# oracle, recorded when a NumPy step still asked the oracle about every chain
+# in one (chains, dim) block call: chain by chain, the oracle must draw in
+# the same order.
+SHARED_ORACLE_GOLDEN = {
+    ACTIVE: "fb146e3b9c17f6d1691a4737f3e52a2aaa4dbe9187cf8fa228a3f287838355c7",
+    CLASSICAL: "23a975542405f1483904b07d5d43d6029768f322fd5bba9d684e5261e9af1e0d",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(SHARED_ORACLE_GOLDEN))
+def test_chains_on_one_shared_noisy_oracle_keep_their_hashes(variant):
+    oracle = synthetic.quadratic_oracle(1.5, 0.25, 0.3, RngStream(9))
+    cfgs = [SamplerConfig(step=0.03, beta=1.2, init=np.array([0.4 * c - 0.3, 0.1 * c + 0.2, -0.2 * c]),
+                          kernel=Kernel(GAUSSIAN, 0.7, 3), conditional_std=0.3) for c in range(3)]
+    trajs = run_chains(variant, oracle, cfgs, STEPS, [RngStream(60 + c) for c in range(3)])
+    digest = hashlib.sha256(b"".join(t.samples.tobytes() for t in trajs)).hexdigest()
+    assert digest == SHARED_ORACLE_GOLDEN[variant]

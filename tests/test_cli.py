@@ -1186,6 +1186,33 @@ TWO_STATE_MODEL = {"states": 2, "actions": 2, "P": [[[0.8, 0.2], [0.3, 0.7]], [[
                      id="gain-ratio-bandwidth-huge"),
         pytest.param(quadratic_config, "sampler.step", 1e308, "sampler: gain ratio step / bandwidth**dim",
                      id="gain-ratio-step-huge"),
+        # JSON's NaN and Infinity tokens would fail the manifest write after the output directory was cleared.
+        pytest.param(quadratic_config, "problem.center", float("nan"), "problem.center: must be a finite number",
+                     id="center-nan"),
+        pytest.param(quadratic_config, "problem.curvature", float("nan"),
+                     "problem.curvature: must be a finite number", id="curvature-nan"),
+        pytest.param(quadratic_config, "problem.curvature", float("inf"),
+                     "problem.curvature: must be a finite number", id="curvature-infinity"),
+        pytest.param(quadratic_config, "problem.noise_std", float("inf"),
+                     "problem.noise_std: must be a finite number", id="noise-std-infinity"),
+        pytest.param(mixture_config, "problem.likelihood_weight", float("nan"),
+                     "problem.likelihood_weight: must be a finite number", id="mixture-likelihood-weight-nan"),
+        pytest.param(mixture_config, "problem.component_var", float("inf"),
+                     "problem.component_var: must be a finite number", id="mixture-component-var-infinity"),
+        pytest.param(quadratic_config, "sampler.conditional_std", float("nan"),
+                     "sampler.conditional_std: must be a finite number", id="conditional-std-nan"),
+        pytest.param(cmdp_config, "problem.perturbation", float("inf"),
+                     "problem.perturbation: must be a finite number", id="cmdp-perturbation-infinity"),
+        pytest.param(quadratic_config, "analysis.constraint_tolerance", float("-inf"),
+                     "analysis.constraint_tolerance: must be a finite number", id="constraint-tolerance-infinity"),
+        # 1/(curvature*beta) overflows: metrics.json could not hold the variance target.
+        pytest.param(quadratic_config, "problem.curvature", 1e-320,
+                     "problem.curvature: stationary variance 1/(curvature*beta) is not finite", id="curvature-tiny"),
+        pytest.param(logistic_config, "problem.likelihood_weight", -10,
+                     "problem: likelihood_weight must be positive and finite",
+                     id="logistic-likelihood-weight-negative"),
+        pytest.param(logistic_config, "problem.likelihood_weight", 0,
+                     "problem: likelihood_weight must be positive and finite", id="logistic-likelihood-weight-0"),
     ],
 )
 def test_config_error_fails_before_any_output(tmp_path, capsys, make_config, path, value, message):

@@ -107,6 +107,8 @@ def test_error_types_are_catchable_as_builtins():
 def test_write_json_refuses_non_standard_tokens(tmp_path, value):
     with pytest.raises(ValueError):
         write_json(tmp_path / "out.json", {"mean": [0.0, value]})
+    # The payload is refused before the file is opened: no truncated file is left.
+    assert not (tmp_path / "out.json").exists()
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)

@@ -224,12 +224,12 @@ ORACLE_PAIRS = st.one_of(
 
 
 def numpy_block(row, est, items, cfg, draws):
-    """The NumPy step iterated over a block, one chain's (2,) state or several chains' (chains, 2)."""
-    state, rows = est[0] if len(est) == 1 else est, []
+    """The NumPy step iterated over a block, chain by chain inside each step as `run_chains` steps them."""
+    states, rows = list(est), []
     for item, draw in zip(items, draws):
-        state = row.step(state, item, cfg, QueuedRng(draw[0] if len(est) == 1 else draw))
-        rows.append(state)
-    return np.reshape(rows, (len(items), *est.shape))
+        states = [row.step(state, item, cfg, QueuedRng(chain_draw)) for state, chain_draw in zip(states, draw)]
+        rows.append(states)
+    return np.array(rows)
 
 
 def block_draws(seed, chains, steps):
@@ -307,16 +307,15 @@ class TestFloatPath:
             assert block(np.zeros((1, 2))).tobytes() == np.array(floats.pairs([[0.0, 0.0]])).tobytes()
 
     def test_other_shapes_take_the_numpy_form(self):
-        # 1-D and 3-D passive runs, one chain beyond the cap, and oracles with no float form.
-        passive = [(PASSIVE_GENERALIZED, dim, chains, small_corpus(dim))
-                   for dim, chains in ((1, 3), (3, 3), (2, irl._FLOAT_PATH_MAX_CHAINS + 1))]
+        # 1-D and 3-D passive runs, oracles with no float form, and one oracle per chain.
+        passive = [(PASSIVE_GENERALIZED, dim, chains, small_corpus(dim)) for dim, chains in ((1, 3), (3, 3))]
         data = np.array([[1.0, 0.5], [1.0, -1.5], [1.0, 2.0]])
         oracles = [
             (CLASSICAL, 2, 1, synthetic.quadratic_oracle(np.array([1.0, 2.5]))),
             (CLASSICAL, 2, 1, synthetic.quadratic_oracle(1.0, np.array([0.5, -0.5]))),
             (CLASSICAL, 3, 3, synthetic.quadratic_oracle(1.0)),
             (CLASSICAL, 2, 2, logistic.make_stream_oracle(logistic.LogisticModel(data, np.array([1, 0, 1])))),
-            (CLASSICAL, 2, irl._FLOAT_PATH_MAX_CHAINS + 1, synthetic.quadratic_oracle(1.0)),
+            (CLASSICAL, 2, 2, [synthetic.quadratic_oracle(1.0), synthetic.quadratic_oracle(1.0)]),
         ]
         for variant, dim, chains, source in passive + oracles:
             cfgs = [chain_config(dim, chain) for chain in range(chains)]
@@ -324,16 +323,19 @@ class TestFloatPath:
                 trajs = run_chains(variant, source, cfgs, 5, [RngStream(chain) for chain in range(chains)])
             assert len(trajs) == chains
 
-    def test_2d_runs_within_the_cap_take_the_float_path(self):
-        chains = irl._FLOAT_PATH_MAX_CHAINS
-        cfgs = [chain_config(2, chain) for chain in range(chains)]
+    def test_2d_runs_take_the_float_path_at_any_chain_count(self):
+        counts = (1, 12, 13, 24)
+        cfgs = [chain_config(2, chain) for chain in range(max(counts))]
         model = MixtureModel(true_param=np.array([-1.0, 2.0]))
+        oracle = synthetic.quadratic_oracle(1.0, 0.5, 0.3, RngStream(1))
         for variant, source in ((PASSIVE_GENERALIZED, small_corpus(2)), (PASSIVE_GATED, small_corpus(2)),
-                                (CLASSICAL, synthetic.quadratic_oracle(1.0, 0.5, 0.3, RngStream(1))),
-                                (CLASSICAL, mixture.make_stream_oracle(model, RngStream(2)))):
-            for count in (1, chains):
+                                (CLASSICAL, oracle), (CLASSICAL, mixture.make_stream_oracle(model, RngStream(2)))):
+            for count in counts:
                 with float_steps_fail(), pytest.raises(AssertionError, match="float path"):
                     run_chains(variant, source, cfgs[:count], 5, [RngStream(c) for c in range(count)])
+        # A list that names one oracle for every chain is a shared oracle.
+        with float_steps_fail(), pytest.raises(AssertionError, match="float path"):
+            run_chains(CLASSICAL, [oracle] * 13, cfgs[:13], 5, [RngStream(c) for c in range(13)])
 
 
 def small_corpus(dim):

@@ -268,8 +268,9 @@ class TestModelValidation:
             MixtureModel(true_param=np.zeros(2), prior_variances=(1.0, -1.0))
         with pytest.raises(ConfigError):
             MixtureModel(true_param=np.zeros(2), component_var=0.0)
-        with pytest.raises(ConfigError):
-            MixtureModel(true_param=np.zeros(2), likelihood_weight=0.0)
+        for weight in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="likelihood_weight must be positive and finite"):
+                MixtureModel(true_param=np.zeros(2), likelihood_weight=weight)
 
     def test_component_means(self):
         m = MixtureModel(true_param=np.array([1.5, -2.0]))

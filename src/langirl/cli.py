@@ -7,11 +7,13 @@ directory. `langirl compare dirA dirB` computes per-marginal distances
 between two finished runs, pooling the chains each run's metrics.json names.
 Exit codes: 0 success, 1 runtime failure, 2 config error.
 
-`--chains N` pools N sampler chains, and `baseline.chains` sets the number of
-baseline chains. Each set of chains runs in one `run_chains` call, whatever
-its source, which advances the chains one by one at every step. Oracle
-chains (the baseline's too) each call an oracle of their own, passed as a
-list of one per chain, and CMDP chains each read SPSA pools of their own.
+`--chains N` pools N sampler chains, and `baseline.chains` sets the number
+of baseline chains. Each set of chains runs in one `run_chains` call,
+whatever its source, which advances the chains one by one at every step.
+Oracle chains (the baseline's too) each call an oracle of their own, passed
+as a list of one per chain, and CMDP chains each read SPSA pools of their
+own, one list of a pool per chain each step. At most 30 sampler chains may
+read oracle or SPSA streams: chain 30's noise stream would be chain 0's.
 Chains that read the forward corpus all read it in the same order; they
 differ only in their noise (and their start, with `init: "sample"`). Their
 spread therefore understates the error of the pooled estimate, and a
@@ -124,7 +126,8 @@ _RNG_AGENTS = 5
 _RNG_CHAIN_NOISE = 10
 _RNG_CHAIN_ORACLE = 40
 
-_RUNTIME_ERRORS = (NonFiniteError, DensityFloorError, SourceExhausted, DomainError)
+# MemoryError: a trajectory array too large to allocate; no corpus bounds an oracle or CMDP run's step count.
+_RUNTIME_ERRORS = (NonFiniteError, DensityFloorError, SourceExhausted, DomainError, MemoryError)
 
 
 def _merge(base, overlay):
@@ -175,15 +178,20 @@ def _expect(section, field, kinds, required=True, default=None, least=None):
     return value
 
 
+def _finite(value):
+    """Whether a JSON number lies in the float range: NaN, ±Infinity and an integer beyond it do not."""
+    return -sys.float_info.max <= value <= sys.float_info.max
+
+
 def _number(section, field, required=True, default=None, least=None, positive=False):
     """A finite number field as a float, or `default` when it is absent; `positive` rejects one that is not above 0.
 
-    JSON's NaN and Infinity tokens load as floats and are rejected here.
+    JSON's NaN and Infinity tokens load as floats; they and an integer too large for a float are rejected here.
     """
     value = _expect(section, field, (int, float), required, default, least)
     if value is None:
         return None
-    if not math.isfinite(value):
+    if not _finite(value):
         raise ConfigError(f"{section.path}.{field}: must be a finite number, got {value}")
     if positive and not value > 0:
         raise ConfigError(f"{section.path}.{field}: must be positive, got {float(value)}")
@@ -194,14 +202,15 @@ def _vector(section, field, required=True, default=None):
     """A list of finite numbers (or a list of such lists) as a float64 array, or `default` when absent.
 
     Every entry's type is checked: `np.asarray(x, dtype=float)` would also
-    take strings such as "1" and JSON true. JSON NaN and Infinity are
-    rejected here too, not later as a runtime failure.
+    take strings such as "1" and JSON true. JSON NaN and Infinity, and an
+    integer too large for a float, are rejected here too, not later as a
+    runtime failure or a traceback.
     """
     value = _expect(section, field, list, required, default)
     if value is None:
         return None
     entries = np.asarray(value, dtype=object).flat
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) for x in entries):
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) and _finite(x) for x in entries):
         raise ConfigError(f"{section.path}.{field}: expected a list of finite numbers, got {value!r}")
     return np.asarray(value, dtype=np.float64)
 
@@ -296,6 +305,11 @@ class _Experiment:
         # Stream and pool variants read the forward corpus; CMDP pools come
         # from SPSA instead.
         self.source_kind = VARIANTS[self.variant].source
+        # Chain c's noise stream is child 10 + c and its oracle or SPSA pool stream child 40 + c.
+        most = _RNG_CHAIN_ORACLE - _RNG_CHAIN_NOISE
+        if self.chains > most and (self.source_kind == ORACLE or self.kind == "cmdp"):
+            raise ConfigError(f"config.chains: at most {most} chains may read oracle or SPSA streams, got "
+                              f"{self.chains}: chain {most}'s noise stream would be chain 0's oracle or pool stream")
         forward = _expect(config, "forward", dict, required=False)
         baseline = _expect(config, "baseline", dict, required=False)
         if self.oracle is None and (self.source_kind != POOL or forward is not None or baseline is not None):
@@ -725,11 +739,9 @@ def _chain_source(exp, kind, corpus, rngs):
     """The one source `run_chains` reads for a set of chains reading a `kind` source.
 
     Chains that read the forward corpus share one reader of it. Otherwise
-    chain c has a source of its own, made from `rngs[c]`: a gradient oracle
-    or a stream of CMDP SPSA pools (`_spsa_pools`). Several chains' oracles
-    are passed as a list of one per chain, and their pools are stacked to
-    (chains, pool, dim) with chain c's pool in row c. One chain's source is
-    passed unchanged.
+    chain c has a source of its own, made from `rngs[c]`: a gradient oracle,
+    the oracles passed as a list of one per chain (one chain's bare), or the
+    CMDP SPSA pools of `_spsa_pools`, one list of a pool per chain each step.
     """
     if kind != ORACLE and exp.kind != "cmdp":
         pool_size = exp.sampler_cfg.pool_size
@@ -757,30 +769,27 @@ def _shares(fn, items, *args):
 
 
 def _pool_chunks(chunks, exp, rngs):
-    """Chunks `chunks` of every chain's SPSA pools, as (points, gradients) arrays.
-
-    Each is (pools, pool, dim) for one chain, (pools, chains, pool, dim) with chain c's pools in row c.
-    """
+    """Chunks `chunks` of each chain's SPSA pools: chain c's (points, gradients), each (pools, pool, dim)."""
     args = exp.model, exp.sampler_cfg.pool_size, exp.num_steps, exp.horizon, exp.perturbation
-    per_chain = [
+    return [
         [np.concatenate(arrays) for arrays in zip(*(cmdp.angle_pool_chunk(*args, rng, c) for c in chunks))]
         for rng in rngs
     ]
-    return [arrays[0] if len(rngs) == 1 else np.stack(arrays, axis=1) for arrays in zip(*per_chain)]
 
 
 def _spsa_pools(exp, rngs):
-    """Each chain's CMDP SPSA pools, as `cmdp.make_angle_pool_source` makes them from `rngs[c]`.
+    """One list per step of one CMDP SPSA pool per chain, at every chain count.
 
-    The chunks split into `_shares`, every chain's chunk k in the same share.
-    The run computes the first share a chunk at a time, as the chains read
-    it; a later share's worker, added to `exp.workers`, is joined when the
-    chains reach its chunks.
+    Chain c's pools are those `cmdp.make_angle_pool_source` makes from
+    `rngs[c]`. The chunks split into `_shares`, every chain's chunk k in the
+    same share. The run computes the first share a chunk at a time, as the
+    chains read it; a later share's worker, added to `exp.workers`, is joined
+    when the chains reach its chunks.
     """
     own, workers = _shares(_pool_chunks, range(-(-exp.num_steps // cmdp.POOL_CHUNK)), exp, rngs)
     exp.workers.extend(workers)
     parts = itertools.chain((_pool_chunks([c], exp, rngs) for c in own), map(_Worker.join, workers))
-    return (GradientPool(*pool) for points, gradients in parts for pool in zip(points, gradients))
+    return (list(pools) for part in parts for pools in zip(*(map(GradientPool, *arrays) for arrays in part)))
 
 
 def _chain_stems(name, chains):

@@ -55,24 +55,28 @@ A step function advances one chain: `est` is a (dim,) vector, and the kernel
 weight, density and gate are NumPy scalars. Called directly with an rng, it
 is the plain one-chain update, drawing from that rng when it needs noise.
 `run_chains` steps several chains one by one inside each step, chain 0
-first. Every chain takes the same stream sample; chain c takes row c of a
-(chains, pool, dim) pool and its own oracle from a list of them, draws its
-noise from its own rng and counts in its own SamplerStats. A chain's samples
-therefore do not depend on how many chains run beside it.
+first, by one rule for every source kind: chain c's part of a step's item is
+`item[c]` when the item is a list (each of the CLI's CMDP pool items is one),
+and the item itself otherwise. Chain c draws its noise from its own rng and
+counts in its own SamplerStats, so its samples do not depend on how many
+chains run beside it.
 
 An oracle source is one callable that every chain calls, or a list of one
-callable per chain. A step calls its chain's oracle on its (dim,) point, so a
-shared oracle is called once per chain per step, in chain order. Under the
-forward block contract (see `forward`) that is what one call on the
-(chains, dim) block of those points gives: n gradients bit for bit those of
-n successive single-point calls, its rng or row counter used in row order.
-Every shipped oracle meets it.
+callable per chain; `run_chains` repeats it as every step's item. A step
+calls its chain's oracle on its (dim,) point, so a shared oracle is called
+once per chain per step, in chain order. Under the forward block contract
+(see `forward`) that is what one call on the (chains, dim) block of those
+points gives: n gradients bit for bit those of n successive single-point
+calls, its rng or row counter used in row order. Every shipped oracle meets
+it.
 
 `run_chains` takes the plain-float path for a 2-D run, at any chain count,
 whose variant has a float step (`passive_generalized`, `passive_gated`,
 `classical`). A float step advances every chain over a block of up to 128
 steps in Python floats, the kernel and the density written out inline, and
 returns the block's rows; the next block starts from the last row written.
+It reads one shared item per step, so from the first block that holds a list
+item on, the run takes the NumPy steps, which give the same bits.
 Chain c draws a block's noise in one `rngs[c].standard_normal((n, 2))` call,
 the numbers per-step draws would give; without block noise a block is one
 step. The float steps give the NumPy form's bits: the same IEEE operations
@@ -422,15 +426,15 @@ class Variant:
     """One row of the variant table.
 
     `step(est, item, cfg, rng)` makes one update of one chain's (dim,)
-    estimate from `item`: a GradientSample for a stream source, a
-    GradientPool of (pool, dim) arrays for a pool source (pool steps also get
-    the chain's SamplerStats), or the chain's oracle callable. `needs` names
-    the SamplerConfig fields that must not be None. `float_step(state,
-    items, cfg, rngs)`, when set, makes one update per item for every chain
-    of a 2-D run in plain floats (module docstring): `state` holds each
-    chain's [e0, e1], chain c draws its noise from `rngs[c]`, an oracle
-    variant's items are the shared oracle's float form, and it returns the
-    block's rows, step-major.
+    estimate from its part of a step's item (`run_chains`): a GradientSample
+    for a stream source, a GradientPool of (pool, dim) arrays for a pool
+    source (pool steps also get the chain's SamplerStats), or an oracle
+    callable. `needs` names the SamplerConfig fields that must not be None.
+    `float_step(state, items, cfg, rngs)`, when set, makes one update per
+    shared item for every chain of a 2-D run in plain floats (module
+    docstring): `state` holds each chain's [e0, e1], chain c draws its noise
+    from `rngs[c]`, an oracle variant's items are the shared oracle's float
+    form, and it returns the block's rows, step-major.
     """
 
     step: Callable
@@ -533,13 +537,12 @@ def run_chains(
     `source` is an iterable of GradientSample for stream variants, an
     iterable of GradientPool for pool variants, and for oracle variants one
     gradient oracle callable that every chain calls or a list of one per
-    chain (see `VARIANTS`). Each step advances the chains one by one, chain 0
-    first. Every chain takes the same stream sample. A pool is shared too,
-    unless its arrays are (chains, pool, dim): then chain c takes pool row c,
-    so each chain can read pools of its own. Chain c starts at
-    `cfgs[c].init`, draws its noise from `rngs[c]` and counts its underflow
-    resets in a SamplerStats of its own; the configs may differ in nothing
-    else.
+    chain, repeated as every step's item (see `VARIANTS`). Each step advances
+    the chains one by one, chain 0 first, chain c on its part of the step's
+    item: `item[c]` when the item is a list of one part per chain, the item
+    itself otherwise. Chain c starts at `cfgs[c].init`, draws its noise from
+    `rngs[c]` and counts its underflow resets in a SamplerStats of its own;
+    the configs may differ in nothing else.
 
     With `block_noise` a float block draws each chain's noise ahead, one
     block of steps at a time, which gives the same numbers as drawing at
@@ -548,10 +551,10 @@ def run_chains(
     its noise only when it asks for it.
 
     Raises ConfigError for an oracle source that is neither a callable nor a
-    list of one per chain, SourceExhausted if an iterable runs out early,
-    and NonFiniteError or DensityFloorError naming the sampler step (and,
-    for several chains, the first chain) at which a chain failed. Returns one
-    Trajectory per chain.
+    list of one per chain, or naming the step of a list item of another
+    length; SourceExhausted if an iterable runs out early; NonFiniteError or
+    DensityFloorError naming the sampler step (and, for several chains, the
+    first chain) at which a chain failed. Returns one Trajectory per chain.
     """
     if not cfgs or len(cfgs) != len(rngs):
         raise ConfigError("run_chains needs at least one config and one rng per config")
@@ -579,18 +582,16 @@ def run_chains(
                 f"variant {variant!r} expects a gradient oracle callable or a list of one per chain"
             )
         floats = floats and all(o is oracles[0] for o in oracles) and hasattr(oracles[0], "pairs")
-        items = itertools.repeat(oracles[0].pairs if floats else oracles)
+        items = itertools.repeat(oracles[0].pairs if floats else source)
     else:
         items = iter(source)
     stats = [SamplerStats() for _ in cfgs]
     extras = [(chain_stats,) if row.source == POOL else () for chain_stats in stats]
 
-    # `rows[k]` is every chain's sample k; a float block starts from the last
-    # row written.
-    states = [c.init for c in cfgs]
+    # `rows[k]` is every chain's sample k; a block starts from the last row written.
     samples = np.empty((chains, num_steps + 1, cfg.dim))
     rows = samples.swapaxes(0, 1)
-    rows[0] = states
+    rows[0] = [c.init for c in cfgs]
     # Step k makes row k + 1. Rows are written and checked for finiteness a
     # block at a time. A float block takes its items ahead, so without block
     # noise it is one step: the source may draw from the chains' rngs.
@@ -598,23 +599,26 @@ def run_chains(
     for lo in range(0, num_steps + 1, size):
         hi = min(lo + size, num_steps + 1)
         steps = range(max(lo - 1, 0), hi - 1)
+        taken = list(itertools.islice(items, len(steps))) if floats else items
+        floats = floats and not any(isinstance(item, list) for item in taken)
         if floats:
-            block = list(itertools.islice(items, len(steps)))
-            out = row.float_step(rows[steps.start].tolist(), block, cfg, rngs)
+            out, done = row.float_step(rows[steps.start].tolist(), taken, cfg, rngs), len(taken)
         else:
-            block = []  # every chain's state after each item taken
-            for k, item in zip(steps, items):
-                for chain, rng in enumerate(rngs):
+            states, out = list(rows[steps.start].copy()), []  # out: every chain's state after each item
+            for k, item in zip(steps, taken):
+                parts = item if isinstance(item, list) else [item] * chains
+                if len(parts) != chains:
+                    raise ConfigError(f"sampler step {k + 1}: a list item needs one part per chain, got {len(parts)}")
+                for chain, (part, rng) in enumerate(zip(parts, rngs)):
                     try:
-                        states[chain] = row.step(states[chain], _chain_item(item, chain), cfg, rng, *extras[chain])
+                        states[chain] = row.step(states[chain], part, cfg, rng, *extras[chain])
                     except DensityFloorError as exc:
                         prefix = f"chain {chain}: " if chains > 1 else ""
                         raise DensityFloorError(f"{prefix}{exc} at sampler step {k + 1}") from exc
-                block.append(states[:])
-            out = block
-        if len(block) < len(steps):
-            done = steps.start + len(block)
-            raise SourceExhausted(f"{row.source} source exhausted after {done} of {num_steps} steps")
+                out.append(states[:])
+            done = len(out)
+        if done < len(steps):
+            raise SourceExhausted(f"{row.source} source exhausted after {steps.start + done} of {num_steps} steps")
         rows[steps.start + 1:hi] = np.reshape(out, (len(steps), chains, cfg.dim))
         _check_block(rows, lo, hi)
 
@@ -633,15 +637,6 @@ def run_chains(
             )
         )
     return trajectories
-
-
-def _chain_item(item, chain: int):
-    """Chain `chain`'s part of a step's item: its oracle of a list, its row of a stacked pool, or the shared item."""
-    if isinstance(item, list):
-        return item[chain]
-    if isinstance(item, GradientPool) and item.points.ndim == 3:
-        return GradientPool(item.points[chain], item.gradients[chain])
-    return item
 
 
 def run_sampler(

@@ -84,32 +84,30 @@ def chain_rngs(count=len(INITS)):
 
 
 def per_chain_sources(variant):
-    """One source per chain, each drawn from its own stream: noisy oracles or pools."""
-    if VARIANTS[variant].source == "oracle":
+    """One source per chain, each drawn from its own stream: noisy oracles, pools or corpora."""
+    kind = VARIANTS[variant].source
+    if kind == "oracle":
         return [synthetic.quadratic_oracle(1.0, 0.0, 0.3, RngStream(30 + chain)) for chain in range(len(INITS))]
-    return [pools(seed=30 + chain) for chain in range(len(INITS))]
+    return [(pools if kind == "pool" else corpus)(seed=30 + chain) for chain in range(len(INITS))]
 
 
 def combined(sources):
-    """The one source that gives chain c its own source: the oracles' list, or the pools stacked, chain c's in row c."""
+    """The one source that gives chain c its own source: the oracles' list, or one list per step of every chain's item."""
     if callable(sources[0]):
         return list(sources)
-    return [GradientPool(*map(np.stack, zip(*row))) for row in zip(*sources)]
+    return [list(row) for row in zip(*sources)]
 
 
 SHARED = [pytest.param(variant, False, id=variant) for variant in sorted(VARIANTS)]
-OWN = [
-    pytest.param(variant, True, id=f"{variant}-own-sources")
-    for variant in sorted(VARIANTS)
-    if VARIANTS[variant].source != "stream"
-]
+OWN = [pytest.param(variant, True, id=f"{variant}-own-sources") for variant in sorted(VARIANTS)]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("variant, own_sources", SHARED + OWN)
 def test_batch_matches_chains_run_one_at_a_time(variant, own_sources, family):
-    # With own sources, stacked pools or a list of one oracle per chain give
-    # each chain in the batch a source of its own.
+    # With own sources, per-step lists of one sample or pool per chain, or a
+    # list of one oracle per chain, give each chain in the batch a source of
+    # its own; 2-D float variants then take the NumPy steps.
     cfgs = configs(family)
     if own_sources:
         source = combined(per_chain_sources(variant))
@@ -228,6 +226,28 @@ def test_an_oracle_list_needs_one_callable_per_chain():
     for source in (oracles[:2], oracles + oracles[:1], oracles[:2] + [np.zeros(2)]):
         with pytest.raises(ConfigError, match="expects a gradient oracle callable or a list of one per chain"):
             run_chains(CLASSICAL, source, configs(), 5, chain_rngs())
+
+
+@pytest.mark.parametrize("variant", [MULTIKERNEL, PASSIVE_GENERALIZED, NAIVE])
+def test_a_list_item_needs_one_part_per_chain(variant):
+    source = combined(per_chain_sources(variant))
+    source[200] = source[200][:2]
+    with pytest.raises(ConfigError, match=r"^sampler step 201: a list item needs one part per chain, got 2$"):
+        run_chains(variant, source, configs(), STEPS, chain_rngs())
+
+
+@pytest.mark.parametrize("variant", [PASSIVE_GENERALIZED, PASSIVE_GATED])
+def test_float_chains_meeting_a_list_item_go_on_in_numpy(variant):
+    # Shared samples fill the first float blocks; from the block that holds
+    # the first per-chain list on, the chains take the NumPy steps, with the
+    # bits each chain gives alone on the same samples.
+    shared, own = corpus()[:300], per_chain_sources(variant)
+    source = shared + combined(own)[300:]
+    batch = run_chains(variant, source, configs(), STEPS, chain_rngs())
+    alone = [run_sampler(variant, shared + src[300:], cfg, STEPS, rng)
+             for src, cfg, rng in zip(own, configs(), chain_rngs())]
+    for got, want in zip(batch, alone):
+        assert got.samples.tobytes() == want.samples.tobytes()
 
 
 # sha256 of seeded 1,100-step runs of 3 chains on one shared noisy 3-D quadratic

@@ -487,6 +487,27 @@ def test_baseline_divergence_is_recorded(tmp_path, forks, deadline):
     assert_reaped(forks)
 
 
+@pytest.mark.parametrize("phase", ["sampler", "baseline"])
+def test_a_trajectory_too_large_to_allocate_is_a_failure(tmp_path, capfd, forks, deadline, phase):
+    # No corpus bounds an oracle run's step count. 10**15 steps of a 2-D chain
+    # are 14 PiB of samples, beyond any address space, so the allocation fails
+    # at once; the baseline worker sends its MemoryError back to the run.
+    out = tmp_path / "run"
+    config = mixture_config(out)
+    if phase == "sampler":
+        config["sampler"]["num_steps"] = 10**15
+    else:
+        config["baseline"] = {"step": 0.1, "num_steps": 10**15}
+    assert main(["run", write_config(tmp_path, config)]) == 1
+    failure = read_json(out / "failure.json")
+    assert (failure["phase"], failure["error"]) == (phase, "MemoryError")
+    assert failure["message"].startswith("Unable to allocate")
+    assert "Traceback" not in capfd.readouterr().err
+    written = ["trajectory.csv", "trajectory.json"] if phase == "baseline" else []
+    assert sorted(p.name for p in out.iterdir()) == ["failure.json", "manifest.json", *written]
+    assert_reaped(forks, count=phase == "baseline")
+
+
 def test_a_worker_ending_without_a_result_is_a_failure(tmp_path, monkeypatch, forks, deadline):
     out = tmp_path / "run"
     monkeypatch.setattr(langirl.cli, "_baseline_chains", lambda exp, outdir: os._exit(3))
@@ -1052,6 +1073,24 @@ def logistic_config(output):
     return config
 
 
+def with_31_baseline_chains(output):
+    config = quadratic_config(output)
+    config["baseline"]["chains"] = 31
+    return config
+
+
+@pytest.mark.parametrize("make_config, chains", [(mixture_config, 30), (cmdp_config, 30), (with_31_baseline_chains, 31)],
+                         ids=["oracle-30", "cmdp-30", "corpus-and-baseline-31"])
+def test_chain_counts_whose_streams_stay_apart_run(tmp_path, make_config, chains):
+    # Chain c's noise is stream 10 + c and its oracle or SPSA pools stream
+    # 40 + c, so up to 30 such chains keep them apart (31 is a config error).
+    # Corpus chains read no stream 40 + c, and baseline chains nest theirs
+    # under streams 2 and 3.
+    out = tmp_path / "run"
+    assert main(["run", write_config(tmp_path, make_config(out)), "--chains", str(chains)]) == 0
+    assert len(list(out.glob("trajectory_c*.csv"))) == chains
+
+
 def file_holding(content):
     """A config value made at run time: the path of a file in the test's tmp_path holding `content`."""
     def make(tmp_path):
@@ -1208,6 +1247,16 @@ TWO_STATE_MODEL = {"states": 2, "actions": 2, "P": [[[0.8, 0.2], [0.3, 0.7]], [[
         # 1/(curvature*beta) overflows: metrics.json could not hold the variance target.
         pytest.param(quadratic_config, "problem.curvature", 1e-320,
                      "problem.curvature: stationary variance 1/(curvature*beta) is not finite", id="curvature-tiny"),
+        # An integer too large for a float would end in an OverflowError traceback.
+        pytest.param(quadratic_config, "problem.curvature", 10**401, "problem.curvature: must be a finite number",
+                     id="curvature-401-digits"),
+        pytest.param(quadratic_config, "sampler.init", [10**401, 0.0],
+                     "sampler.init: expected a list of finite numbers", id="sampler-init-401-digit-entry"),
+        # Chain 30's noise stream would be chain 0's oracle or SPSA pool stream.
+        pytest.param(mixture_config, "chains", 31, "config.chains: at most 30 chains may read oracle or SPSA streams",
+                     id="oracle-chains-31"),
+        pytest.param(cmdp_config, "chains", 31, "config.chains: at most 30 chains may read oracle or SPSA streams",
+                     id="cmdp-chains-31"),
         pytest.param(logistic_config, "problem.likelihood_weight", -10,
                      "problem: likelihood_weight must be positive and finite",
                      id="logistic-likelihood-weight-negative"),

@@ -183,6 +183,12 @@ def _finite(value):
     return -sys.float_info.max <= value <= sys.float_info.max
 
 
+def _addressable(path, array, *shape):
+    """Reject a float64 `array` of `shape` past `sys.maxsize` bytes: numpy raises ValueError for it, not MemoryError."""
+    if math.prod(shape) * 8 > sys.maxsize:
+        raise ConfigError(f"{path}: the {array}, {' x '.join(map(str, shape))} floats, is past what numpy can address")
+
+
 def _number(section, field, required=True, default=None, least=None, positive=False):
     """A finite number field as a float, or `default` when it is absent; `positive` rejects one that is not above 0.
 
@@ -345,6 +351,8 @@ class _Experiment:
                     raise ConfigError(
                         f"{self.grid.dim} axes do not match problem dimension {self.dim} (problem.kind {self.kind!r})"
                     )
+            # np.histogramdd counts into bins + 2 cells per axis, the outliers' included.
+            _addressable("analysis.grid", "histogram", *(bins + 2 for _, _, bins in self.grid.axes))
         self.find_modes, self.compare_marginals = (
             _expect(analysis, field, bool, required=False, default=False)
             for field in ("find_modes", "compare_marginals")
@@ -426,6 +434,7 @@ class _Experiment:
         fields = _number(fwd, "step"), _expect(fwd, "num_agents", int), _expect(fwd, "run_length", int)
         with _prefixed("forward"):
             self.agents = AgentPoolConfig(*fields)
+        _addressable("forward.num_agents x forward.run_length", "corpus", *fields[1:], self.dim)
         self.sweeps = _expect(fwd, "sweeps", int, required=False, default=1, least=1)
         self.shuffle = _expect(fwd, "shuffle", bool, required=False, default=False)
         init = _expect(fwd, "init", dict, required=False, default={})
@@ -461,6 +470,9 @@ class _Experiment:
             with _prefixed("sampler.kernel"):
                 kernel = Kernel(family, bandwidth, self.dim)
         init, self.sample_init = self._start(sampler, self.density)
+        # A chain that leaves the box later fails the analysis.
+        if self.kind == "cmdp" and not np.all((cmdp.ANGLE_LOW <= init) & (init <= cmdp.ANGLE_HIGH)):
+            raise ConfigError(f"sampler.init: {init.tolist()} is off the box [{cmdp.ANGLE_LOW}, {cmdp.ANGLE_HIGH}]")
         pool_size = _expect(sampler, "pool_size", int, required=False, default=1)
 
         # Corpus readers take at most what the corpus holds over its sweeps.
@@ -486,6 +498,7 @@ class _Experiment:
         with _prefixed("sampler"):
             self.sampler_cfg = SamplerConfig(step, beta, init, kernel, self.density, pool_size, conditional_std, skew)
             check_run(self.variant, self.sampler_cfg, num_steps, self.burn_in)
+        _addressable("sampler.num_steps", "trajectory", num_steps + 1, self.chains, self.dim)
 
     def _build_baseline(self, baseline):
         self.baseline_cfg = None
@@ -500,6 +513,7 @@ class _Experiment:
         with _prefixed("baseline"):
             self.baseline_cfg = SamplerConfig(step, beta, init)
             check_run(CLASSICAL, self.baseline_cfg, self.baseline_steps)
+        _addressable("baseline.num_steps", "trajectory", self.baseline_steps + 1, self.baseline_chains, self.dim)
 
 
 def _make_dirs(path):

@@ -11,6 +11,8 @@ ceiling) is folded into a single penalized objective
 with J the long-run average reward and B the long-run average constraint cost.
 Gradients of the penalized objective come from simultaneous-perturbation
 estimates over sample paths, which is all a simulation oracle can offer.
+J and B assume a unichain model, each policy's chain with one recurrent
+class; `stationary_joint_batch` raises DomainError for a chain with several.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import ConfigError, GradientPool, RngStream
+from ..core import ConfigError, DomainError, GradientPool, RngStream
 
 _ROW_SUM_TOL = 1e-12
 
@@ -60,6 +62,8 @@ class CmdpModel:
         num_actions, num_states = P.shape[0], P.shape[1]
         if rho.shape != (num_states, num_actions) or cost.shape != (num_states, num_actions):
             raise ConfigError("rewards and constraint_cost must be (states, actions) tables")
+        if not all(np.isfinite(x).all() for x in (P, rho, cost, self.constraint_bound, self.penalty_weight)):
+            raise ConfigError("transitions, rewards, costs, constraint_bound and penalty_weight must be finite")
         if np.any(P < 0) or np.max(np.abs(P.sum(axis=2) - 1.0)) > _ROW_SUM_TOL:
             raise ConfigError("every transition row must be a probability vector")
         if np.any(rho < 0):
@@ -105,7 +109,7 @@ class CmdpModel:
             )
         except KeyError as missing:
             raise ConfigError(f"CMDP model file is missing field {missing}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer too large for a float
             raise ConfigError(f"CMDP model file {path}: malformed content ({exc})") from None
         if model.num_states != states or model.num_actions != actions:
             raise ConfigError("declared states/actions do not match the array shapes")
@@ -332,50 +336,26 @@ def make_angle_pool_source(
     )
 
 
-def stationary_joint(model: CmdpModel, policy: np.ndarray, tol: float = 1e-13, max_iter: int = 200000):
-    """Stationary state-action frequencies of the policy-induced chain.
+def stationary_joint_batch(model: CmdpModel, policies: np.ndarray):
+    """Stationary state-action frequencies of the chain of each policy in a (batch, states, actions) stack.
 
-    Power iteration on the state marginal; raises ConfigError with a
-    non-unichain diagnostic if it fails to settle. Returns (joint, J, B) where
-    joint[x, u] solves the balance equations and J, B are the stationary
-    averages of reward and constraint cost.
+    A unichain's state law nu solves nu (P_phi - I) = 0 with unit mass, the
+    mass equation in place of the last balance equation (the others imply
+    it), in one `np.linalg.solve` for the batch. A chain with more than one
+    recurrent class has no unique law: DomainError names the first policy
+    whose chain has no state that every state reaches. Returns (joint, J, B):
+    joint[b, x, u] = nu_b[x] * phi_b[x, u]; J, B the averages of reward and cost.
     """
-    phi = np.asarray(policy, dtype=np.float64)
-    chain = np.einsum("iu,uij->ij", phi, model.transitions)
-    nu = np.full(model.num_states, 1.0 / model.num_states)
-    for _ in range(max_iter):
-        nxt = nu @ chain
-        if float(np.abs(nxt - nu).sum()) < tol:
-            nu = nxt
-            break
-        nu = nxt
-    else:
-        raise ConfigError(
-            "power iteration did not converge; the policy-induced chain "
-            "may not be unichain"
-        )
-    joint = nu[:, None] * phi
-    J = float(np.sum(joint * model.rewards))
-    B = float(np.sum(joint * model.constraint_cost))
-    return joint, J, B
-
-
-def stationary_joint_batch(model: CmdpModel, policies: np.ndarray, tol: float = 1e-13, max_iter: int = 200000):
-    """Vectorized stationary_joint over a (batch, states, actions) stack."""
     phis = np.asarray(policies, dtype=np.float64)
     chains = np.einsum("biu,uij->bij", phis, model.transitions)
-    nu = np.full((len(phis), model.num_states), 1.0 / model.num_states)
-    for _ in range(max_iter):
-        nxt = np.einsum("bi,bij->bj", nu, chains)
-        if float(np.abs(nxt - nu).sum(axis=1).max()) < tol:
-            nu = nxt
-            break
-        nu = nxt
-    else:
-        raise ConfigError(
-            "power iteration did not converge; some policy-induced chain "
-            "may not be unichain"
-        )
+    n = model.num_states
+    reach = np.linalg.matrix_power((chains > 0) | np.eye(n, dtype=bool), n - 1)  # paths of up to n - 1 steps
+    unichain = reach.all(axis=1).any(axis=1)
+    if not unichain.all():
+        raise DomainError(f"policy {int(np.argmin(unichain))}: its chain has more than one recurrent class")
+    system = chains.transpose(0, 2, 1) - np.eye(n)
+    system[:, -1] = 1.0
+    nu = np.linalg.solve(system, np.eye(n)[:, -1:])[..., 0]
     joint = nu[:, :, None] * phis
     J = np.einsum("bxu,xu->b", joint, model.rewards)
     B = np.einsum("bxu,xu->b", joint, model.constraint_cost)
@@ -383,6 +363,6 @@ def stationary_joint_batch(model: CmdpModel, policies: np.ndarray, tol: float = 
 
 
 def ground_truth_penalized(model: CmdpModel, policy: np.ndarray) -> float:
-    """Exact penalized objective from the stationary frequencies."""
-    _, J, B = stationary_joint(model, policy)
-    return float(penalized_value(model, J, B))
+    """Exact penalized objective of one policy from its stationary frequencies."""
+    _, J, B = stationary_joint_batch(model, np.asarray(policy)[None])
+    return float(penalized_value(model, J[0], B[0]))

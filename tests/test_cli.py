@@ -916,10 +916,46 @@ def test_cmdp_bench_config_samples_near_the_constraint_bound(tmp_path):
     assert len(post) == 721  # 800 steps, the first 80 dropped
     assert np.all((post >= 0.0) & (post <= math.pi / 2))
     model = cmdp.CmdpModel.two_state_example()
-    costs = np.array([cmdp.stationary_joint(model, policy)[2]
-                      for policy in cmdp.spherical_to_policy(post.reshape(-1, 2, 1))])
+    _, _, costs = cmdp.stationary_joint_batch(model, cmdp.spherical_to_policy(post.reshape(-1, 2, 1)))
     near = np.abs(costs - model.constraint_bound) < config["analysis"]["constraint_tolerance"]
     assert near.mean() >= 0.9
+
+
+def three_state_model(P):
+    """A CMDP model file's content with the same transition matrix `P` under both actions."""
+    return {"states": 3, "actions": 2, "P": [P, P], "rho": [[1.0, 2.0]] * 3,
+            "constraint_cost": [[0.5, 1.5], [0.5, 1.5], [5.0, 5.0]], "gamma": 1.0, "lambda": 10.0}
+
+
+@pytest.mark.parametrize("P, code", [
+    # States 0 and 1 swap, state 2 moves to 0: a unichain of period 2.
+    ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], 0),
+    # Every state absorbing: no policy has one stationary law.
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 1),
+], ids=["periodic", "all-absorbing"])
+def test_a_periodic_cmdp_model_runs_and_an_absorbing_one_fails(tmp_path, capsys, P, code):
+    out = tmp_path / "run"
+    config = cmdp_config(out)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(three_state_model(P)))
+    config["problem"]["model"] = str(model)
+    config["sampler"]["init"] = [0.8, 0.8, 0.8]
+    assert main(["run", write_config(tmp_path, config)]) == code
+    assert load_trajectory(out)[0].samples.shape == (402, 3)
+    if code == 0:
+        # P does not depend on the action, so every policy's state law is (1/2, 1/2, 0).
+        metrics = read_json(out / "metrics.json")
+        phi = cmdp.spherical_to_policy(load_trajectory(out)[0].post.reshape(-1, 3, 1))
+        cost = 0.5 * (phi[:, :2] @ [0.5, 1.5]).sum(axis=1)
+        near = np.abs(cost - 1.0) < metrics["constraint_tolerance"]
+        assert metrics["constraint_near_fraction"] == near.mean()
+        assert not (out / "failure.json").exists()
+    else:
+        failure = read_json(out / "failure.json")
+        assert (failure["phase"], failure["error"]) == ("analysis", "DomainError")
+        assert "more than one recurrent class" in failure["message"]
+        assert not (out / "metrics.json").exists()
+        assert "run complete" not in capsys.readouterr().out
 
 
 SWEEP_CASES = {
@@ -1103,6 +1139,11 @@ def file_holding(content):
 TWO_STATE_MODEL = {"states": 2, "actions": 2, "P": [[[0.8, 0.2], [0.3, 0.7]], [[0.6, 0.4], [0.1, 0.9]]],
                    "rho": [[1.0, 100.0], [30.0, 2.0]], "constraint_cost": [[0.0, 1.0], [1.0, 0.0]],
                    "gamma": 0.5, "lambda": 10.0}
+NOT_FINITE = "malformed content (transitions, rewards, costs, constraint_bound and penalty_weight must be finite)"
+
+
+def two_state_model_with(**fields):
+    return file_holding(json.dumps({**TWO_STATE_MODEL, **fields}))
 
 
 @pytest.mark.parametrize(
@@ -1168,6 +1209,24 @@ TWO_STATE_MODEL = {"states": 2, "actions": 2, "P": [[[0.8, 0.2], [0.3, 0.7]], [[
                      "malformed content", id="cmdp-model-non-numeric-P"),
         pytest.param(cmdp_config, "problem.model", file_holding(b"\xcd\xff{}"), "invalid JSON",
                      id="cmdp-model-not-utf8"),
+        # Non-finite model entries pass the sign and row-sum checks and would fail only after sampling began.
+        pytest.param(cmdp_config, "problem.model",
+                     two_state_model_with(P=[[[math.nan, 0.2], [0.3, 0.7]], [[0.6, 0.4], [0.1, 0.9]]]),
+                     NOT_FINITE, id="cmdp-model-nan-P"),
+        pytest.param(cmdp_config, "problem.model", two_state_model_with(rho=[[1.0, math.nan], [30.0, 2.0]]),
+                     NOT_FINITE, id="cmdp-model-nan-rho"),
+        pytest.param(cmdp_config, "problem.model",
+                     two_state_model_with(constraint_cost=[[0.0, math.inf], [1.0, 0.0]]), NOT_FINITE,
+                     id="cmdp-model-infinite-cost"),
+        pytest.param(cmdp_config, "problem.model", two_state_model_with(gamma=math.nan), NOT_FINITE,
+                     id="cmdp-model-nan-gamma"),
+        pytest.param(cmdp_config, "problem.model", two_state_model_with(**{"lambda": -math.inf}), NOT_FINITE,
+                     id="cmdp-model-infinite-lambda"),
+        pytest.param(cmdp_config, "problem.model", two_state_model_with(gamma=10**401), "malformed content",
+                     id="cmdp-model-gamma-401-digits"),
+        # A CMDP chain starts on the angle box; one that leaves it later fails the analysis.
+        pytest.param(cmdp_config, "sampler.init", [2.0, 0.8],
+                     "sampler.init: [2.0, 0.8] is off the box [0.0, 1.5707963267948966]", id="cmdp-init-off-the-box"),
         pytest.param(logistic_config, "problem.data", "no-such-data.libsvm",
                      "problem.data: cannot read no-such-data.libsvm", id="logistic-data-missing"),
         pytest.param(logistic_config, "problem.data", file_holding(b"+1 1:\xcd\xff\n"),
@@ -1252,6 +1311,18 @@ TWO_STATE_MODEL = {"states": 2, "actions": 2, "P": [[[0.8, 0.2], [0.3, 0.7]], [[
                      id="curvature-401-digits"),
         pytest.param(quadratic_config, "sampler.init", [10**401, 0.0],
                      "sampler.init: expected a list of finite numbers", id="sampler-init-401-digit-entry"),
+        # Arrays past sys.maxsize bytes: numpy raises ValueError for them, not MemoryError.
+        pytest.param(mixture_config, "sampler.num_steps", 10**19, "sampler.num_steps: the trajectory, "
+                     "10000000000000000001 x 1 x 2 floats, is past what numpy can address", id="num-steps-10e19"),
+        pytest.param(quadratic_config, "baseline.num_steps", 10**19, "baseline.num_steps: the trajectory, "
+                     "10000000000000000001 x 1 x 2 floats, is past", id="baseline-num-steps-10e19"),
+        pytest.param(quadratic_config, "forward.num_agents", 10**19, "forward.num_agents x forward.run_length: "
+                     "the corpus, 10000000000000000000 x 1 x 2 floats, is past", id="num-agents-10e19"),
+        pytest.param(quadratic_config, "forward.run_length", 10**19, "forward.num_agents x forward.run_length: "
+                     "the corpus, 200 x 10000000000000000000 x 2 floats, is past", id="run-length-10e19"),
+        pytest.param(quadratic_config, "analysis.grid", [[-3.0, 3.0, 10**19], [-3.0, 3.0, 10]],
+                     "analysis.grid: the histogram, 10000000000000000002 x 12 floats, is past",
+                     id="grid-bins-10e19"),
         # Chain 30's noise stream would be chain 0's oracle or SPSA pool stream.
         pytest.param(mixture_config, "chains", 31, "config.chains: at most 30 chains may read oracle or SPSA streams",
                      id="oracle-chains-31"),

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from langirl.core import ConfigError, GradientPool, RngStream
+from langirl.core import ConfigError, DomainError, GradientPool, RngStream
 from langirl.problems.cmdp import (
     BARRIER_WEIGHT,
     CmdpModel,
@@ -21,7 +21,6 @@ from langirl.problems.cmdp import (
     simulate_batch,
     spherical_to_policy,
     spsa_gradient_batch,
-    stationary_joint,
     stationary_joint_batch,
 )
 
@@ -72,11 +71,29 @@ def random_rows(rng, shape):
 
 
 def eig_stationary(chain):
-    """Left Perron vector by a dense eigen-decomposition, as a cross-check."""
+    """Left Perron vector by a dense eigen-decomposition, the reference for the stationary laws."""
     vals, vecs = np.linalg.eig(chain.T)
     k = int(np.argmin(np.abs(vals - 1.0)))
     v = np.real(vecs[:, k])
     return v / v.sum()
+
+
+def assert_matches_eig_stationary(model, policies):
+    """stationary_joint_batch gives each policy's eigenvector law, and J and B from it; returns its (joint, J, B)."""
+    joint, J, B = stationary_joint_batch(model, policies)
+    for k, phi in enumerate(policies):
+        nu = eig_stationary(np.einsum("iu,uij->ij", phi, model.transitions))
+        np.testing.assert_allclose(joint[k], nu[:, None] * phi, atol=1e-10)
+        assert J[k] == pytest.approx(float(np.sum(joint[k] * model.rewards)))
+        assert B[k] == pytest.approx(float(np.sum(joint[k] * model.constraint_cost)))
+    return joint, J, B
+
+
+def model_on(P, actions=2):
+    """A model with the same transition matrix `P` under every action and unit tables."""
+    states = len(P)
+    return CmdpModel(transitions=np.array([P] * actions), rewards=np.ones((states, actions)),
+                     constraint_cost=np.ones((states, actions)), constraint_bound=1.0, penalty_weight=1.0)
 
 
 class TestSphericalChart:
@@ -136,20 +153,22 @@ class TestSphericalChart:
 
 class TestStationaryJoint:
     def test_matches_eigenvector_solver(self):
-        rng = RngStream(44)
-        for phi in random_policies(rng, 25):
-            joint, J, B = stationary_joint(MODEL, phi)
-            chain = np.einsum("iu,uij->ij", phi, MODEL.transitions)
-            nu = eig_stationary(chain)
-            np.testing.assert_allclose(joint.sum(axis=1), nu, atol=1e-10)
-            np.testing.assert_allclose(joint, nu[:, None] * phi, atol=1e-10)
-            assert J == pytest.approx(float(np.sum(joint * MODEL.rewards)))
-            assert B == pytest.approx(float(np.sum(joint * MODEL.constraint_cost)))
+        assert_matches_eig_stationary(MODEL, random_policies(RngStream(44), 25))
+        rng = RngStream(46)
+        for states, actions in [(3, 2), (5, 3), (8, 4)]:
+            model = CmdpModel(
+                transitions=random_rows(rng, (actions, states, states)),
+                rewards=rng.uniform(0.0, 5.0, size=(states, actions)),
+                constraint_cost=rng.uniform(0.0, 2.0, size=(states, actions)),
+                constraint_bound=1.0,
+                penalty_weight=1.0,
+            )
+            assert_matches_eig_stationary(model, random_rows(rng, (10, states, actions)))
 
     def test_balance_residual_is_tiny(self):
-        rng = RngStream(45)
-        for phi in random_policies(rng, 25):
-            joint, _, _ = stationary_joint(MODEL, phi)
+        phis = random_policies(RngStream(45), 25)
+        joints, _, _ = assert_matches_eig_stationary(MODEL, phis)
+        for joint, phi in zip(joints, phis):
             # The balance equations the joint frequencies must solve.
             lhs = joint
             rhs = np.einsum("ia,aij,ju->ju", joint, MODEL.transitions, phi)
@@ -165,10 +184,10 @@ class TestStationaryJoint:
             penalty_weight=1.0,
         )
         phi = np.array([[0.25, 0.75]])
-        joint, J, B = stationary_joint(tiny, phi)
-        np.testing.assert_allclose(joint, phi)
-        assert J == pytest.approx(0.25 * 3 + 0.75 * 7)
-        assert B == pytest.approx(0.25 * 1 + 0.75 * 2)
+        joint, J, B = assert_matches_eig_stationary(tiny, phi[None])
+        np.testing.assert_allclose(joint[0], phi)
+        assert J[0] == pytest.approx(0.25 * 3 + 0.75 * 7)
+        assert B[0] == pytest.approx(0.25 * 1 + 0.75 * 2)
 
     def test_uniform_policy_on_doubly_stochastic_chain(self):
         model = CmdpModel(
@@ -181,36 +200,30 @@ class TestStationaryJoint:
             constraint_bound=1.0,
             penalty_weight=1.0,
         )
-        joint, _, _ = stationary_joint(model, np.full((2, 2), 0.5))
-        np.testing.assert_allclose(joint.sum(axis=1), [0.5, 0.5], atol=1e-12)
+        joint, _, _ = assert_matches_eig_stationary(model, np.full((1, 2, 2), 0.5))
+        np.testing.assert_allclose(joint[0].sum(axis=1), [0.5, 0.5], atol=1e-12)
 
-    def test_batch_agrees_with_loop(self):
-        rng = RngStream(46)
-        phis = random_policies(rng, 12)
-        joints, Js, Bs = stationary_joint_batch(MODEL, phis)
-        for k, phi in enumerate(phis):
-            joint, J, B = stationary_joint(MODEL, phi)
-            np.testing.assert_allclose(joints[k], joint, atol=1e-11)
-            assert Js[k] == pytest.approx(J, abs=1e-11)
-            assert Bs[k] == pytest.approx(B, abs=1e-11)
+    def test_periodic_unichain_has_its_law(self):
+        # States 0 and 1 swap and state 2 moves to 0: one recurrent class of
+        # period 2, and state 2 transient. A power iteration from the uniform
+        # law oscillates forever; the balance equations have one solution.
+        model = model_on([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        joint, _, _ = assert_matches_eig_stationary(model, np.full((1, 3, 2), 0.5))
+        np.testing.assert_allclose(joint[0].sum(axis=1), [0.5, 0.5, 0.0], atol=1e-15)
 
-    def test_non_unichain_diagnostic(self):
-        # Periodic dynamics that do not fix the uniform start: the state
-        # marginal oscillates forever and power iteration must give up.
-        P = np.array([
-            [0.0, 1.0, 0.0],
-            [1.0, 0.0, 0.0],
-            [1.0, 0.0, 0.0],
-        ])
-        model = CmdpModel(
-            transitions=np.array([P, P]),
-            rewards=np.ones((3, 2)),
-            constraint_cost=np.ones((3, 2)),
-            constraint_bound=1.0,
-            penalty_weight=1.0,
-        )
-        with pytest.raises(ConfigError, match="unichain"):
-            stationary_joint(model, np.full((3, 2), 0.5), max_iter=500)
+    @pytest.mark.parametrize("P", [
+        np.eye(3),
+        # Two closed pairs: no exact zero pivot need show the system is singular.
+        [[0.3, 0.7, 0.0, 0.0], [0.6, 0.4, 0.0, 0.0], [0.0, 0.0, 0.2, 0.8], [0.0, 0.0, 0.9, 0.1]],
+    ], ids=["all-absorbing", "two-closed-pairs"])
+    def test_several_recurrent_classes_are_a_domain_error(self, P):
+        model = model_on(P, actions=3)
+        policies = spherical_to_policy(RngStream(55).uniform(0.0, math.pi / 2, size=(50, len(P), 2)))
+        with pytest.raises(DomainError, match="policy 0: its chain has more than one recurrent class"):
+            stationary_joint_batch(model, policies)
+        for phi in policies:
+            with pytest.raises(DomainError):
+                stationary_joint_batch(model, phi[None])
 
 
 class TestSimulation:
@@ -219,8 +232,8 @@ class TestSimulation:
         phi = np.array([[0.6, 0.4], [0.3, 0.7]])
         segments = 40
         Js, Bs = simulate_batch(MODEL, np.repeat(phi[None], segments, axis=0), 20_000, rng)
-        _, J, B = stationary_joint(MODEL, phi)
-        for sim, exact in ((Js, J), (Bs, B)):
+        _, J, B = stationary_joint_batch(MODEL, phi[None])
+        for sim, exact in ((Js, J[0]), (Bs, B[0])):
             se = sim.std(ddof=1) / math.sqrt(segments)
             assert abs(sim.mean() - exact) < 3 * se
 
@@ -455,6 +468,25 @@ class TestModelPlumbing:
         with pytest.raises(ConfigError):
             CmdpModel(**{**good, "start_state": 5})
 
+    @pytest.mark.parametrize("field, value", [
+        ("transitions", np.array([[[np.nan, 0.5], [0.5, 0.5]]] * 2)),
+        ("rewards", np.array([[np.nan, 1.0], [1.0, 1.0]])),
+        ("constraint_cost", np.array([[np.inf, 1.0], [1.0, 1.0]])),
+        ("constraint_bound", np.nan),
+        ("penalty_weight", -np.inf),
+    ], ids=["nan-transition", "nan-reward", "infinite-cost", "nan-bound", "infinite-weight"])
+    def test_non_finite_entries_are_config_errors(self, field, value):
+        # A NaN passes the sign and row-sum checks.
+        good = dict(
+            transitions=np.full((2, 2, 2), 0.5),
+            rewards=np.ones((2, 2)),
+            constraint_cost=np.ones((2, 2)),
+            constraint_bound=1.0,
+            penalty_weight=1.0,
+        )
+        with pytest.raises(ConfigError, match="must be finite"):
+            CmdpModel(**{**good, field: value})
+
     def test_from_json_round_trip(self, tmp_path):
         payload = {
             "states": 2,
@@ -470,6 +502,24 @@ class TestModelPlumbing:
         model = CmdpModel.from_json(path)
         np.testing.assert_array_equal(model.transitions, MODEL.transitions)
         assert model.penalty_weight == 1e5
+
+    @pytest.mark.parametrize("field", ["gamma", "start_state"])
+    def test_from_json_number_out_of_range_is_malformed(self, tmp_path, field):
+        # A gamma too large for a float, and a start state no integer can hold.
+        payload = {
+            "states": 2,
+            "actions": 2,
+            "P": MODEL.transitions.tolist(),
+            "rho": MODEL.rewards.tolist(),
+            "constraint_cost": MODEL.constraint_cost.tolist(),
+            "gamma": 1.0,
+            "lambda": 1e5,
+            field: 10**401 if field == "gamma" else float("inf"),
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match="malformed content"):
+            CmdpModel.from_json(path)
 
     def test_from_json_missing_field(self, tmp_path):
         path = tmp_path / "model.json"
@@ -511,9 +561,7 @@ class TestModelPlumbing:
         # Two feasible corners whose midpoint breaks the ceiling.
         low = policy(0.1, 0.05)
         high = policy(0.925, 0.975)
-        _, _, B_low = stationary_joint(MODEL, low)
-        _, _, B_high = stationary_joint(MODEL, high)
-        _, _, B_mid = stationary_joint(MODEL, 0.5 * (low + high))
+        _, _, (B_low, B_high, B_mid) = stationary_joint_batch(MODEL, np.array([low, high, 0.5 * (low + high)]))
         assert B_low <= MODEL.constraint_bound
         assert B_high <= MODEL.constraint_bound
         assert B_mid > MODEL.constraint_bound

@@ -479,6 +479,8 @@ class _Experiment:
         num_steps = _expect(sampler, "num_steps", int, required=False)
         if self.source_kind != ORACLE and self.agents is not None:
             rows = self.agents.num_agents * self.agents.run_length
+            if self.source_kind == POOL and pool_size > rows:
+                raise ConfigError(f"sampler.pool_size: {pool_size} exceeds the forward corpus's {rows} rows")
             # A pool_size below 1 is the SamplerConfig error raised below.
             available = self.sweeps * (rows if self.source_kind == STREAM else rows // max(pool_size, 1))
             if num_steps is None:
@@ -499,6 +501,9 @@ class _Experiment:
             self.sampler_cfg = SamplerConfig(step, beta, init, kernel, self.density, pool_size, conditional_std, skew)
             check_run(self.variant, self.sampler_cfg, num_steps, self.burn_in)
         _addressable("sampler.num_steps", "trajectory", num_steps + 1, self.chains, self.dim)
+        if self.kind == "cmdp":
+            # A chunk's probes, each with dim angles and a 16-byte complex sum in `cmdp.simulate_batch`.
+            _addressable("sampler.pool_size", "probes", 2, min(cmdp.POOL_CHUNK, num_steps), pool_size, max(self.dim, 2))
 
     def _build_baseline(self, baseline):
         self.baseline_cfg = None

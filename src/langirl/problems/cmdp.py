@@ -2,9 +2,11 @@
 
 Policies are row-stochastic matrices phi(action | state). To give gradient
 methods an unconstrained domain, each policy row is charted by squared sines
-and cosines of U - 1 angles; every real angle vector maps to a valid row. The
-constrained problem (maximize average reward subject to an average-cost
-ceiling) is folded into a single penalized objective
+and cosines of U - 1 angles; every real angle vector maps to a valid row. A
+squared cosine is even about 0 and about pi/2, so the chart, and every objective
+read through it, is smooth and mirror-symmetric about each face of the angle
+box [0, pi/2]. The constrained problem (maximize average reward subject to an
+average-cost ceiling) is folded into a single penalized objective
 
     penalized(phi) = J(phi) - penalty_weight * (B(phi) - constraint_bound)**2
 
@@ -27,11 +29,10 @@ from ..core import ConfigError, DomainError, GradientPool, RngStream
 
 _ROW_SUM_TOL = 1e-12
 
-# The canonical angle box of the chart, and the weight of the wall around it
-# that keeps the SPSA probes on the box.
+# The canonical angle box of the chart; every angle off it gives the policy of
+# its mirror image on it.
 ANGLE_LOW = 0.0
 ANGLE_HIGH = math.pi / 2
-BARRIER_WEIGHT = 1e6
 
 # Pools per batched SPSA sweep of `make_angle_pool_source`.
 POOL_CHUNK = 200
@@ -246,18 +247,6 @@ def penalized_value(model: CmdpModel, avg_reward, avg_cost):
     return np.asarray(avg_reward) - model.penalty_weight * gap * gap
 
 
-def angle_barrier(angles: np.ndarray) -> np.ndarray:
-    """Quadratic wall outside the canonical angle box, zero inside it.
-
-    Keeps a simulated learner on the fundamental chart; without it the
-    objective is periodic in the angles and iterates drift across copies.
-    """
-    angles = np.asarray(angles, dtype=np.float64)
-    under = np.clip(ANGLE_LOW - angles, 0.0, None)
-    over = np.clip(angles - ANGLE_HIGH, 0.0, None)
-    return BARRIER_WEIGHT * (under * under + over * over).sum(axis=(-2, -1))
-
-
 def spsa_gradient_batch(
     model: CmdpModel,
     angles: np.ndarray,
@@ -269,7 +258,9 @@ def spsa_gradient_batch(
 
     One Rademacher direction per angle matrix; both probe policies of every
     matrix run inside a single batched simulation sweep. The probed objective
-    is the penalized value minus angle_barrier, which is zero on the box.
+    is the penalized value, which the chart makes smooth and mirror-symmetric
+    about each face of the box: a probe past an edge reads its reflection's
+    true value.
     """
     angles = np.asarray(angles, dtype=np.float64)
     if angles.ndim != 3:
@@ -282,7 +273,7 @@ def spsa_gradient_batch(
         [angles + perturbation * delta, angles - perturbation * delta], axis=0
     )
     J, B = simulate_batch(model, spherical_to_policy(probes), horizon, rng)
-    values = penalized_value(model, J, B) - angle_barrier(probes)
+    values = penalized_value(model, J, B)
     scale = (values[:m] - values[m:]) / (2.0 * perturbation)
     return scale[:, None, None] * delta
 
@@ -323,10 +314,9 @@ def make_angle_pool_source(
     Points are uniform over the angle box; the estimator never influences
     them. Flattening is row-major over (states, actions - 1). Pools are
     produced `POOL_CHUNK` at a time so the probe simulations share one
-    batched sweep; the barrier keeps the probed objective non-periodic off
-    the box. Chunk c draws from its own stream ``rng.child(c)``, so it depends
-    only on the model, the settings, `rng` and c, and can be computed apart
-    (`angle_pool_chunk`). `POOL_CHUNK` is therefore part of the stream's
+    batched sweep. Chunk c draws from its own stream ``rng.child(c)``, so it
+    depends only on the model, the settings, `rng` and c, and can be computed
+    apart (`angle_pool_chunk`). `POOL_CHUNK` is therefore part of the stream's
     definition: another chunk size would give other pools.
     """
     return (

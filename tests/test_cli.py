@@ -1103,6 +1103,10 @@ def mixture_config(output):
     return oracle_config(output, {"kind": "mixture", "true_param": [-1.0, 2.0]}, variant="classical")
 
 
+def corpus_pools_config(output):
+    return quadratic_config(output, variant=MULTIKERNEL, pool_size=4, conditional_std=0.5)
+
+
 def logistic_config(output):
     config = quadratic_config(output, init=[0.0] * 21)
     config["problem"] = {"kind": "logistic", "data": "bundled"}
@@ -1323,6 +1327,11 @@ def two_state_model_with(**fields):
         pytest.param(quadratic_config, "analysis.grid", [[-3.0, 3.0, 10**19], [-3.0, 3.0, 10]],
                      "analysis.grid: the histogram, 10000000000000000002 x 12 floats, is past",
                      id="grid-bins-10e19"),
+        pytest.param(cmdp_config, "sampler.pool_size", 10**19, "sampler.pool_size: the probes, "
+                     "2 x 200 x 10000000000000000000 x 2 floats, is past", id="cmdp-pool-size-10e19"),
+        # A pool larger than the corpus would leave no pool: a run of zero steps.
+        pytest.param(corpus_pools_config, "sampler.pool_size", 201,
+                     "sampler.pool_size: 201 exceeds the forward corpus's 200 rows", id="corpus-pool-size-past-rows"),
         # Chain 30's noise stream would be chain 0's oracle or SPSA pool stream.
         pytest.param(mixture_config, "chains", 31, "config.chains: at most 30 chains may read oracle or SPSA streams",
                      id="oracle-chains-31"),

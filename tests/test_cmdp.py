@@ -11,9 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from langirl.core import ConfigError, DomainError, GradientPool, RngStream
 from langirl.problems.cmdp import (
-    BARRIER_WEIGHT,
     CmdpModel,
-    angle_barrier,
     ground_truth_penalized,
     make_angle_pool_source,
     penalized_value,
@@ -104,12 +102,17 @@ class TestSphericalChart:
         np.testing.assert_allclose(phi[1], [0.25, 0.75], rtol=1e-12)
 
     def test_rows_stochastic_for_arbitrary_angles(self):
+        # The chart reads each angle through its squared cosine alone, so it
+        # mirrors exactly about 0, and about pi/2 up to the rounding of
+        # pi - a (bound 1e-13, set before the run; 3.6e-15 seen).
         rng = RngStream(41)
         for _ in range(50):
             angles = rng.standard_normal((3, 4)) * 20.0
             phi = spherical_to_policy(angles)
             assert np.all(phi >= 0)
             np.testing.assert_allclose(phi.sum(axis=-1), 1.0, atol=1e-12)
+            np.testing.assert_array_equal(spherical_to_policy(-angles), phi)
+            np.testing.assert_allclose(spherical_to_policy(math.pi - angles), phi, rtol=0, atol=1e-13)
 
     def test_round_trip_within_tolerance(self):
         rng = RngStream(42)
@@ -365,10 +368,17 @@ class TestSpsa:
         se = grads.std(ddof=1) / math.sqrt(draws)
         assert abs(grads.mean() - want) < 3 * se + 1e-3
 
-    def test_mean_spsa_matches_exact_gradient(self):
+    @pytest.mark.parametrize(
+        "theta",
+        [(0.9, 0.7), (1.55, 1.0), (0.02, 1.0), (1.2, 1.54)],
+        ids=["inside", "theta0-near-high-edge", "theta0-near-low-edge", "theta1-near-high-edge"],
+    )
+    def test_mean_spsa_matches_exact_gradient(self, theta):
         # Average many SPSA draws of the exact (deterministic) objective and
         # compare against central finite differences of the same objective.
-        angles = np.array([[0.9], [0.7]])
+        # Within one perturbation of an edge, half the probes fall off the
+        # box and read the objective at their mirror image.
+        angles = np.array(theta)[:, None]
 
         def exact_f(a):
             return ground_truth_penalized(MODEL, spherical_to_policy(a))
@@ -401,15 +411,6 @@ class TestSpsa:
 
 
 class TestBarrierAndPools:
-    def test_barrier_zero_inside_box(self):
-        pts = RngStream(49).uniform(0.0, math.pi / 2, size=(40, 2, 1))
-        np.testing.assert_array_equal(angle_barrier(pts), np.zeros(40))
-
-    def test_barrier_quadratic_outside(self):
-        pts = np.array([[[-0.3], [math.pi / 2 + 0.2]]])
-        want = BARRIER_WEIGHT * (0.3**2 + 0.2**2)
-        assert angle_barrier(pts)[0] == pytest.approx(want, rel=1e-10)
-
     def test_pool_source_shapes_and_count(self):
         # Three chunks of 200, 200 and 1 pools.
         pools = list(make_angle_pool_source(MODEL, 5, 401, horizon=10, perturbation=0.1, rng=RngStream(50)))

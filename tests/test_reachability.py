@@ -24,7 +24,7 @@ KEPT = {
 
 
 def definitions(tree):
-    """(qualified name, node) of each top-level function and class, and of each method."""
+    """(qualified name, node) of each top-level function, class and assigned name, and of each method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
@@ -32,14 +32,20 @@ def definitions(tree):
             for sub in node.body:
                 if isinstance(sub, ast.FunctionDef):
                     yield f"{node.name}.{sub.name}", sub
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+                        yield sub.id, node
 
 
 def references(tree):
-    """(name, line) of each name and attribute read; an import alone is not a reference."""
+    """(name, line) of each name and attribute read; an import or an assignment alone is not a reference."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr, node.lineno
 
 

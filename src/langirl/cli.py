@@ -359,9 +359,14 @@ class _Experiment:
         )
         if self.compare_marginals and baseline is None:
             raise ConfigError("analysis.compare_marginals: requires a baseline section")
+        for field in ("find_modes", "compare_marginals"):
+            if getattr(self, field) and self.grid is None:
+                raise ConfigError(f"analysis.{field}: requires analysis.grid")
         self.constraint_tolerance = _number(
             analysis, "constraint_tolerance", required=False, default=0.15, positive=True
         )
+        if "constraint_tolerance" in analysis and self.kind != "cmdp":
+            raise ConfigError(f"analysis.constraint_tolerance: read only for problem.kind 'cmdp', not {self.kind!r}")
         for path in config.unread():
             raise ConfigError(f"{path}: unknown field")
 
@@ -799,11 +804,12 @@ def _pool_chunks(chunks, exp, rngs):
 def _spsa_pools(exp, rngs):
     """One list per step of one CMDP SPSA pool per chain, at every chain count.
 
-    Chain c's pools are those `cmdp.make_angle_pool_source` makes from
-    `rngs[c]`. The chunks split into `_shares`, every chain's chunk k in the
-    same share. The run computes the first share a chunk at a time, as the
-    chains read it; a later share's worker, added to `exp.workers`, is joined
-    when the chains reach its chunks.
+    Chain c's pools are the CMDP pool stream of `cmdp.angle_pool_chunk` from
+    `rngs[c]`, as `make_angle_pool_source` in tests/reference.py reads it
+    chunk after chunk. The chunks split into `_shares`, every chain's chunk k
+    in the same share. The run computes the first share a chunk at a time, as
+    the chains read it; a later share's worker, added to `exp.workers`, is
+    joined when the chains reach its chunks.
     """
     own, workers = _shares(_pool_chunks, range(-(-exp.num_steps // cmdp.POOL_CHUNK)), exp, rngs)
     exp.workers.extend(workers)

@@ -30,9 +30,6 @@ nonreversible
 classical
     Standard unadjusted Langevin ascent with direct oracle access, kept as the
     reference chain.
-naive
-    Uses streamed gradients directly at the estimate with no kernel
-    correction. Known-bad baseline retained for comparisons.
 
 The passive clock: `passive_generalized` scales both its step and its noise by
 the initialization density p at the estimate, so its limit diffusion is p(θ)
@@ -137,7 +134,6 @@ MULTIKERNEL = "multikernel"
 ACTIVE = "active"
 NONREVERSIBLE = "nonreversible"
 CLASSICAL = "classical"
-NAIVE = "naive"
 
 # Source kinds: what `run_chains` hands a step function at every update.
 STREAM = "stream"
@@ -415,12 +411,6 @@ def _classical_2d(state, items, cfg: SamplerConfig, rngs) -> np.ndarray:
     return np.fromiter(itertools.chain.from_iterable(out), np.float64)
 
 
-def step_naive(est, sample: GradientSample, cfg: SamplerConfig, rng) -> np.ndarray:
-    """Kernel-free misuse of a streamed gradient as if it were taken at the estimate."""
-    w = rng.standard_normal(est.size)
-    return est + (cfg.step * 0.5 * cfg.beta) * sample.gradient + math.sqrt(cfg.step) * w
-
-
 @dataclass(frozen=True)
 class Variant:
     """One row of the variant table.
@@ -450,7 +440,6 @@ VARIANTS = {
     PASSIVE_GATED: Variant(step_passive_gated, STREAM, ("kernel", "init_density"), float_step=_passive_gated_2d),
     PASSIVE_CLASSICAL: Variant(step_passive_classical, STREAM, ("kernel", "init_density")),
     NONREVERSIBLE: Variant(step_nonreversible, STREAM, ("kernel", "init_density", "skew")),
-    NAIVE: Variant(step_naive, STREAM),
     MULTIKERNEL: Variant(step_multikernel, POOL, ("conditional_std",)),
     ACTIVE: Variant(step_active, ORACLE, ("kernel", "conditional_std")),
     CLASSICAL: Variant(step_classical, ORACLE, float_step=_classical_2d),

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -76,45 +75,3 @@ def scaled_eval(kernel: Kernel, diff) -> np.ndarray:
     """
     diff = np.asarray(diff, dtype=np.float64)
     return raw_eval(kernel, diff / kernel.bandwidth) * kernel._scale
-
-
-class KernelReport(NamedTuple):
-    """Numeric check of the kernel axioms on a tensor quadrature grid."""
-
-    mass: float
-    second_moment: float
-    symmetry_error: float
-
-
-def verify_kernel_axioms(
-    kernel: Kernel, half_width: float = 6.0, points_per_axis: int | None = None
-) -> KernelReport:
-    """Check unit mass, symmetry and the second moment by tensor-grid quadrature.
-
-    Practical up to dim 3; the grid has ``points_per_axis ** dim`` nodes, so
-    the default resolution drops with dimension to keep memory bounded.
-    Symmetry error is the largest absolute difference between the kernel at a
-    grid point and at its reflection through the origin. The axis is made
-    exactly antisymmetric (`linspace` alone is not, by an ulp), so a
-    symmetric kernel shows a symmetry error of exactly 0.
-    """
-    if kernel.dim > 3:
-        raise ConfigError("axiom quadrature supported up to dim 3")
-    if points_per_axis is None:
-        points_per_axis = {1: 2001, 2: 2001, 3: 201}[kernel.dim]
-    axis = np.linspace(-half_width, half_width, points_per_axis)
-    axis = 0.5 * (axis - axis[::-1])
-    grids = np.meshgrid(*([axis] * kernel.dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    vals = raw_eval(kernel, pts).reshape([points_per_axis] * kernel.dim)
-    sq = np.einsum("...i,...i->...", pts, pts).reshape(vals.shape)
-
-    mass = vals
-    second = vals * sq
-    for _ in range(kernel.dim):
-        mass = np.trapezoid(mass, axis, axis=-1)
-        second = np.trapezoid(second, axis, axis=-1)
-
-    flipped = np.flip(vals, axis=tuple(range(kernel.dim)))
-    symmetry_error = float(np.max(np.abs(vals - flipped)))
-    return KernelReport(float(mass), float(second), symmetry_error)

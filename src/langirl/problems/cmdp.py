@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import ConfigError, DomainError, GradientPool, RngStream
+from ..core import ConfigError, DomainError, RngStream
 
 _ROW_SUM_TOL = 1e-12
 
@@ -34,7 +34,9 @@ _ROW_SUM_TOL = 1e-12
 ANGLE_LOW = 0.0
 ANGLE_HIGH = math.pi / 2
 
-# Pools per batched SPSA sweep of `make_angle_pool_source`.
+# Pools per batched SPSA sweep of `angle_pool_chunk`: part of the CMDP pool
+# stream's definition, which `make_angle_pool_source` in tests/reference.py
+# reads chunk after chunk.
 POOL_CHUNK = 200
 
 
@@ -150,25 +152,6 @@ def spherical_to_policy(angles) -> np.ndarray:
     body = c2 * lead
     last = tail[..., -1:]
     return np.concatenate([body, last], axis=-1)
-
-
-def policy_to_spherical(policy) -> np.ndarray:
-    """Invert spherical_to_policy on strictly positive rows, angles in (0, pi/2)."""
-    phi = np.asarray(policy, dtype=np.float64)
-    if phi.ndim < 2 or phi.shape[-1] < 2:
-        raise ConfigError("policy must have shape (..., states, actions) with actions >= 2")
-    if np.any(phi <= 0):
-        raise ConfigError("policy rows must be strictly positive to invert the chart")
-    if np.max(np.abs(phi.sum(axis=-1) - 1.0)) > 1e-9:
-        raise ConfigError("policy rows must sum to one")
-    num_actions = phi.shape[-1]
-    remaining = np.ones_like(phi[..., 0])
-    angles = np.empty(phi.shape[:-1] + (num_actions - 1,))
-    for u in range(num_actions - 1):
-        ratio = np.clip(phi[..., u] / remaining, 0.0, 1.0)
-        angles[..., u] = np.arccos(np.sqrt(ratio))
-        remaining = remaining - phi[..., u]
-    return angles
 
 
 def _cdf_columns(stack: np.ndarray) -> np.ndarray:
@@ -287,11 +270,18 @@ def angle_pool_chunk(
     rng: RngStream,
     c: int,
 ):
-    """Chunk c of `make_angle_pool_source`'s pools with the same arguments, from one batched sweep.
+    """Chunk c of the CMDP pool stream, from one batched sweep.
 
-    The chunk holds pools c * POOL_CHUNK up to the next chunk or `num_pools`,
-    all drawn from the stream ``rng.child(c)``. Returns (points, gradients),
-    each a (pools, pool_size, width) array.
+    The stream is `num_pools` pools of `pool_size` (flattened angle point,
+    SPSA gradient) pairs. Points are uniform over the angle box; the estimator
+    never influences them. Flattening is row-major over (states, actions - 1).
+    Pools are produced `POOL_CHUNK` at a time so the probe simulations share
+    one batched sweep: chunk c holds pools c * POOL_CHUNK up to the next chunk
+    or `num_pools`. Chunk c draws from its own stream ``rng.child(c)``, so it
+    depends only on the model, the settings, `rng` and c, and can be computed
+    apart. `POOL_CHUNK` is therefore part of the stream's definition: another
+    chunk size would give other pools. Returns (points, gradients), each a
+    (pools, pool_size, width) array.
     """
     take = min(POOL_CHUNK, num_pools - c * POOL_CHUNK)
     width = model.num_states * (model.num_actions - 1)
@@ -299,31 +289,6 @@ def angle_pool_chunk(
     pts = stream.uniform(ANGLE_LOW, ANGLE_HIGH, size=(take * pool_size, model.num_states, model.num_actions - 1))
     grads = spsa_gradient_batch(model, pts, horizon, perturbation, stream)
     return pts.reshape(take, pool_size, width), grads.reshape(take, pool_size, width)
-
-
-def make_angle_pool_source(
-    model: CmdpModel,
-    pool_size: int,
-    num_pools: int,
-    horizon: int,
-    perturbation: float,
-    rng: RngStream,
-):
-    """Yield `num_pools` pools of (flattened angle point, SPSA gradient) pairs.
-
-    Points are uniform over the angle box; the estimator never influences
-    them. Flattening is row-major over (states, actions - 1). Pools are
-    produced `POOL_CHUNK` at a time so the probe simulations share one
-    batched sweep. Chunk c draws from its own stream ``rng.child(c)``, so it
-    depends only on the model, the settings, `rng` and c, and can be computed
-    apart (`angle_pool_chunk`). `POOL_CHUNK` is therefore part of the stream's
-    definition: another chunk size would give other pools.
-    """
-    return (
-        GradientPool(points, gradients)
-        for c in range(-(-num_pools // POOL_CHUNK))
-        for points, gradients in zip(*angle_pool_chunk(model, pool_size, num_pools, horizon, perturbation, rng, c))
-    )
 
 
 def stationary_joint_batch(model: CmdpModel, policies: np.ndarray):

@@ -23,7 +23,6 @@ from langirl.irl import (
     ACTIVE,
     CLASSICAL,
     MULTIKERNEL,
-    NAIVE,
     PASSIVE_CLASSICAL,
     PASSIVE_GATED,
     PASSIVE_GENERALIZED,
@@ -204,9 +203,8 @@ def test_non_finite_estimate_names_chain_and_step():
 
 def test_one_chain_messages_name_no_chain():
     cfg = SamplerConfig(step=1e-3, beta=1.0, init=np.zeros(2))
-    stream = [GradientSample(np.zeros(2), np.full(2, np.inf))] * 3
     with pytest.raises(NonFiniteError, match=r"^estimate became non-finite at sampler step 1$"):
-        run_sampler(NAIVE, stream, cfg, 3, RngStream(0))
+        run_sampler(CLASSICAL, lambda p: np.full(2, np.inf), cfg, 3, RngStream(0))
 
 
 def test_configs_may_differ_only_in_init():
@@ -228,7 +226,7 @@ def test_an_oracle_list_needs_one_callable_per_chain():
             run_chains(CLASSICAL, source, configs(), 5, chain_rngs())
 
 
-@pytest.mark.parametrize("variant", [MULTIKERNEL, PASSIVE_GENERALIZED, NAIVE])
+@pytest.mark.parametrize("variant", [MULTIKERNEL, PASSIVE_GENERALIZED, PASSIVE_CLASSICAL])
 def test_a_list_item_needs_one_part_per_chain(variant):
     source = combined(per_chain_sources(variant))
     source[200] = source[200][:2]

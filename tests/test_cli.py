@@ -38,6 +38,7 @@ from langirl.irl import (
 )
 from langirl.kernels import GAUSSIAN, Kernel
 from langirl.problems import cmdp, mixture, synthetic
+from reference import make_angle_pool_source
 
 BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 
@@ -612,7 +613,7 @@ def cmdp_chains(root):
     model = cmdp.CmdpModel.two_state_example()
     return {
         f"trajectory_c{chain}": run_sampler(
-            MULTIKERNEL, cmdp.make_angle_pool_source(model, 2, 401, 20, 0.05, root.child(40 + chain)), cfg, 401,
+            MULTIKERNEL, make_angle_pool_source(model, 2, 401, 20, 0.05, root.child(40 + chain)), cfg, 401,
             root.child(10 + chain))
         for chain in range(3)
     }
@@ -1248,6 +1249,16 @@ def two_state_model_with(**fields):
                      "analysis.grid: 1 axes do not match problem dimension 2", id="grid-axes-mismatch"),
         pytest.param(mixture_config, "analysis.compare_marginals", True,
                      "analysis.compare_marginals: requires a baseline section", id="compare-without-baseline"),
+        # Flags no run would act on: the modes and the marginal distances need a density grid.
+        pytest.param(mixture_config, "analysis.find_modes", True, "analysis.find_modes: requires analysis.grid",
+                     id="find-modes-without-grid"),
+        pytest.param(quadratic_config, "analysis.compare_marginals", True,
+                     "analysis.compare_marginals: requires analysis.grid", id="compare-without-grid"),
+        pytest.param(quadratic_config, "analysis.constraint_tolerance", 0.3,
+                     "analysis.constraint_tolerance: read only for problem.kind 'cmdp', not 'quadratic'",
+                     id="constraint-tolerance-off-cmdp"),
+        pytest.param(quadratic_config, "sampler.variant", "naive", "sampler.variant: unknown variant 'naive'",
+                     id="variant-naive"),
         pytest.param(quadratic_config, "problem.kind", "cubic", "problem.kind: unknown kind 'cubic'",
                      id="problem-kind-unknown"),
         pytest.param(quadratic_config, "forward.sweeps", 0, "forward.sweeps: must be at least 1", id="sweeps-0"),

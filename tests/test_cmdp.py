@@ -13,14 +13,13 @@ from langirl.core import ConfigError, DomainError, GradientPool, RngStream
 from langirl.problems.cmdp import (
     CmdpModel,
     ground_truth_penalized,
-    make_angle_pool_source,
     penalized_value,
-    policy_to_spherical,
     simulate_batch,
     spherical_to_policy,
     spsa_gradient_batch,
     stationary_joint_batch,
 )
+from reference import make_angle_pool_source, policy_to_spherical
 
 MODEL = CmdpModel.two_state_example()
 

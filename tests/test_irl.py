@@ -28,7 +28,6 @@ from langirl.irl import (
     ACTIVE,
     CLASSICAL,
     MULTIKERNEL,
-    NAIVE,
     NONREVERSIBLE,
     PASSIVE_CLASSICAL,
     PASSIVE_GATED,
@@ -45,7 +44,6 @@ from langirl.irl import (
     step_active,
     step_classical,
     step_multikernel,
-    step_naive,
     step_nonreversible,
     step_passive_classical,
     step_passive_gated,
@@ -174,13 +172,10 @@ class TestStepFormulas:
         want = 0.2 + gain * 2.5 + math.sqrt(0.1) * 0.7
         np.testing.assert_allclose(out, [want], rtol=1e-13)
 
-    def test_classical_and_naive(self):
+    def test_classical(self):
         cfg = self.cfg(kernel=None, init_density=None)
         out = step_classical(np.array([0.2]), lambda p: np.array([3.0]), cfg, QueuedRng([0.7]))
         want = 0.2 + 0.1 * 0.5 * 2.0 * 3.0 + math.sqrt(0.1) * 0.7
-        np.testing.assert_allclose(out, [want], rtol=1e-13)
-        sample = GradientSample(np.array([9.9]), np.array([3.0]))
-        out = step_naive(np.array([0.2]), sample, cfg, QueuedRng([0.7]))
         np.testing.assert_allclose(out, [want], rtol=1e-13)
 
     def test_density_floor_guard(self):
@@ -501,10 +496,9 @@ class TestRunSampler:
             run_sampler(PASSIVE_GENERALIZED, stream, self.small_cfg(), 10, RngStream(3))
 
     def test_non_finite_estimate_names_the_step(self):
-        stream = stream_of([(0.0, math.inf)] + [(0.0, 0.0)] * 9)
         cfg = SamplerConfig(step=1e-3, beta=2.0, init=np.zeros(1))
         with pytest.raises(NonFiniteError, match="sampler step 1"):
-            run_sampler(NAIVE, stream, cfg, 10, RngStream(3))
+            run_sampler(CLASSICAL, lambda p: np.full(1, math.inf), cfg, 10, RngStream(3))
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError, match="unknown variant"):
@@ -578,7 +572,7 @@ class TestRunSampler:
     def test_variant_listing_is_closed(self):
         assert set(VARIANTS) == {
             PASSIVE_GENERALIZED, PASSIVE_GATED, PASSIVE_CLASSICAL, MULTIKERNEL,
-            ACTIVE, NONREVERSIBLE, CLASSICAL, NAIVE,
+            ACTIVE, NONREVERSIBLE, CLASSICAL,
         }
 
 

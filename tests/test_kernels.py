@@ -19,8 +19,8 @@ from langirl.kernels import (
     Kernel,
     raw_eval,
     scaled_eval,
-    verify_kernel_axioms,
 )
+from reference import verify_kernel_axioms
 from strategies import EDGE_FLOATS
 
 

@@ -9,10 +9,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "langirl"
 KEPT = {
     "analysis.py:autocorr_time": "ESS for metrics.json (ROADMAP item 3); tested against AR(1) theory",
     "forward.py:pool_stream": "fresh multikernel pools from the init density (ROADMAP item 4)",
-    "kernels.py:verify_kernel_axioms": "reference for the kernel mass and symmetry tests in tests/test_kernels.py",
-    "problems/cmdp.py:policy_to_spherical": "reference inverse of spherical_to_policy in tests/test_cmdp.py",
     "problems/cmdp.py:ground_truth_penalized": "exact objective the SPSA gradients are tested against",
-    "problems/cmdp.py:make_angle_pool_source": "reference pool stream the CLI's chunked SPSA pools are tested against",
     "problems/logistic.py:make_pool_oracle": "pool oracle for pool_stream (ROADMAP item 4)",
     "problems/mixture.py:make_pool_oracle": "pool oracle for pool_stream (ROADMAP item 4); bench/tracer.py binds",
     "problems/mixture.py:expected_reward": "locates the two modes in tests/test_mixture.py",

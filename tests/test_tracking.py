@@ -208,7 +208,7 @@ class TestRunTracking:
     def test_unsupported_variant_rejected(self):
         reward = two_mode_reward()
         with pytest.raises(ConfigError, match="not supported"):
-            run_tracking("naive", reward, self.classical_cfg(),
+            run_tracking("nonreversible", reward, self.classical_cfg(),
                          TrackingConfig("matched"), 100, RngStream(0))
 
     def test_multikernel_needs_init_density(self):

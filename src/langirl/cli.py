@@ -60,7 +60,6 @@ no tracking section.
 
 import argparse
 import contextlib
-import dataclasses
 import itertools
 import json
 import math
@@ -247,9 +246,9 @@ def load_config(path):
 
 
 def resolve_config(doc, scale=None, seed=None, out=None, chains=None):
-    """Apply the scale overlay (desk unless `scale` names another) and CLI overrides, returning the final config.
+    """Apply the overlay of the config's own `scale`, else of `scale`, else desk, and the CLI overrides.
 
-    A resolved config, a manifest's (a `scale` and no `scales`), keeps the scale it records.
+    A `scale` may only repeat the config's own. A resolved config, a manifest's (a `scale` and no `scales`), keeps it.
     """
     if doc.get("schema") != SCHEMA_VERSION:
         raise ConfigError(f"schema: expected {SCHEMA_VERSION}, got {doc.get('schema')!r}")
@@ -259,14 +258,15 @@ def resolve_config(doc, scale=None, seed=None, out=None, chains=None):
     for name, overlay in scales.items():
         if not isinstance(overlay, (dict, type(None))):
             raise ConfigError(f"scales.{name}: must be an object")
-    recorded = None if "scales" in doc else doc.get("scale")
+    recorded = doc.get("scale")
     if not isinstance(recorded, (str, type(None))):
         raise ConfigError(f"scale: expected a scale name, got {recorded!r}")
     if recorded is not None and scale not in (None, recorded):
-        raise ConfigError(f"scale: this config was resolved at scale {recorded!r}, not {scale!r}")
+        raise ConfigError(f"scale: this config names scale {recorded!r}, not {scale!r}")
     scale = recorded or scale or "desk"
     overlay = scales.get(scale)
-    if overlay is None and scale not in ("desk", recorded):
+    # A manifest (a `scale` and no `scales`) has its overlay merged already.
+    if overlay is None and scale != "desk" and ("scales" in doc or recorded is None):
         raise ConfigError(f"scales.{scale}: not defined in this config")
     merged = _merge({k: v for k, v in doc.items() if k != "scales"}, overlay or {})
     merged["scale"] = scale
@@ -283,10 +283,10 @@ class _Experiment:
     """Everything `run` needs, derived from one validated config.
 
     Every config error is raised here, before anything is written; a field
-    that nothing reads is one. The sampler chains share `sampler_cfg` and the
-    baseline chains share `baseline_cfg`, each chain differing only in its
-    start: the config's own init, or a draw from `sample_init` (the density to
-    draw from) when the config asks for `init: "sample"`.
+    that nothing reads is one, a sampler field its variant does not read too.
+    The sampler chains run under `sampler_cfg` and the baseline chains under
+    `baseline_cfg`, chain c from `sampler_start(rng)` or `baseline_start(rng)`
+    of its noise stream: the config's init, or a draw with `init: "sample"`.
     """
 
     def __init__(self, config):
@@ -451,7 +451,7 @@ class _Experiment:
             self.density = InitDensity(mean, variances)
 
     def _start(self, section, density, default=None):
-        """(init vector, density to draw each chain's start from or None) of a section."""
+        """(init vector, function of a chain's noise stream giving its start row) of a section."""
         init = _expect(section, "init", (list, str), required=default is None, default=default)
         path = f"{section.path}.init"
         if isinstance(init, str):
@@ -459,26 +459,31 @@ class _Experiment:
                 raise ConfigError(f"{path}: expected a vector or 'sample', got {init!r}")
             if density is None:
                 raise ConfigError(f"{path}: 'sample' requires a forward section")
-            return np.zeros(self.dim), density
+            return np.zeros(self.dim), density.sample
         vec = _vector(section, "init", required=False, default=default)
         if vec.size != self.dim:
             raise ConfigError(
                 f"{path}: length {vec.size} does not match problem dimension {self.dim} (problem.kind {self.kind!r})"
             )
-        return vec, None
+        return vec, lambda rng: vec
 
     def _build_sampler(self, sampler):
+        # A field the variant does not read would change nothing, yet trajectory.json would record it.
+        reads = {*VARIANTS[self.variant].needs, *(("pool_size",) if self.source_kind == POOL else ())}
+        for field in ("kernel", "conditional_std", "skew", "pool_size"):
+            if field in sampler and field not in reads:
+                raise ConfigError(f"sampler.{field}: not read by sampler.variant {self.variant!r}")
         kernel = _expect(sampler, "kernel", dict, required=False)
         if kernel is not None:
             family = _expect(kernel, "family", str, required=False, default=GAUSSIAN)
             bandwidth = _number(kernel, "bandwidth")
             with _prefixed("sampler.kernel"):
                 kernel = Kernel(family, bandwidth, self.dim)
-        init, self.sample_init = self._start(sampler, self.density)
+        init, self.sampler_start = self._start(sampler, self.density)
         # A chain that leaves the box later fails the analysis.
         if self.kind == "cmdp" and not np.all((cmdp.ANGLE_LOW <= init) & (init <= cmdp.ANGLE_HIGH)):
             raise ConfigError(f"sampler.init: {init.tolist()} is off the box [{cmdp.ANGLE_LOW}, {cmdp.ANGLE_HIGH}]")
-        pool_size = _expect(sampler, "pool_size", int, required=False, default=1)
+        pool_size = _expect(sampler, "pool_size", int, required=False, default=1, least=1)
 
         # Corpus readers take at most what the corpus holds over its sweeps.
         num_steps = _expect(sampler, "num_steps", int, required=False)
@@ -486,8 +491,7 @@ class _Experiment:
             rows = self.agents.num_agents * self.agents.run_length
             if self.source_kind == POOL and pool_size > rows:
                 raise ConfigError(f"sampler.pool_size: {pool_size} exceeds the forward corpus's {rows} rows")
-            # A pool_size below 1 is the SamplerConfig error raised below.
-            available = self.sweeps * (rows if self.source_kind == STREAM else rows // max(pool_size, 1))
+            available = self.sweeps * (rows if self.source_kind == STREAM else rows // pool_size)
             if num_steps is None:
                 num_steps = available
             if num_steps > available:
@@ -517,7 +521,7 @@ class _Experiment:
         self.baseline_chains = _expect(baseline, "chains", int, required=False, default=1, least=1)
         self.baseline_steps = _expect(baseline, "num_steps", int)
         density = self.density if self.density is not None else InitDensity.standard(self.dim)
-        init, self.baseline_sample_init = self._start(baseline, density, default=[0.0] * self.dim)
+        init, self.baseline_start = self._start(baseline, density, default=[0.0] * self.dim)
         step = _number(baseline, "step")
         beta = _number(baseline, "beta", required=False, default=self.sampler_cfg.beta)
         with _prefixed("baseline"):
@@ -578,13 +582,22 @@ def run_experiment(config):
         phase = "sampler"
         with _timed(timings, "sampler"):
             rngs = [exp.root.child(_RNG_CHAIN_NOISE + chain) for chain in range(exp.chains)]
-            cfgs = _chain_configs(exp.sampler_cfg, exp.sample_init, rngs)
+            starts = [exp.sampler_start(rng) for rng in rngs]
             oracle_rngs = [exp.root.child(_RNG_CHAIN_ORACLE + chain) for chain in range(exp.chains)]
             source = _chain_source(exp, exp.source_kind, corpus, oracle_rngs)
-            trajs = run_chains(exp.variant, source, cfgs, exp.num_steps, rngs, burn_in=exp.burn_in)
+            trajs = run_chains(exp.variant, source, exp.sampler_cfg, starts, exp.num_steps, rngs, burn_in=exp.burn_in)
         del corpus, source  # only the chains read them: free them before the writes
         with _timed(timings, "write"):
-            _save_chains(trajs, cfgs, outdir, "trajectory")
+            _save_chains(trajs, exp.sampler_cfg, outdir, "trajectory")
+        if exp.kind == "cmdp":
+            # Policies are periodic in the angles, so a chain off the box, if only in burn-in, would still give
+            # plausible ones. A CMDP run has no baseline: analysis is the earliest phase that can still fail.
+            phase = "analysis"
+            off = np.array([((t.samples < cmdp.ANGLE_LOW) | (t.samples > cmdp.ANGLE_HIGH)).any(axis=1) for t in trajs])
+            if off.any():
+                step, chain = np.argwhere(off.T)[0]  # the earliest row, the lowest chain on a tie
+                raise DomainError(f"chain {chain}: angles {trajs[chain].samples[step].tolist()} at sampler step "
+                                  f"{step} are off [{cmdp.ANGLE_LOW}, {cmdp.ANGLE_HIGH}]")
         pooled = np.vstack([traj.post for traj in trajs])
         metrics["post_samples"] = int(pooled.shape[0])
         metrics["underflow_resets"] = sum(traj.underflow_resets for traj in trajs)
@@ -646,12 +659,12 @@ def _baseline_chains(exp, outdir):
     with _timed(timings, "baseline"):
         chains = range(exp.baseline_chains)
         rngs = [exp.root.child(_RNG_BASE_NOISE).child(chain) for chain in chains]
-        cfgs = _chain_configs(exp.baseline_cfg, exp.baseline_sample_init, rngs)
+        starts = [exp.baseline_start(rng) for rng in rngs]
         oracle_rngs = [exp.root.child(_RNG_BASE_ORACLE).child(chain) for chain in chains]
         source = _chain_source(exp, ORACLE, None, oracle_rngs)
-        bases = run_chains(CLASSICAL, source, cfgs, exp.baseline_steps, rngs)
+        bases = run_chains(CLASSICAL, source, exp.baseline_cfg, starts, exp.baseline_steps, rngs)
     with _timed(timings, "write"):
-        _save_chains(bases, cfgs, outdir, "baseline")
+        _save_chains(bases, exp.baseline_cfg, outdir, "baseline")
     if exp.grid is not None:
         with _timed(timings, "analysis"):
             density = build_density(np.vstack([base.post for base in bases]), exp.grid)
@@ -752,13 +765,6 @@ class _Worker:
         return True
 
 
-def _chain_configs(template, sample_init, rngs):
-    """One config per chain: `template`, or a copy started at a draw from `sample_init`."""
-    if sample_init is None:
-        return [template] * len(rngs)
-    return [dataclasses.replace(template, init=sample_init.sample(rng)) for rng in rngs]
-
-
 def _chain_source(exp, kind, corpus, rngs):
     """The one source `run_chains` reads for a set of chains reading a `kind` source.
 
@@ -822,9 +828,9 @@ def _chain_stems(name, chains):
     return (name,) if chains == 1 else (f"{name}_c{chain}" for chain in range(chains))
 
 
-def _save_chains(trajs, cfgs, outdir, name):
-    """Write the files of a chain set, in this process."""
-    for stem, traj, cfg in zip(_chain_stems(name, len(trajs)), trajs, cfgs):
+def _save_chains(trajs, cfg, outdir, name):
+    """Write the files of a chain set run under `cfg`, in this process."""
+    for stem, traj in zip(_chain_stems(name, len(trajs)), trajs):
         save_trajectory(traj, cfg, outdir, stem=stem)
 
 
@@ -843,14 +849,6 @@ def _analyze(exp, pooled, base_density, metrics):
     if exp.kind == "quadratic":
         metrics["analytic_variance_target"] = exp.variance_target
     if exp.kind == "cmdp":
-        # Policies are periodic in the angles, so a chain off the box would still give plausible ones.
-        off = ((pooled < cmdp.ANGLE_LOW) | (pooled > cmdp.ANGLE_HIGH)).any(axis=1)
-        if off.any():
-            first, per_chain = int(np.argmax(off)), len(pooled) // exp.chains
-            raise DomainError(
-                f"chain {first // per_chain}: angles {pooled[first].tolist()} at sampler step "
-                f"{exp.num_steps + 1 - per_chain + first % per_chain} are off [{cmdp.ANGLE_LOW}, {cmdp.ANGLE_HIGH}]"
-            )
         policies = cmdp.spherical_to_policy(pooled.reshape(-1, exp.model.num_states, exp.model.num_actions - 1))
         _, _, avg_cost = cmdp.stationary_joint_batch(exp.model, policies)
         near = np.abs(avg_cost - exp.model.constraint_bound) < exp.constraint_tolerance

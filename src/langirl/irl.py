@@ -44,9 +44,11 @@ a step; at a 21-D estimate where p ≈ 4e-9, step 0.002 advances about 3e-20.
 A variant is declared by one row of the `VARIANTS` table and one step
 function. The row names the step, the kind of source it consumes (a stream of
 GradientSample, a stream of GradientPool, or gradient oracles) and the
-SamplerConfig fields that must be set. `run_chains` is the only sampling loop
-and reads everything it needs to know about a variant from that row.
-`run_sampler` is its one-chain call.
+optional SamplerConfig fields it reads. `run_chains` is the only sampling loop
+and reads everything it needs to know about a variant from that row. Its
+chains share one SamplerConfig; chain c starts at `starts[c]`, so chains
+differ only in their start and their noise. `run_sampler` is its one-chain
+call, started at `cfg.init`.
 
 A step function advances one chain: `est` is a (dim,) vector, and the kernel
 weight, density and gate are NumPy scalars. Called directly with an rng, it
@@ -419,7 +421,8 @@ class Variant:
     estimate from its part of a step's item (`run_chains`): a GradientSample
     for a stream source, a GradientPool of (pool, dim) arrays for a pool
     source (pool steps also get the chain's SamplerStats), or an oracle
-    callable. `needs` names the SamplerConfig fields that must not be None.
+    callable. `needs` names the optional SamplerConfig fields the variant
+    reads, none of which may be None; a POOL row also reads `pool_size`.
     `float_step(state, items, cfg, rngs)`, when set, makes one update per
     shared item for every chain of a 2-D run in plain floats (module
     docstring): `state` holds each chain's [e0, e1], chain c draws its noise
@@ -476,10 +479,10 @@ class Trajectory:
         return self.samples[self.burn_in:]
 
 
-def _fingerprint(variant: str, cfg: SamplerConfig, num_steps: int, seed) -> str:
+def _fingerprint(variant: str, cfg: SamplerConfig, start: np.ndarray, num_steps: int, seed) -> str:
     payload = {
         "variant": variant,
-        "config": cfg.to_dict(),
+        "config": {**cfg.to_dict(), "init": start.tolist()},
         "num_steps": num_steps,
         "seed": seed,
     }
@@ -507,21 +510,18 @@ def check_run(variant: str, cfg: SamplerConfig, num_steps: int, burn_in: int | N
     return row
 
 
-def _shared_settings(cfg: SamplerConfig) -> dict:
-    return {key: val for key, val in cfg.to_dict().items() if key != "init"}
-
-
 def run_chains(
     variant: str,
     source,
-    cfgs,
+    cfg: SamplerConfig,
+    starts,
     num_steps: int,
     rngs,
     burn_in: int | None = None,
     *,
     block_noise: bool = True,
 ) -> list[Trajectory]:
-    """Drive one chain of `variant` per config for `num_steps` updates.
+    """Drive one chain of `variant` per rng for `num_steps` updates, every chain under `cfg`.
 
     `source` is an iterable of GradientSample for stream variants, an
     iterable of GradientPool for pool variants, and for oracle variants one
@@ -529,9 +529,9 @@ def run_chains(
     chain, repeated as every step's item (see `VARIANTS`). Each step advances
     the chains one by one, chain 0 first, chain c on its part of the step's
     item: `item[c]` when the item is a list of one part per chain, the item
-    itself otherwise. Chain c starts at `cfgs[c].init`, draws its noise from
-    `rngs[c]` and counts its underflow resets in a SamplerStats of its own;
-    the configs may differ in nothing else.
+    itself otherwise. Chain c starts at `starts[c]`, not at `cfg.init`, draws
+    its noise from `rngs[c]` and counts its underflow resets in a SamplerStats
+    of its own; its fingerprint records `starts[c]` as the config's init.
 
     With `block_noise` a float block draws each chain's noise ahead, one
     block of steps at a time, which gives the same numbers as drawing at
@@ -539,17 +539,16 @@ def run_chains(
     run. Pass False when the source draws from it too. A NumPy step draws
     its noise only when it asks for it.
 
-    Raises ConfigError for an oracle source that is neither a callable nor a
-    list of one per chain, or naming the step of a list item of another
-    length; SourceExhausted if an iterable runs out early; NonFiniteError or
+    Raises ConfigError for no rng or `starts` not of shape (len(rngs),
+    cfg.dim), for an oracle source neither a callable nor a list of one per
+    chain, or naming the step of a list item of another length;
+    SourceExhausted if an iterable runs out early; NonFiniteError or
     DensityFloorError naming the sampler step (and, for several chains, the
     first chain) at which a chain failed. Returns one Trajectory per chain.
     """
-    if not cfgs or len(cfgs) != len(rngs):
-        raise ConfigError("run_chains needs at least one config and one rng per config")
-    cfg = cfgs[0]
-    if any(_shared_settings(other) != _shared_settings(cfg) for other in cfgs[1:]):
-        raise ConfigError("the chains' sampler configs may differ only in init")
+    starts = np.asarray(starts, dtype=np.float64)
+    if not rngs or starts.shape != (len(rngs), cfg.dim):
+        raise ConfigError(f"run_chains needs one start row of {cfg.dim} per rng, at least one; got {starts.shape}")
     row = check_run(variant, cfg, num_steps, burn_in)
     if burn_in is None:
         burn_in = num_steps // 10
@@ -562,7 +561,7 @@ def run_chains(
             stacklevel=2,
         )
 
-    chains = len(cfgs)
+    chains = len(rngs)
     floats = row.float_step is not None and cfg.dim == 2
     if row.source == ORACLE:
         oracles = source if isinstance(source, list) else [source] * chains
@@ -574,13 +573,13 @@ def run_chains(
         items = itertools.repeat(oracles[0].pairs if floats else source)
     else:
         items = iter(source)
-    stats = [SamplerStats() for _ in cfgs]
+    stats = [SamplerStats() for _ in rngs]
     extras = [(chain_stats,) if row.source == POOL else () for chain_stats in stats]
 
     # `rows[k]` is every chain's sample k; a block starts from the last row written.
     samples = np.empty((chains, num_steps + 1, cfg.dim))
     rows = samples.swapaxes(0, 1)
-    rows[0] = [c.init for c in cfgs]
+    rows[0] = starts
     # Step k makes row k + 1. Rows are written and checked for finiteness a
     # block at a time. A float block takes its items ahead, so without block
     # noise it is one step: the source may draw from the chains' rngs.
@@ -612,14 +611,14 @@ def run_chains(
         _check_block(rows, lo, hi)
 
     trajectories = []
-    for chain, (chain_cfg, rng, chain_stats) in enumerate(zip(cfgs, rngs, stats)):
+    for chain, (rng, chain_stats) in enumerate(zip(rngs, stats)):
         seed = getattr(rng, "seed", None)
         trajectories.append(
             Trajectory(
                 samples=samples[chain],
                 burn_in=burn_in,
                 variant=variant,
-                fingerprint=_fingerprint(variant, chain_cfg, num_steps, seed),
+                fingerprint=_fingerprint(variant, cfg, samples[chain, 0], num_steps, seed),
                 seed=seed,
                 underflow_resets=chain_stats.underflow_resets,
                 gain_ratio=cfg.gain_ratio,
@@ -639,7 +638,7 @@ def run_sampler(
     block_noise: bool = True,
 ) -> Trajectory:
     """Drive `variant` for `num_steps` updates: `run_chains` with one chain."""
-    return run_chains(variant, source, [cfg], num_steps, [rng], burn_in, block_noise=block_noise)[0]
+    return run_chains(variant, source, cfg, [cfg.init], num_steps, [rng], burn_in, block_noise=block_noise)[0]
 
 
 def _check_block(rows: np.ndarray, lo: int, hi: int) -> None:
@@ -652,7 +651,7 @@ def _check_block(rows: np.ndarray, lo: int, hi: int) -> None:
 
 
 def save_trajectory(traj: Trajectory, cfg: SamplerConfig, directory, stem: str = "trajectory"):
-    """Write `{stem}.csv` (step, est_1..est_N) and `{stem}.json` under `directory`."""
+    """Write `{stem}.csv` (step, est_1..est_N) and `{stem}.json`, `cfg` with init the first row, in `directory`."""
     os.makedirs(directory, exist_ok=True)
     csv_path = os.path.join(directory, f"{stem}.csv")
     meta_path = os.path.join(directory, f"{stem}.json")
@@ -665,7 +664,7 @@ def save_trajectory(traj: Trajectory, cfg: SamplerConfig, directory, stem: str =
         "underflow_resets": traj.underflow_resets,
         "gain_ratio": traj.gain_ratio,
         "fingerprint": traj.fingerprint,
-        "config": cfg.to_dict(),
+        "config": {**cfg.to_dict(), "init": traj.samples[0].tolist()},
     }
     write_json(meta_path, meta)
     return csv_path, meta_path

@@ -61,20 +61,22 @@ def source_for(variant):
     return pools() if kind == "pool" else corpus()
 
 
-def configs(family=GAUSSIAN, inits=INITS):
-    return [
-        SamplerConfig(
-            step=0.01,
-            beta=1.0,
-            init=np.asarray(init),
-            kernel=Kernel(family, 0.8, 2),
-            init_density=InitDensity(np.zeros(2), np.full(2, 2.0)),
-            pool_size=8,
-            conditional_std=0.3,
-            skew=np.array([[0.0, 0.4], [-0.4, 0.0]]),
-        )
-        for init in inits
-    ]
+def config(family=GAUSSIAN):
+    return SamplerConfig(
+        step=0.01,
+        beta=1.0,
+        init=np.zeros(2),
+        kernel=Kernel(family, 0.8, 2),
+        init_density=InitDensity(np.zeros(2), np.full(2, 2.0)),
+        pool_size=8,
+        conditional_std=0.3,
+        skew=np.array([[0.0, 0.4], [-0.4, 0.0]]),
+    )
+
+
+def started(cfg, start):
+    """`cfg` with `start` as its init: the config `run_sampler` runs one chain of a set under."""
+    return dataclasses.replace(cfg, init=np.asarray(start))
 
 
 def chain_rngs(count=len(INITS)):
@@ -107,15 +109,16 @@ def test_batch_matches_chains_run_one_at_a_time(variant, own_sources, family):
     # With own sources, per-step lists of one sample or pool per chain, or a
     # list of one oracle per chain, give each chain in the batch a source of
     # its own; 2-D float variants then take the NumPy steps.
-    cfgs = configs(family)
+    cfg = config(family)
     if own_sources:
         source = combined(per_chain_sources(variant))
         sources = per_chain_sources(variant)
     else:
         source = source_for(variant)
-        sources = [source] * len(cfgs)
-    batch = run_chains(variant, source, cfgs, STEPS, chain_rngs())
-    alone = [run_sampler(variant, src, cfg, STEPS, rng) for src, cfg, rng in zip(sources, cfgs, chain_rngs())]
+        sources = [source] * len(INITS)
+    batch = run_chains(variant, source, cfg, INITS, STEPS, chain_rngs())
+    alone = [run_sampler(variant, src, started(cfg, start), STEPS, rng)
+             for src, start, rng in zip(sources, INITS, chain_rngs())]
     assert len(batch) == len(alone)
     for got, want in zip(batch, alone):
         np.testing.assert_array_equal(got.samples, want.samples)
@@ -130,7 +133,7 @@ def test_batch_matches_chains_run_one_at_a_time(variant, own_sources, family):
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_block_noise_equals_drawing_at_every_step(variant):
-    cfg = configs()[1]
+    cfg = started(config(), INITS[1])
     ahead, now = RngStream(4), RngStream(4)
     a = run_sampler(variant, source_for(variant), cfg, STEPS, ahead)
     b = run_sampler(variant, source_for(variant), cfg, STEPS, now, block_noise=False)
@@ -155,10 +158,11 @@ def numpy_steps_only(chains=None):
 @pytest.mark.parametrize("variant", [PASSIVE_GENERALIZED, PASSIVE_GATED])
 def test_numpy_batch_beyond_the_float_cap_matches_float_chains(variant, family):
     # Thirteen chains stepped one by one in NumPy against each chain alone in floats.
-    cfgs = configs(family, inits=MANY_INITS)
+    cfg = config(family)
     with numpy_steps_only():
-        batch = run_chains(variant, corpus(), cfgs, STEPS, chain_rngs(len(cfgs)))
-    alone = [run_sampler(variant, corpus(), cfg, STEPS, rng) for cfg, rng in zip(cfgs, chain_rngs(len(cfgs)))]
+        batch = run_chains(variant, corpus(), cfg, MANY_INITS, STEPS, chain_rngs(len(MANY_INITS)))
+    alone = [run_sampler(variant, corpus(), started(cfg, start), STEPS, rng)
+             for start, rng in zip(MANY_INITS, chain_rngs(len(MANY_INITS)))]
     for got, want in zip(batch, alone):
         assert got.samples.tobytes() == want.samples.tobytes()
 
@@ -173,7 +177,7 @@ def test_infinite_gradient_names_chain_and_step(variant, chains):
     prefix = "chain 0: " if chains > 1 else ""
     with pytest.raises(NonFiniteError, match=rf"^{prefix}estimate became non-finite at sampler step 6$"):
         with np.errstate(all="ignore"), numpy_steps_only(chains):
-            run_chains(variant, stream, configs(inits=MANY_INITS[:chains]), 10, chain_rngs(chains))
+            run_chains(variant, stream, config(), MANY_INITS[:chains], 10, chain_rngs(chains))
 
 
 @pytest.mark.parametrize("items", [50, 200])
@@ -183,22 +187,22 @@ def test_a_source_running_out_mid_block_names_its_step(variant, chains, items):
     # The first and a later 128-step block, in floats (1 and 3 chains) or in NumPy (13).
     message = rf"^stream source exhausted after {items} of 300 steps$"
     with numpy_steps_only(chains), pytest.raises(SourceExhausted, match=message):
-        run_chains(variant, corpus(n=items), configs(inits=MANY_INITS[:chains]), 300, chain_rngs(chains))
+        run_chains(variant, corpus(n=items), config(), MANY_INITS[:chains], 300, chain_rngs(chains))
 
 
 def test_density_floor_names_chain_and_step():
-    cfgs = configs(inits=([0.0, 0.0], [60.0, 0.0], [70.0, 0.0]))
+    starts = ([0.0, 0.0], [60.0, 0.0], [70.0, 0.0])
     with pytest.raises(DensityFloorError, match=r"^chain 1: initialization density .* at sampler step 1$"):
-        run_chains(PASSIVE_CLASSICAL, corpus(), cfgs, 10, chain_rngs())
+        run_chains(PASSIVE_CLASSICAL, corpus(), config(), starts, 10, chain_rngs())
 
 
 def test_non_finite_estimate_names_chain_and_step():
     def oracle(point):
         return np.where(point[..., :1] > 5.0, np.inf, -point)
 
-    cfgs = configs(inits=([0.0, 0.0], [0.0, 0.0], [6.0, 0.0]))
+    starts = ([0.0, 0.0], [0.0, 0.0], [6.0, 0.0])
     with pytest.raises(NonFiniteError, match=r"^chain 2: estimate became non-finite at sampler step 1$"):
-        run_chains(CLASSICAL, oracle, cfgs, 10, chain_rngs())
+        run_chains(CLASSICAL, oracle, config(), starts, 10, chain_rngs())
 
 
 def test_one_chain_messages_name_no_chain():
@@ -207,23 +211,25 @@ def test_one_chain_messages_name_no_chain():
         run_sampler(CLASSICAL, lambda p: np.full(2, np.inf), cfg, 3, RngStream(0))
 
 
-def test_configs_may_differ_only_in_init():
-    cfgs = configs()
-    other = SamplerConfig(step=0.02, beta=1.0, init=np.zeros(2), kernel=cfgs[0].kernel,
-                          init_density=cfgs[0].init_density)
-    with pytest.raises(ConfigError, match="only in init"):
-        run_chains(PASSIVE_GENERALIZED, corpus(), [cfgs[0], other], 5, chain_rngs(2))
-    with pytest.raises(ConfigError, match="one rng per config"):
-        run_chains(PASSIVE_GENERALIZED, corpus(), cfgs, 5, chain_rngs(2))
-    with pytest.raises(ConfigError, match="at least one config"):
-        run_chains(PASSIVE_GENERALIZED, corpus(), [], 5, [])
+@pytest.mark.parametrize("starts, chains", [(INITS[:2], 3), (INITS, 2), ([[0.0, 0.0, 0.0]] * 3, 3), ([0.0, 0.0], 1),
+                                            ([], 0), (INITS, 0)],
+                         ids=["fewer-rows", "fewer-rngs", "3-d-rows", "a-flat-row", "no-chain", "no-rng"])
+def test_starts_need_one_row_of_the_config_dim_per_rng(starts, chains):
+    with pytest.raises(ConfigError, match=r"^run_chains needs one start row of 2 per rng, at least one; got "):
+        run_chains(PASSIVE_GENERALIZED, corpus(), config(), starts, 5, chain_rngs(chains))
+
+
+def test_a_chain_starts_at_its_row_not_at_the_config_init():
+    cfg = started(config(), [5.0, 5.0])
+    trajs = run_chains(PASSIVE_GENERALIZED, corpus(), cfg, INITS, 5, chain_rngs())
+    assert [t.samples[0].tolist() for t in trajs] == list(INITS)
 
 
 def test_an_oracle_list_needs_one_callable_per_chain():
     oracles = per_chain_sources(CLASSICAL)
     for source in (oracles[:2], oracles + oracles[:1], oracles[:2] + [np.zeros(2)]):
         with pytest.raises(ConfigError, match="expects a gradient oracle callable or a list of one per chain"):
-            run_chains(CLASSICAL, source, configs(), 5, chain_rngs())
+            run_chains(CLASSICAL, source, config(), INITS, 5, chain_rngs())
 
 
 @pytest.mark.parametrize("variant", [MULTIKERNEL, PASSIVE_GENERALIZED, PASSIVE_CLASSICAL])
@@ -231,7 +237,7 @@ def test_a_list_item_needs_one_part_per_chain(variant):
     source = combined(per_chain_sources(variant))
     source[200] = source[200][:2]
     with pytest.raises(ConfigError, match=r"^sampler step 201: a list item needs one part per chain, got 2$"):
-        run_chains(variant, source, configs(), STEPS, chain_rngs())
+        run_chains(variant, source, config(), INITS, STEPS, chain_rngs())
 
 
 @pytest.mark.parametrize("variant", [PASSIVE_GENERALIZED, PASSIVE_GATED])
@@ -241,9 +247,9 @@ def test_float_chains_meeting_a_list_item_go_on_in_numpy(variant):
     # bits each chain gives alone on the same samples.
     shared, own = corpus()[:300], per_chain_sources(variant)
     source = shared + combined(own)[300:]
-    batch = run_chains(variant, source, configs(), STEPS, chain_rngs())
-    alone = [run_sampler(variant, shared + src[300:], cfg, STEPS, rng)
-             for src, cfg, rng in zip(own, configs(), chain_rngs())]
+    batch = run_chains(variant, source, config(), INITS, STEPS, chain_rngs())
+    alone = [run_sampler(variant, shared + src[300:], started(config(), start), STEPS, rng)
+             for src, start, rng in zip(own, INITS, chain_rngs())]
     for got, want in zip(batch, alone):
         assert got.samples.tobytes() == want.samples.tobytes()
 
@@ -261,8 +267,8 @@ SHARED_ORACLE_GOLDEN = {
 @pytest.mark.parametrize("variant", sorted(SHARED_ORACLE_GOLDEN))
 def test_chains_on_one_shared_noisy_oracle_keep_their_hashes(variant):
     oracle = synthetic.quadratic_oracle(1.5, 0.25, 0.3, RngStream(9))
-    cfgs = [SamplerConfig(step=0.03, beta=1.2, init=np.array([0.4 * c - 0.3, 0.1 * c + 0.2, -0.2 * c]),
-                          kernel=Kernel(GAUSSIAN, 0.7, 3), conditional_std=0.3) for c in range(3)]
-    trajs = run_chains(variant, oracle, cfgs, STEPS, [RngStream(60 + c) for c in range(3)])
+    cfg = SamplerConfig(step=0.03, beta=1.2, init=np.zeros(3), kernel=Kernel(GAUSSIAN, 0.7, 3), conditional_std=0.3)
+    starts = [[0.4 * c - 0.3, 0.1 * c + 0.2, -0.2 * c] for c in range(3)]
+    trajs = run_chains(variant, oracle, cfg, starts, STEPS, [RngStream(60 + c) for c in range(3)])
     digest = hashlib.sha256(b"".join(t.samples.tobytes() for t in trajs)).hexdigest()
     assert digest == SHARED_ORACLE_GOLDEN[variant]

@@ -2,6 +2,7 @@
 
 import csv
 import filecmp
+import functools
 import hashlib
 import io
 import itertools
@@ -30,6 +31,8 @@ from langirl.irl import (
     CLASSICAL,
     MULTIKERNEL,
     PASSIVE_GENERALIZED,
+    POOL,
+    VARIANTS,
     SamplerConfig,
     Trajectory,
     load_trajectory,
@@ -52,6 +55,9 @@ def quadratic_config(output, **sampler):
         "init": [0.0, 0.0],
     }
     sampler_section.update(sampler)
+    # The default kernel goes only to a variant that reads one: any other rejects it.
+    if "kernel" not in sampler and "kernel" not in getattr(VARIANTS.get(sampler_section["variant"]), "needs", ()):
+        del sampler_section["kernel"]
     dim = len(sampler_section["init"])
     return {
         "schema": 1,
@@ -151,7 +157,7 @@ def test_a_paper_scale_run_reruns_at_paper_scale(tmp_path, capsys):
     assert main(["run", manifest, "--out", str(tmp_path / "again"), "--scale", "paper"]) == 0
     # A manifest's config is resolved: another scale cannot be laid over it.
     assert main(["run", manifest, "--out", str(tmp_path / "desk"), "--scale", "desk"]) == 2
-    assert "scale: this config was resolved at scale 'paper', not 'desk'" in capsys.readouterr().err
+    assert "scale: this config names scale 'paper', not 'desk'" in capsys.readouterr().err
     assert not (tmp_path / "desk").exists()
 
 
@@ -851,10 +857,10 @@ def test_a_run_drops_each_phase_data_once_it_is_read(tmp_path, monkeypatch, fork
     def holding(phase, names):
         held[phase] = [name for name in names if alive[name]() is not None]
 
-    def saving(trajs, cfgs, outdir, name):
+    def saving(trajs, cfg, outdir, name):
         if name == "trajectory":  # the baseline worker's own writes run in its process
             holding("write", ["corpus", "corpus rows"])
-        return save_chains(trajs, cfgs, outdir, name)
+        return save_chains(trajs, cfg, outdir, name)
 
     def analyzing(*args):
         holding("analysis", ["corpus", "corpus rows", "samples"])
@@ -870,8 +876,9 @@ def test_a_run_drops_each_phase_data_once_it_is_read(tmp_path, monkeypatch, fork
 
 
 def test_a_runaway_cmdp_chain_is_a_failure(tmp_path, capsys):
-    # A huge step throws the angles far off the box: finite estimates whose
-    # pooled variance overflows. The run must not report it as a result.
+    # A huge step throws the angles far off the box at the first step:
+    # finite estimates whose pooled variance would overflow. The box check
+    # ends the run before the analysis pools them.
     config = load_config(BENCH_CONFIGS / "cmdp_spsa.json")
     config["output"] = str(tmp_path / "run")
     config["problem"]["horizon"] = 20
@@ -880,7 +887,22 @@ def test_a_runaway_cmdp_chain_is_a_failure(tmp_path, capsys):
         assert main(["run", write_config(tmp_path, config)]) == 1
     out = tmp_path / "run"
     failure = read_json(out / "failure.json")
+    assert (failure["phase"], failure["error"]) == ("analysis", "DomainError")
+    assert " at sampler step 1 are off " in failure["message"]
+    assert not (out / "metrics.json").exists()
+    assert "run complete" not in capsys.readouterr().out
+
+
+def test_a_pooled_variance_overflow_is_a_failure(tmp_path, capsys):
+    # Finite estimates near 1e200 that shrink by a twentieth a step: their
+    # pooled variance overflows. The run must not report it as a result.
+    out = tmp_path / "run"
+    config = quadratic_config(out, variant="classical", init=[1e200, 1e200], num_steps=10, burn_in=0, step=0.1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", write_config(tmp_path, config)]) == 1
+    failure = read_json(out / "failure.json")
     assert (failure["phase"], failure["error"]) == ("analysis", "NonFiniteError")
+    assert failure["message"].startswith("pooled mean ")
     assert not (out / "metrics.json").exists()
     assert "run complete" not in capsys.readouterr().out
 
@@ -896,11 +918,34 @@ def test_a_cmdp_chain_off_the_angle_box_is_a_failure(tmp_path, capsys):
     out = tmp_path / "run"
     failure = read_json(out / "failure.json")
     assert (failure["phase"], failure["error"]) == ("analysis", "DomainError")
-    post = load_trajectory(out)[0].post
-    off = ((post < 0.0) | (post > math.pi / 2)).any(axis=1)
+    samples = load_trajectory(out)[0].samples
+    off = ((samples < 0.0) | (samples > math.pi / 2)).any(axis=1)
     first = int(np.argmax(off))
-    assert failure["message"].startswith(f"chain 0: angles {post[first].tolist()} at sampler step {40 + first} ")
+    assert failure["message"].startswith(f"chain 0: angles {samples[first].tolist()} at sampler step {first} ")
     assert not (out / "metrics.json").exists()
+
+
+def test_a_cmdp_chain_off_the_box_only_in_burn_in_is_a_failure(tmp_path, monkeypatch, capsys):
+    # Chain 1 leaves the box at step 5 of its 40 burn-in steps and comes
+    # back; the post-burn-in rows alone would pass.
+    out = tmp_path / "run"
+    run_chains = langirl.cli.run_chains
+
+    def off_in_burn_in(*args, **kwargs):
+        trajs = run_chains(*args, **kwargs)
+        trajs[1].samples[5] = [2.0, 0.8]
+        return trajs
+
+    monkeypatch.setattr(langirl.cli, "run_chains", off_in_burn_in)
+    assert main(["run", write_config(tmp_path, cmdp_config(out)), "--chains", "2"]) == 1
+    failure = read_json(out / "failure.json")
+    assert (failure["phase"], failure["error"]) == ("analysis", "DomainError")
+    assert failure["message"] == "chain 1: angles [2.0, 0.8] at sampler step 5 are off [0.0, 1.5707963267948966]"
+    # The set's files were written before the check.
+    traj = load_trajectory(out, stem="trajectory_c1")[0]
+    assert traj.burn_in == 40 and traj.samples[5].tolist() == [2.0, 0.8]
+    assert not (out / "metrics.json").exists()
+    assert "run complete" not in capsys.readouterr().out
     assert "run complete" not in capsys.readouterr().out
 
 
@@ -976,8 +1021,8 @@ def test_forward_sweeps_reread_the_corpus(tmp_path, case):
     assert main(["run", write_config(tmp_path, config)]) == 0
     root = RngStream(config["seed"])
     corpus, density = quadratic_corpus(root)
-    cfg = SamplerConfig(step=0.2, beta=1.0, init=np.zeros(2), kernel=Kernel(GAUSSIAN, 0.5, 2),
-                        init_density=density, **fields)
+    kernel = Kernel(GAUSSIAN, 0.5, 2) if "kernel" in config["sampler"] else None
+    cfg = SamplerConfig(step=0.2, beta=1.0, init=np.zeros(2), kernel=kernel, init_density=density, **fields)
     source = itertools.chain(one_pass(corpus), one_pass(corpus))
     steps = 2 * len(list(one_pass(corpus)))
     want = run_sampler(variant, source, cfg, steps, root.child(10))
@@ -1030,6 +1075,24 @@ def test_a_scale_the_config_defines_runs_under_its_name(tmp_path):
     assert main(["run", write_config(tmp_path, config), "--scale", "tiny"]) == 0
     assert read_json(out / "manifest.json")["config"]["scale"] == "tiny"
     assert load_trajectory(out)[1]["num_steps"] == 20
+
+
+def test_a_config_s_own_scale_selects_its_overlay(tmp_path, capsys):
+    # `--scale` may repeat the config's own scale, not replace it.
+    config = quadratic_config(None)
+    config["scales"] = {"paper": {"sampler": {"num_steps": 50}}}
+    config["scale"] = "paper"
+    for flags in ([], ["--scale", "paper"]):
+        out = tmp_path / f"run{len(flags)}"
+        assert main(["run", write_config(tmp_path, config), "--out", str(out), *flags]) == 0
+        assert read_json(out / "manifest.json")["config"]["scale"] == "paper"
+        assert load_trajectory(out)[1]["num_steps"] == 50
+    assert main(["run", write_config(tmp_path, config), "--out", str(tmp_path / "desk"), "--scale", "desk"]) == 2
+    assert "scale: this config names scale 'paper', not 'desk'" in capsys.readouterr().err
+    config["scale"] = "tiny"
+    assert main(["run", write_config(tmp_path, config), "--out", str(tmp_path / "tiny")]) == 2
+    assert "scales.tiny: not defined" in capsys.readouterr().err
+    assert not (tmp_path / "desk").exists() and not (tmp_path / "tiny").exists()
 
 
 def test_undefined_scale_is_a_config_error(tmp_path, capsys):
@@ -1108,6 +1171,38 @@ def corpus_pools_config(output):
     return quadratic_config(output, variant=MULTIKERNEL, pool_size=4, conditional_std=0.5)
 
 
+def nonreversible_config(output):
+    return quadratic_config(output, variant="nonreversible", skew=[[0.0, 0.4], [-0.4, 0.0]])
+
+
+# A value of each sampler field some variant does not read.
+OPTIONAL_SAMPLER_FIELDS = {"kernel": {"bandwidth": 0.5}, "conditional_std": 0.5, "skew": [[0.0, 0.4], [-0.4, 0.0]],
+                           "pool_size": 4}
+
+
+def sampler_fields_read(variant):
+    """The optional sampler fields `variant` reads: its row's `needs`, and `pool_size` for a pool variant."""
+    row = VARIANTS[variant]
+    return {*row.needs, *(("pool_size",) if row.source == POOL else ())} & OPTIONAL_SAMPLER_FIELDS.keys()
+
+
+# Every (variant, field it does not read) pair, so that a new variant is covered.
+UNREAD_SAMPLER_FIELD_ROWS = [
+    pytest.param(functools.partial(quadratic_config, variant=variant, num_steps=10), f"sampler.{field}", value,
+                 f"sampler.{field}: not read by sampler.variant {variant!r}", id=f"{variant}-reads-no-{field}")
+    for variant in sorted(VARIANTS)
+    for field, value in OPTIONAL_SAMPLER_FIELDS.items()
+    if field not in sampler_fields_read(variant)
+]
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_every_sampler_field_a_variant_reads_is_accepted(variant):
+    # The converse of the rows above: a field the variant reads passes the check.
+    fields = {field: OPTIONAL_SAMPLER_FIELDS[field] for field in sampler_fields_read(variant)}
+    _Experiment(resolve_config(quadratic_config("unused", variant=variant, num_steps=10, **fields)))
+
+
 def logistic_config(output):
     config = quadratic_config(output, init=[0.0] * 21)
     config["problem"] = {"kind": "logistic", "data": "bundled"}
@@ -1183,9 +1278,9 @@ def two_state_model_with(**fields):
                      "sampler.init: expected a list of finite numbers", id="sampler-init-string-entry"),
         pytest.param(quadratic_config, "sampler.init", [float("nan"), 0.0],
                      "sampler.init: expected a list of finite numbers", id="sampler-init-nan"),
-        pytest.param(quadratic_config, "sampler.skew", [[0.0, "a"], [0.0, 0.0]],
+        pytest.param(nonreversible_config, "sampler.skew", [[0.0, "a"], [0.0, 0.0]],
                      "sampler.skew: expected a list of finite numbers", id="sampler-skew-string-entry"),
-        pytest.param(quadratic_config, "sampler.conditional_std", "x", "sampler.conditional_std: expected",
+        pytest.param(corpus_pools_config, "sampler.conditional_std", "x", "sampler.conditional_std: expected",
                      id="conditional-std-string"),
         pytest.param(mixture_config, "problem.true_param", ["a", 1], "problem.true_param: expected a list",
                      id="mixture-true-param-string-entry"),
@@ -1312,7 +1407,7 @@ def two_state_model_with(**fields):
                      "problem.likelihood_weight: must be a finite number", id="mixture-likelihood-weight-nan"),
         pytest.param(mixture_config, "problem.component_var", float("inf"),
                      "problem.component_var: must be a finite number", id="mixture-component-var-infinity"),
-        pytest.param(quadratic_config, "sampler.conditional_std", float("nan"),
+        pytest.param(corpus_pools_config, "sampler.conditional_std", float("nan"),
                      "sampler.conditional_std: must be a finite number", id="conditional-std-nan"),
         pytest.param(cmdp_config, "problem.perturbation", float("inf"),
                      "problem.perturbation: must be a finite number", id="cmdp-perturbation-infinity"),
@@ -1340,6 +1435,8 @@ def two_state_model_with(**fields):
                      id="grid-bins-10e19"),
         pytest.param(cmdp_config, "sampler.pool_size", 10**19, "sampler.pool_size: the probes, "
                      "2 x 200 x 10000000000000000000 x 2 floats, is past", id="cmdp-pool-size-10e19"),
+        pytest.param(corpus_pools_config, "sampler.pool_size", 0, "sampler.pool_size: must be at least 1, got 0",
+                     id="corpus-pool-size-0"),
         # A pool larger than the corpus would leave no pool: a run of zero steps.
         pytest.param(corpus_pools_config, "sampler.pool_size", 201,
                      "sampler.pool_size: 201 exceeds the forward corpus's 200 rows", id="corpus-pool-size-past-rows"),
@@ -1353,6 +1450,7 @@ def two_state_model_with(**fields):
                      id="logistic-likelihood-weight-negative"),
         pytest.param(logistic_config, "problem.likelihood_weight", 0,
                      "problem: likelihood_weight must be positive and finite", id="logistic-likelihood-weight-0"),
+        *UNREAD_SAMPLER_FIELD_ROWS,
     ],
 )
 def test_config_error_fails_before_any_output(tmp_path, capsys, make_config, path, value, message):

@@ -313,24 +313,24 @@ class TestFloatPath:
             (CLASSICAL, 2, 2, [synthetic.quadratic_oracle(1.0), synthetic.quadratic_oracle(1.0)]),
         ]
         for variant, dim, chains, source in passive + oracles:
-            cfgs = [chain_config(dim, chain) for chain in range(chains)]
             with float_steps_fail():
-                trajs = run_chains(variant, source, cfgs, 5, [RngStream(chain) for chain in range(chains)])
+                trajs = run_chains(variant, source, dim_config(dim), chain_starts(dim, chains), 5,
+                                   [RngStream(chain) for chain in range(chains)])
             assert len(trajs) == chains
 
     def test_2d_runs_take_the_float_path_at_any_chain_count(self):
         counts = (1, 12, 13, 24)
-        cfgs = [chain_config(2, chain) for chain in range(max(counts))]
+        cfg = dim_config(2)
         model = MixtureModel(true_param=np.array([-1.0, 2.0]))
         oracle = synthetic.quadratic_oracle(1.0, 0.5, 0.3, RngStream(1))
         for variant, source in ((PASSIVE_GENERALIZED, small_corpus(2)), (PASSIVE_GATED, small_corpus(2)),
                                 (CLASSICAL, oracle), (CLASSICAL, mixture.make_stream_oracle(model, RngStream(2)))):
             for count in counts:
                 with float_steps_fail(), pytest.raises(AssertionError, match="float path"):
-                    run_chains(variant, source, cfgs[:count], 5, [RngStream(c) for c in range(count)])
+                    run_chains(variant, source, cfg, chain_starts(2, count), 5, [RngStream(c) for c in range(count)])
         # A list that names one oracle for every chain is a shared oracle.
         with float_steps_fail(), pytest.raises(AssertionError, match="float path"):
-            run_chains(CLASSICAL, [oracle] * 13, cfgs[:13], 5, [RngStream(c) for c in range(13)])
+            run_chains(CLASSICAL, [oracle] * 13, cfg, chain_starts(2, 13), 5, [RngStream(c) for c in range(13)])
 
 
 def small_corpus(dim):
@@ -338,9 +338,13 @@ def small_corpus(dim):
     return [GradientSample(p, -p) for p in points]
 
 
-def chain_config(dim, chain):
-    return SamplerConfig(step=0.01, beta=1.0, init=np.full(dim, 0.1 * chain), kernel=Kernel(GAUSSIAN, 0.7, dim),
+def dim_config(dim):
+    return SamplerConfig(step=0.01, beta=1.0, init=np.zeros(dim), kernel=Kernel(GAUSSIAN, 0.7, dim),
                          init_density=InitDensity.standard(dim))
+
+
+def chain_starts(dim, chains):
+    return [np.full(dim, 0.1 * chain) for chain in range(chains)]
 
 
 # sha256 of seeded 2,100-step classical runs, computed before classical had a float path.
@@ -367,8 +371,9 @@ def test_seeded_2d_classical_runs_keep_their_hashes(problem, chains, block_noise
     else:
         oracle = mixture.make_stream_oracle(MixtureModel(np.array([-1.0, 2.0]), likelihood_weight=5.0), oracle_rng)
     assert hasattr(oracle, "pairs")
-    cfgs = [SamplerConfig(step=0.03, beta=1.2, init=np.array([0.4 * c - 0.3, 0.1 * c + 0.2])) for c in range(chains)]
-    trajs = run_chains(CLASSICAL, oracle, cfgs, 2100, rngs, block_noise=block_noise)
+    cfg = SamplerConfig(step=0.03, beta=1.2, init=np.zeros(2))
+    starts = [[0.4 * c - 0.3, 0.1 * c + 0.2] for c in range(chains)]
+    trajs = run_chains(CLASSICAL, oracle, cfg, starts, 2100, rngs, block_noise=block_noise)
     digest = hashlib.sha256(b"".join(t.samples.tobytes() for t in trajs)).hexdigest()
     assert digest == CLASSICAL_GOLDEN[problem, chains, block_noise]
 
@@ -391,11 +396,10 @@ def test_seeded_2d_passive_runs_keep_their_hashes(variant, family, chains):
     rng = RngStream(5)
     points = 1.2 * rng.standard_normal((300, 2))
     corpus = [GradientSample(p, -2.0 * p) for p in points]
-    cfgs = [SamplerConfig(step=0.02, beta=1.5, init=np.array([0.3 * c, -0.2 * c]),
-                          kernel=Kernel(family, 0.6, 2),
-                          init_density=InitDensity(np.array([0.1, -0.2]), np.array([1.5, 0.8])))
-            for c in range(chains)]
-    trajs = run_chains(variant, corpus, cfgs, 300, [RngStream(40 + c) for c in range(chains)])
+    cfg = SamplerConfig(step=0.02, beta=1.5, init=np.zeros(2), kernel=Kernel(family, 0.6, 2),
+                        init_density=InitDensity(np.array([0.1, -0.2]), np.array([1.5, 0.8])))
+    starts = [[0.3 * c, -0.2 * c] for c in range(chains)]
+    trajs = run_chains(variant, corpus, cfg, starts, 300, [RngStream(40 + c) for c in range(chains)])
     digest = hashlib.sha256(b"".join(t.samples.tobytes() for t in trajs)).hexdigest()
     assert digest == GOLDEN[variant, family, chains]
 

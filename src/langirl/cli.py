@@ -10,19 +10,22 @@ Exit codes: 0 success, 1 runtime failure, 2 config error.
 `--chains N` pools N sampler chains, and `baseline.chains` sets the number
 of baseline chains. Each set of chains runs in one `run_chains` call,
 whatever its source, which advances the chains one by one at every step.
-Oracle chains (the baseline's too) each call an oracle of their own, passed
-as a list of one per chain, and CMDP chains each read SPSA pools of their
-own, one list of a pool per chain each step. At most 30 sampler chains may
-read oracle or SPSA streams: chain 30's noise stream would be chain 0's.
-Chains that read the forward corpus all read it in the same order; they
-differ only in their noise (and their start, with `init: "sample"`). Their
-spread therefore understates the error of the pooled estimate, and a
-between-chain diagnostic such as R-hat would overstate how independent they
-are. A failure reports the earliest failing step of any chain of the set
-(the lowest chain on a tie), naming the chain when there are several. A
-set's trajectory files are written only once every chain of the set has
-finished. A run first removes from its output directory every file an
-earlier run may have written there but the manifest.
+Only sampler chains of a stream or pool variant off the CMDP read the forward
+corpus, which a run builds for them alone; any other run refuses a `forward`
+section. They read it once, in the same order: they differ only in their
+noise and start, so their spread understates the error of the pooled
+estimate, and a between-chain diagnostic such as R-hat would overstate how
+independent they are. Oracle chains (the baseline's too) each call an oracle
+of their own, passed as a list of one per chain, and CMDP chains each read
+SPSA pools of their own, one list of a pool per chain each step. At most 30
+sampler chains may read oracle or SPSA streams: chain 30's noise stream would
+be chain 0's. `init: "sample"` draws a chain's start from `forward.init`, or
+from N(0, I) without a forward section (never on the CMDP). A failure reports
+the earliest failing step of any chain of the set (the lowest chain on a
+tie), naming the chain when there are several. A set's trajectory files are
+written only once every chain of the set has finished. A run first removes
+from its output directory every file an earlier run may have written there
+but the manifest.
 
 A config's baseline chain set runs in a forked worker process, started
 before the forward phase, while the run goes on with the forward, sampler and
@@ -308,12 +311,12 @@ class _Experiment:
         self.variant = _expect(sampler, "variant", str)
         if self.variant not in VARIANTS:
             raise ConfigError(f"sampler.variant: unknown variant {self.variant!r}")
-        # Stream and pool variants read the forward corpus; CMDP pools come
-        # from SPSA instead.
         self.source_kind = VARIANTS[self.variant].source
+        # Stream and pool chains read the forward corpus; CMDP pools come from SPSA instead.
+        self.reads_corpus = self.source_kind != ORACLE and self.kind != "cmdp"
         # Chain c's noise stream is child 10 + c and its oracle or SPSA pool stream child 40 + c.
         most = _RNG_CHAIN_ORACLE - _RNG_CHAIN_NOISE
-        if self.chains > most and (self.source_kind == ORACLE or self.kind == "cmdp"):
+        if self.chains > most and not self.reads_corpus:
             raise ConfigError(f"config.chains: at most {most} chains may read oracle or SPSA streams, got "
                               f"{self.chains}: chain {most}'s noise stream would be chain 0's oracle or pool stream")
         forward = _expect(config, "forward", dict, required=False)
@@ -323,9 +326,9 @@ class _Experiment:
                 f"problem.kind {self.kind!r} has no gradient oracle: it runs only the multikernel "
                 "variant on its SPSA pools, with no forward or baseline section"
             )
-        needs_corpus = self.source_kind == STREAM or (self.source_kind == POOL and self.kind != "cmdp")
-        if needs_corpus and forward is None:
-            raise ConfigError(f"forward: required by sampler.variant {self.variant!r} for problem.kind {self.kind!r}")
+        if self.reads_corpus != (forward is not None):
+            raise ConfigError(f"forward: {'required' if self.reads_corpus else 'not read'} by sampler.variant "
+                              f"{self.variant!r} for problem.kind {self.kind!r}")
         self._build_forward(forward)
         self._build_sampler(sampler)
         self._build_baseline(baseline)
@@ -432,7 +435,6 @@ class _Experiment:
     def _build_forward(self, fwd):
         """The agent pool and its initialization density; None without a forward section."""
         self.agents = self.density = None
-        self.sweeps = 1
         self.shuffle = False
         if fwd is None:
             return
@@ -440,7 +442,6 @@ class _Experiment:
         with _prefixed("forward"):
             self.agents = AgentPoolConfig(*fields)
         _addressable("forward.num_agents x forward.run_length", "corpus", *fields[1:], self.dim)
-        self.sweeps = _expect(fwd, "sweeps", int, required=False, default=1, least=1)
         self.shuffle = _expect(fwd, "shuffle", bool, required=False, default=False)
         init = _expect(fwd, "init", dict, required=False, default={})
         mean = _vector(init, "mean", required=False, default=[0.0] * self.dim)
@@ -450,16 +451,16 @@ class _Experiment:
                 raise ConfigError(f"dimension does not match problem dimension {self.dim}")
             self.density = InitDensity(mean, variances)
 
-    def _start(self, section, density, default=None):
+    def _start(self, section, default=None):
         """(init vector, function of a chain's noise stream giving its start row) of a section."""
         init = _expect(section, "init", (list, str), required=default is None, default=default)
         path = f"{section.path}.init"
         if isinstance(init, str):
             if init != "sample":
                 raise ConfigError(f"{path}: expected a vector or 'sample', got {init!r}")
-            if density is None:
-                raise ConfigError(f"{path}: 'sample' requires a forward section")
-            return np.zeros(self.dim), density.sample
+            if self.kind == "cmdp":
+                raise ConfigError(f"{path}: 'sample' has no density to draw from for problem.kind 'cmdp'")
+            return np.zeros(self.dim), (self.density or InitDensity.standard(self.dim)).sample
         vec = _vector(section, "init", required=False, default=default)
         if vec.size != self.dim:
             raise ConfigError(
@@ -479,25 +480,24 @@ class _Experiment:
             bandwidth = _number(kernel, "bandwidth")
             with _prefixed("sampler.kernel"):
                 kernel = Kernel(family, bandwidth, self.dim)
-        init, self.sampler_start = self._start(sampler, self.density)
+        init, self.sampler_start = self._start(sampler)
         # A chain that leaves the box later fails the analysis.
         if self.kind == "cmdp" and not np.all((cmdp.ANGLE_LOW <= init) & (init <= cmdp.ANGLE_HIGH)):
             raise ConfigError(f"sampler.init: {init.tolist()} is off the box [{cmdp.ANGLE_LOW}, {cmdp.ANGLE_HIGH}]")
         pool_size = _expect(sampler, "pool_size", int, required=False, default=1, least=1)
 
-        # Corpus readers take at most what the corpus holds over its sweeps.
+        # Corpus readers take at most what the corpus holds.
         num_steps = _expect(sampler, "num_steps", int, required=False)
-        if self.source_kind != ORACLE and self.agents is not None:
+        if self.reads_corpus:
             rows = self.agents.num_agents * self.agents.run_length
             if self.source_kind == POOL and pool_size > rows:
                 raise ConfigError(f"sampler.pool_size: {pool_size} exceeds the forward corpus's {rows} rows")
-            available = self.sweeps * (rows if self.source_kind == STREAM else rows // pool_size)
+            available = rows if self.source_kind == STREAM else rows // pool_size
             if num_steps is None:
                 num_steps = available
             if num_steps > available:
                 raise ConfigError(
-                    f"sampler.num_steps: {num_steps} exceeds the forward corpus's "
-                    f"{self.source_kind} items x sweeps ({available})"
+                    f"sampler.num_steps: {num_steps} exceeds the forward corpus's {available} {self.source_kind} items"
                 )
         elif num_steps is None:
             raise ConfigError(f"sampler.num_steps: required for variant {self.variant!r}")
@@ -520,8 +520,7 @@ class _Experiment:
             return
         self.baseline_chains = _expect(baseline, "chains", int, required=False, default=1, least=1)
         self.baseline_steps = _expect(baseline, "num_steps", int)
-        density = self.density if self.density is not None else InitDensity.standard(self.dim)
-        init, self.baseline_start = self._start(baseline, density, default=[0.0] * self.dim)
+        init, self.baseline_start = self._start(baseline, default=[0.0] * self.dim)
         step = _number(baseline, "step")
         beta = _number(baseline, "beta", required=False, default=self.sampler_cfg.beta)
         with _prefixed("baseline"):
@@ -567,9 +566,8 @@ def run_experiment(config):
         if exp.baseline_cfg is not None:
             baseline = _Worker(_baseline_chains, exp, outdir)
 
-        # Forward corpus, when the variant consumes recorded agent data.
         corpus = None
-        if exp.agents is not None:
+        if exp.reads_corpus:
             phase = "forward"
             with _timed(timings, "forward"):
                 oracle = exp.oracle(exp.root.child(_RNG_CORPUS_ORACLE))
@@ -768,15 +766,15 @@ class _Worker:
 def _chain_source(exp, kind, corpus, rngs):
     """The one source `run_chains` reads for a set of chains reading a `kind` source.
 
-    Chains that read the forward corpus share one reader of it. Otherwise
-    chain c has a source of its own, made from `rngs[c]`: a gradient oracle,
-    the oracles passed as a list of one per chain (one chain's bare), or the
-    CMDP SPSA pools of `_spsa_pools`, one list of a pool per chain each step.
+    Only the sampler chains of a stream or pool variant off the CMDP get a
+    `corpus` (`exp.reads_corpus`): they share one reader of it, which reads it
+    once, row by row or `pool_size` rows a pool. Otherwise chain c has a
+    source of its own, made from `rngs[c]`: a gradient oracle, the oracles
+    passed as a list of one per chain (one chain's bare), or the CMDP SPSA
+    pools of `_spsa_pools`, one list of a pool per chain each step.
     """
-    if kind != ORACLE and exp.kind != "cmdp":
-        pool_size = exp.sampler_cfg.pool_size
-        passes = (corpus if kind == STREAM else corpus.as_pools(pool_size) for _ in range(exp.sweeps))
-        return itertools.chain.from_iterable(passes)
+    if corpus is not None:
+        return corpus if kind == STREAM else corpus.as_pools(exp.sampler_cfg.pool_size)
     if kind != ORACLE:
         return _spsa_pools(exp, rngs)
     oracles = [exp.oracle(rng) for rng in rngs]
@@ -897,8 +895,9 @@ def compare_runs(dir_a, dir_b):
         w1.append(wasserstein1(a[:, axis], b[:, axis]))
         lo = float(min(a[:, axis].min(), b[:, axis].min()))
         hi = float(max(a[:, axis].max(), b[:, axis].max()))
-        if hi <= lo:
-            hi = lo + 1.0
+        if hi <= lo:  # one value on both sides, the same point mass; past 2**53 [lo, lo + 1] is no grid
+            tv.append(0.0)
+            continue
         grid = GridSpec(((lo, hi, 60),))
         tv.append(variational_distance(build_density(a[:, axis], grid), build_density(b[:, axis], grid)))
     # np.median's arithmetic, the mean of the middle one or two values, without its import of numpy.ma.

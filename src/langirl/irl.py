@@ -494,7 +494,8 @@ def check_run(variant: str, cfg: SamplerConfig, num_steps: int, burn_in: int | N
     """The `VARIANTS` row of `variant`, once `cfg`, `num_steps` and `burn_in` suit a run of it.
 
     Raises ConfigError for an unknown variant, a config field the variant
-    needs left unset, a negative `num_steps` or a `burn_in` outside
+    needs left unset, an `active` conditional_std whose **-dim in
+    `step_active` overflows, a negative `num_steps` or a `burn_in` outside
     [0, num_steps]. A `burn_in` of None is the default tenth of the run.
     """
     row = VARIANTS.get(variant)
@@ -503,6 +504,12 @@ def check_run(variant: str, cfg: SamplerConfig, num_steps: int, burn_in: int | N
     for name in row.needs:
         if getattr(cfg, name) is None:
             raise ConfigError(f"variant {variant!r} needs {name}")
+    if variant == ACTIVE:
+        try:
+            cfg.conditional_std**-cfg.dim
+        except OverflowError:
+            raise ConfigError(f"conditional_std {cfg.conditional_std} is too small for variant {variant!r} in "
+                              f"{cfg.dim} dimensions: conditional_std**-dim overflows") from None
     if num_steps < 0:
         raise ConfigError(f"num_steps must be non-negative, got {num_steps}")
     if burn_in is not None and not 0 <= burn_in <= num_steps:

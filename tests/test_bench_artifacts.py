@@ -122,9 +122,14 @@ def test_bench_artifacts_match_the_digest_table(tmp_path):
         path.relative_to(tmp_path).as_posix(): hashlib.sha256(artifact_bytes(path)).hexdigest()
         for path in sorted(tmp_path.rglob("*")) if path.is_file()
     }
-    changed = sorted(key for key in digests.keys() & DIGESTS.keys() if digests[key] != DIGESTS[key])
-    assert digests == DIGESTS, (
-        f"changed: {changed}; new: {sorted(digests.keys() - DIGESTS.keys())}; "
-        f"gone: {sorted(DIGESTS.keys() - digests.keys())}. The table was computed with numpy "
-        f"{DIGESTS_NUMPY} on {DIGESTS_MACHINE}; this is numpy {np.__version__} on {platform.machine()}."
+    assert_digest_table(digests, DIGESTS, DIGESTS_NUMPY, DIGESTS_MACHINE)
+
+
+def assert_digest_table(digests, table, numpy_release, machine):
+    """Assert `digests == table`, reporting the rows that changed, appeared or went and both platforms."""
+    changed = sorted(key for key in digests.keys() & table.keys() if digests[key] != table[key])
+    assert digests == table, (
+        f"changed: {changed}; new: {sorted(digests.keys() - table.keys())}; "
+        f"gone: {sorted(table.keys() - digests.keys())}. The table was computed with numpy "
+        f"{numpy_release} on {machine}; this is numpy {np.__version__} on {platform.machine()}."
     )

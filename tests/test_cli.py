@@ -5,7 +5,6 @@ import filecmp
 import functools
 import hashlib
 import io
-import itertools
 import json
 import math
 import os
@@ -30,6 +29,7 @@ from langirl.irl import (
     ACTIVE,
     CLASSICAL,
     MULTIKERNEL,
+    ORACLE,
     PASSIVE_GENERALIZED,
     POOL,
     VARIANTS,
@@ -42,6 +42,7 @@ from langirl.irl import (
 from langirl.kernels import GAUSSIAN, Kernel
 from langirl.problems import cmdp, mixture, synthetic
 from reference import make_angle_pool_source
+from test_bench_artifacts import assert_digest_table
 
 BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 
@@ -55,11 +56,12 @@ def quadratic_config(output, **sampler):
         "init": [0.0, 0.0],
     }
     sampler_section.update(sampler)
-    # The default kernel goes only to a variant that reads one: any other rejects it.
-    if "kernel" not in sampler and "kernel" not in getattr(VARIANTS.get(sampler_section["variant"]), "needs", ()):
+    # The default kernel and forward section go only to a variant that reads them: any other rejects them.
+    row = VARIANTS.get(sampler_section["variant"])
+    if "kernel" not in sampler and "kernel" not in getattr(row, "needs", ()):
         del sampler_section["kernel"]
     dim = len(sampler_section["init"])
-    return {
+    config = {
         "schema": 1,
         "experiment": "cli-test",
         "seed": 3,
@@ -69,6 +71,9 @@ def quadratic_config(output, **sampler):
         "sampler": sampler_section,
         "baseline": {"step": 0.1, "num_steps": 150},
     }
+    if getattr(row, "source", None) == ORACLE:
+        del config["forward"]
+    return config
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -190,14 +195,17 @@ def test_compare_counts_match_post_samples(tmp_path, capsys):
 
 
 def test_compare_of_constant_marginals_reports_zero_distances(tmp_path, capsys):
-    # Zero-step chains stay at their start, so every marginal is one value in both runs.
-    runs = [tmp_path / "a", tmp_path / "b"]
-    for run in runs:
-        assert main(["run", write_config(tmp_path, quadratic_config(run, num_steps=0))]) == 0
-    capsys.readouterr()
-    assert main(["compare", *map(str, runs)]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["w1"] == report["variational_distance"] == [0.0, 0.0]
+    # Zero-step chains stay at their start, so every marginal is one value in both runs. Past 2**53, as at 1e17
+    # and 1e300, that value plus 1 is the value itself; above the largest float there is no float at all.
+    for start in (0.0, 1e17, 1e300, sys.float_info.max):
+        runs = [tmp_path / f"a{start}", tmp_path / f"b{start}"]
+        for run in runs:
+            config = quadratic_config(run, num_steps=0, init=[start, start])
+            assert main(["run", write_config(tmp_path, config)]) == 0
+        capsys.readouterr()
+        assert main(["compare", *map(str, runs)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["w1"] == report["variational_distance"] == [0.0, 0.0], start
 
 
 def test_compare_reads_only_the_chains_of_the_latest_run(tmp_path, capsys):
@@ -356,6 +364,9 @@ def test_a_rerun_removes_the_files_of_an_earlier_run(tmp_path):
 # sha256 of every chain file of the run below, computed when the baseline ran
 # after the sampler in one process and csv.writer wrote every row: how the
 # chain sets are scheduled and how their files are written must keep each byte.
+# They hold for this numpy release and CPU, as the byte table's digests do.
+GOLDEN_NUMPY = "2.4.6"
+GOLDEN_MACHINE = "x86_64"
 GOLDEN_FILES = {
     "baseline_c0.csv": "1924bf67175dad19492ec9bd04c0af9a53ad1eabc7f55adc992888f845280b7c",
     "baseline_c0.json": "8d3bf888104d26f2fad2ada9e557f8cc7702069b1b7cb0974baa67df35b8d80e",
@@ -379,7 +390,7 @@ def test_chain_files_match_golden_digests(tmp_path):
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in out.iterdir() if p.name.startswith(("trajectory", "baseline"))
     }
-    assert digests == GOLDEN_FILES
+    assert_digest_table(digests, GOLDEN_FILES, GOLDEN_NUMPY, GOLDEN_MACHINE)
 
 
 @pytest.mark.parametrize("rows", [1, 1024, 2053])
@@ -637,6 +648,17 @@ def baseline_chains(root):
     return want
 
 
+def sampled_classical_chains(root):
+    # With no forward section, `init: "sample"` draws chain c's start from N(0, I) on its noise stream 10 + c.
+    want = {}
+    for chain in range(2):
+        noise = root.child(10 + chain)
+        cfg = SamplerConfig(step=0.05, beta=1.0, init=InitDensity.standard(2).sample(noise))
+        oracle = synthetic.quadratic_oracle(1.0, 0.0, 0.5, root.child(40 + chain))
+        want[f"trajectory_c{chain}"] = run_sampler(CLASSICAL, oracle, cfg, 300, noise)
+    return want
+
+
 def with_noisy_baseline(output):
     config = quadratic_config(output)
     config["problem"]["noise_std"] = 0.5
@@ -653,6 +675,10 @@ CHAIN_CASES = {
         lambda out: oracle_config(out, {"kind": "mixture", "true_param": [-1.0, 2.0]}, variant="active",
                                   kernel={"bandwidth": 0.5}, conditional_std=0.5),
         3, active_chains),
+    "classical-sampled-start": (
+        lambda out: oracle_config(out, {"kind": "quadratic", "dim": 2, "noise_std": 0.5}, variant="classical",
+                                  init="sample"),
+        2, sampled_classical_chains),
     "cmdp": (cmdp_config, 3, cmdp_chains),
     "baseline": (with_noisy_baseline, 1, baseline_chains),
 }
@@ -1004,34 +1030,6 @@ def test_a_periodic_cmdp_model_runs_and_an_absorbing_one_fails(tmp_path, capsys,
         assert "run complete" not in capsys.readouterr().out
 
 
-SWEEP_CASES = {
-    # case: (variant, fields set in both the config and the SamplerConfig, one pass over the corpus)
-    "stream": (PASSIVE_GENERALIZED, {}, lambda corpus: corpus),
-    "pools": (MULTIKERNEL, {"pool_size": 4, "conditional_std": 0.5}, lambda corpus: corpus.as_pools(4)),
-}
-
-
-@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
-def test_forward_sweeps_reread_the_corpus(tmp_path, case):
-    # Two sweeps are one run over the corpus read twice, end to end.
-    variant, fields, one_pass = SWEEP_CASES[case]
-    out = tmp_path / "run"
-    config = quadratic_config(out, variant=variant, **fields)
-    config["forward"]["sweeps"] = 2
-    assert main(["run", write_config(tmp_path, config)]) == 0
-    root = RngStream(config["seed"])
-    corpus, density = quadratic_corpus(root)
-    kernel = Kernel(GAUSSIAN, 0.5, 2) if "kernel" in config["sampler"] else None
-    cfg = SamplerConfig(step=0.2, beta=1.0, init=np.zeros(2), kernel=kernel, init_density=density, **fields)
-    source = itertools.chain(one_pass(corpus), one_pass(corpus))
-    steps = 2 * len(list(one_pass(corpus)))
-    want = run_sampler(variant, source, cfg, steps, root.child(10))
-    got, meta = load_trajectory(out)
-    assert meta["num_steps"] == steps
-    np.testing.assert_array_equal(got.samples, want.samples)
-    assert got.fingerprint == want.fingerprint
-
-
 def test_zero_num_steps_runs_zero_steps(tmp_path):
     # An explicit 0 is not the whole corpus: the chain stays at its start.
     out = tmp_path / "run"
@@ -1203,6 +1201,27 @@ def test_every_sampler_field_a_variant_reads_is_accepted(variant):
     _Experiment(resolve_config(quadratic_config("unused", variant=variant, num_steps=10, **fields)))
 
 
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("forward", [True, False], ids=["with-forward", "without-forward"])
+def test_a_forward_section_goes_with_exactly_the_variants_that_read_the_corpus(tmp_path, capsys, variant, forward):
+    # Stream and pool chains read the forward corpus; oracle chains build none, so a section for them is an error.
+    out = tmp_path / "run"
+    fields = {field: OPTIONAL_SAMPLER_FIELDS[field] for field in sampler_fields_read(variant)}
+    # Step 0.02 keeps the gated variant's gain ratio, 0.02 / 0.5**2, clear of its warning.
+    config = quadratic_config(out, variant=variant, num_steps=10, step=0.02, **fields)
+    config["forward"] = quadratic_config(out)["forward"]
+    if not forward:
+        del config["forward"]
+    reads = VARIANTS[variant].source != ORACLE
+    if forward == reads:
+        assert main(["run", write_config(tmp_path, config)]) == 0
+        return
+    assert main(["run", write_config(tmp_path, config)]) == 2
+    verb = "required" if reads else "not read"
+    assert f"forward: {verb} by sampler.variant {variant!r} for problem.kind 'quadratic'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def logistic_config(output):
     config = quadratic_config(output, init=[0.0] * 21)
     config["problem"] = {"kind": "logistic", "data": "bundled"}
@@ -1356,11 +1375,14 @@ def two_state_model_with(**fields):
                      id="variant-naive"),
         pytest.param(quadratic_config, "problem.kind", "cubic", "problem.kind: unknown kind 'cubic'",
                      id="problem-kind-unknown"),
-        pytest.param(quadratic_config, "forward.sweeps", 0, "forward.sweeps: must be at least 1", id="sweeps-0"),
+        # Re-reading the corpus is gone: a longer run needs a larger corpus.
+        pytest.param(quadratic_config, "forward.sweeps", 2, "forward.sweeps: unknown field",
+                     id="forward-sweeps-unknown"),
         pytest.param(quadratic_config, "forward.init.mean", [0.0],
                      "forward.init: dimension does not match problem dimension 2", id="forward-init-1d"),
-        pytest.param(mixture_config, "sampler.init", "sample",
-                     "sampler.init: 'sample' requires a forward section", id="sample-init-without-forward"),
+        pytest.param(cmdp_config, "sampler.init", "sample",
+                     "sampler.init: 'sample' has no density to draw from for problem.kind 'cmdp'",
+                     id="cmdp-sample-init"),
         pytest.param(mixture_config, "sampler.num_steps", MISSING,
                      "sampler.num_steps: required for variant 'classical'", id="oracle-num-steps-missing"),
         # Errors of the library constructors name the section whose fields they were given.
@@ -1450,6 +1472,14 @@ def two_state_model_with(**fields):
                      id="logistic-likelihood-weight-negative"),
         pytest.param(logistic_config, "problem.likelihood_weight", 0,
                      "problem: likelihood_weight must be positive and finite", id="logistic-likelihood-weight-0"),
+        # `step_active` divides by conditional_std**dim, a float power that would raise OverflowError.
+        pytest.param(functools.partial(quadratic_config, variant=ACTIVE, num_steps=10),
+                     "sampler.conditional_std", 1e-200, "sampler: conditional_std 1e-200 is too small for variant "
+                     "'active' in 2 dimensions: conditional_std**-dim overflows", id="active-conditional-std-1e-200"),
+        pytest.param(functools.partial(quadratic_config, variant=ACTIVE, num_steps=10, init=[0.0] * 155),
+                     "sampler.conditional_std", 0.01,
+                     "sampler: conditional_std 0.01 is too small for variant 'active' in 155 dimensions",
+                     id="active-conditional-std-0.01-dim-155"),
         *UNREAD_SAMPLER_FIELD_ROWS,
     ],
 )

@@ -543,6 +543,16 @@ class TestRunSampler:
         with pytest.raises(ConfigError, match=missing):
             run_sampler(variant, [], SamplerConfig(**full), 1, RngStream(0))
 
+    @pytest.mark.parametrize("sigma, dim", [(1e-200, 2), (0.01, 155)])
+    def test_active_conditional_std_whose_power_overflows_is_refused_before_any_step(self, sigma, dim):
+        # `step_active` takes sigma**-dim as a Python float, which raises OverflowError past the float range.
+        cfg = SamplerConfig(step=1e-3, beta=2.0, init=np.zeros(dim), kernel=Kernel(GAUSSIAN, 0.5, dim),
+                            conditional_std=sigma)
+        queried = []
+        with pytest.raises(ConfigError, match=rf"conditional_std {sigma} is too small .* overflows"):
+            run_sampler(ACTIVE, lambda point: queried.append(point) or np.zeros(dim), cfg, 5, RngStream(0))
+        assert queried == []
+
     def test_gated_gain_ratio_warning(self):
         cfg = SamplerConfig(step=0.3, beta=2.0, init=np.zeros(1),
                             kernel=Kernel(GAUSSIAN, 0.5, 1),

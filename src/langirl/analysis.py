@@ -155,10 +155,10 @@ def variational_distance(a: EmpiricalDensity, b: EmpiricalDensity) -> float:
 
 
 def autocorr_time(series, min_length: int = 1000) -> float:
-    """Integrated autocorrelation time by initial-positive-sequence truncation.
+    """Integrated autocorrelation time by Geyer's initial positive sequence.
 
     Sums adjacent autocorrelation pairs until the first non-positive pair, the
-    standard conservative truncation for reversible chains. A first-order
+    standard conservative stopping rule for reversible chains. A first-order
     autoregressive series with coefficient 0.9 comes out near 19.
     """
     x = np.asarray(series, dtype=np.float64).ravel()

@@ -112,7 +112,7 @@ from .irl import (
     run_sampler,  # not called here, but bench/tracer.py wraps cli.run_sampler
     save_trajectory,
 )
-from .kernels import GAUSSIAN, Kernel
+from .kernels import Kernel
 from .problems import cmdp, logistic, mixture, synthetic
 
 SCHEMA_VERSION = 1
@@ -476,10 +476,9 @@ class _Experiment:
                 raise ConfigError(f"sampler.{field}: not read by sampler.variant {self.variant!r}")
         kernel = _expect(sampler, "kernel", dict, required=False)
         if kernel is not None:
-            family = _expect(kernel, "family", str, required=False, default=GAUSSIAN)
             bandwidth = _number(kernel, "bandwidth")
             with _prefixed("sampler.kernel"):
-                kernel = Kernel(family, bandwidth, self.dim)
+                kernel = Kernel(bandwidth, self.dim)
         init, self.sampler_start = self._start(sampler)
         # A chain that leaves the box later fails the analysis.
         if self.kind == "cmdp" and not np.all((cmdp.ANGLE_LOW <= init) & (init <= cmdp.ANGLE_HIGH)):
@@ -522,9 +521,9 @@ class _Experiment:
         self.baseline_steps = _expect(baseline, "num_steps", int)
         init, self.baseline_start = self._start(baseline, default=[0.0] * self.dim)
         step = _number(baseline, "step")
-        beta = _number(baseline, "beta", required=False, default=self.sampler_cfg.beta)
         with _prefixed("baseline"):
-            self.baseline_cfg = SamplerConfig(step, beta, init)
+            # The reference chain samples the sampler's law, so it runs at the sampler's beta.
+            self.baseline_cfg = SamplerConfig(step, self.sampler_cfg.beta, init)
             check_run(CLASSICAL, self.baseline_cfg, self.baseline_steps)
         _addressable("baseline.num_steps", "trajectory", self.baseline_steps + 1, self.baseline_chains, self.dim)
 
@@ -839,7 +838,13 @@ def _analyze(exp, pooled, base_density, metrics):
     without a baseline or a grid; no baseline sample reaches the analysis.
     """
     densities = {}
-    variance, mean = pooled.var(axis=0), pooled.mean(axis=0)
+    mean = pooled.mean(axis=0)
+    # About a mean an ulp off, a chain that never moved from 1e300 squares its residual past the float range;
+    # about the first row it does not. A variance that overflows both ways is the error below.
+    with np.errstate(over="ignore"):
+        variance = pooled.var(axis=0)
+        redo = ~np.isfinite(variance)
+        variance[redo] = (pooled[:, redo] - pooled[0, redo]).var(axis=0)
     if not (np.isfinite(variance).all() and np.isfinite(mean).all()):
         raise NonFiniteError(f"pooled mean {mean.tolist()} or variance {variance.tolist()} is not finite")
     metrics["variance"] = variance.tolist()

@@ -127,7 +127,7 @@ from .core import (
     write_json,
 )
 from .forward import InitDensity
-from .kernels import TRUNCATED_GAUSSIAN, TRUNCATION_RADIUS, Kernel, raw_eval, scaled_eval
+from .kernels import Kernel, raw_eval, scaled_eval
 
 PASSIVE_GENERALIZED = "passive_generalized"
 PASSIVE_GATED = "passive_gated"
@@ -216,8 +216,9 @@ class SamplerConfig:
     def to_dict(self) -> dict:
         out = {"step": self.step, "beta": self.beta, "init": self.init.tolist()}
         if self.kernel is not None:
+            # trajectory.json and the fingerprint record the one family; dropping it moves every hash.
             out["kernel"] = {
-                "family": self.kernel.family,
+                "family": "gaussian",
                 "bandwidth": self.kernel.bandwidth,
                 "dim": self.kernel.dim,
             }
@@ -264,8 +265,7 @@ def step_passive_generalized(est, sample: GradientSample, cfg: SamplerConfig, rn
 
 def _passive_generalized_2d(state, items, cfg: SamplerConfig, rngs) -> np.ndarray:
     kernel, density = cfg.kernel, cfg.init_density
-    # `cut` is the truncated family's bound on q, or False.
-    band, norm, cut = kernel.bandwidth, kernel._norm, kernel.family == TRUNCATED_GAUSSIAN and TRUNCATION_RADIUS**2
+    band, norm = kernel.bandwidth, kernel._norm
     dnorm, (m0, m1), (v0, v1) = density._norm, density.mean.tolist(), density.variances.tolist()
     half_beta, step, root, scale, exp = 0.5 * cfg.beta, cfg.step, math.sqrt(cfg.step), kernel._scale, np.exp
     samples = [(s.point.tolist(), s.gradient.tolist()) for s in items]
@@ -274,7 +274,7 @@ def _passive_generalized_2d(state, items, cfg: SamplerConfig, rngs) -> np.ndarra
         for ((p0, p1), (g0, g1)), (w0, w1) in zip(samples, rng.standard_normal((len(items), 2)).tolist()):
             u0, u1 = (p0 - e0) / band, (p1 - e1) / band
             q = u0 * u0 + u1 * u1
-            a = half_beta * ((0.0 if cut and not q <= cut else norm * float(exp(-0.5 * q))) * scale)
+            a = half_beta * (norm * float(exp(-0.5 * q)) * scale)
             z0, z1 = e0 - m0, e1 - m1
             pval = dnorm * float(exp(-0.5 * (z0 * z0 / v0 + z1 * z1 / v1)))
             gain, sd = step * pval, root * pval
@@ -304,7 +304,7 @@ def step_passive_gated(est, sample: GradientSample, cfg: SamplerConfig, rng) -> 
 
 def _passive_gated_2d(state, items, cfg: SamplerConfig, rngs) -> np.ndarray:
     kernel, density = cfg.kernel, cfg.init_density
-    band, norm, cut = kernel.bandwidth, kernel._norm, kernel.family == TRUNCATED_GAUSSIAN and TRUNCATION_RADIUS**2
+    band, norm = kernel.bandwidth, kernel._norm
     dnorm, (m0, m1), (v0, v1) = density._norm, density.mean.tolist(), density.variances.tolist()
     half_beta, ratio, exp = 0.5 * cfg.beta, cfg.gain_ratio, np.exp
     # The density and the gated drift's bracket belong to the shared sample point.
@@ -320,7 +320,7 @@ def _passive_gated_2d(state, items, cfg: SamplerConfig, rngs) -> np.ndarray:
         for (p0, p1, h0, h1, pval), (w0, w1) in zip(shared, rng.standard_normal((len(items), 2)).tolist()):
             u0, u1 = (p0 - e0) / band, (p1 - e1) / band
             q = u0 * u0 + u1 * u1
-            gate = ratio * (0.0 if cut and not q <= cut else norm * float(exp(-0.5 * q)))
+            gate = ratio * (norm * float(exp(-0.5 * q)))
             sd = math.sqrt(gate * pval)
             e0, e1 = e0 + gate * h0 + sd * w0, e1 + gate * h1 + sd * w1
             out += (e0, e1)
@@ -495,8 +495,10 @@ def check_run(variant: str, cfg: SamplerConfig, num_steps: int, burn_in: int | N
 
     Raises ConfigError for an unknown variant, a config field the variant
     needs left unset, an `active` conditional_std whose **-dim in
-    `step_active` overflows, a negative `num_steps` or a `burn_in` outside
-    [0, num_steps]. A `burn_in` of None is the default tenth of the run.
+    `step_active` overflows, a `multikernel` conditional_std whose square in
+    `normalized_weights` underflows to 0, a negative `num_steps` or a
+    `burn_in` outside [0, num_steps]. A `burn_in` of None is the default
+    tenth of the run.
     """
     row = VARIANTS.get(variant)
     if row is None:
@@ -510,6 +512,9 @@ def check_run(variant: str, cfg: SamplerConfig, num_steps: int, burn_in: int | N
         except OverflowError:
             raise ConfigError(f"conditional_std {cfg.conditional_std} is too small for variant {variant!r} in "
                               f"{cfg.dim} dimensions: conditional_std**-dim overflows") from None
+    if variant == MULTIKERNEL and cfg.conditional_std * cfg.conditional_std == 0:
+        raise ConfigError(f"conditional_std {cfg.conditional_std} is too small for variant {variant!r}: "
+                          "its square underflows to 0")
     if num_steps < 0:
         raise ConfigError(f"num_steps must be non-negative, got {num_steps}")
     if burn_in is not None and not 0 <= burn_in <= num_steps:

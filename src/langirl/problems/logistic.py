@@ -106,14 +106,13 @@ def reward_grad(model: LogisticModel, theta, row: int):
     The prior contributes -sign(theta) per coordinate, with sign(0) taken as
     zero. Batched over leading axes of `theta`.
     """
-    # Imported here: scipy.special is slow to import and only logistic runs need it.
-    from scipy.special import expit
-
     theta = np.asarray(theta, dtype=np.float64)
     psi = model.features[row % model.num_rows]
     y = model.labels[row % model.num_rows]
     margin = theta @ psi
-    resid = y - expit(margin)
+    # The logistic sigmoid; below a margin of about -709 exp overflows to inf and the sigmoid reads 0.
+    with np.errstate(over="ignore"):
+        resid = y - 1.0 / (1.0 + np.exp(-margin))
     return -np.sign(theta) + model.likelihood_weight * np.multiply.outer(resid, psi).reshape(theta.shape)
 
 

@@ -31,7 +31,7 @@ from langirl.irl import (
     run_chains,
     run_sampler,
 )
-from langirl.kernels import FAMILIES, GAUSSIAN, Kernel
+from langirl.kernels import Kernel
 from langirl.problems import synthetic
 
 # More steps than one noise and finite-check block, so a block boundary is crossed.
@@ -61,12 +61,12 @@ def source_for(variant):
     return pools() if kind == "pool" else corpus()
 
 
-def config(family=GAUSSIAN):
+def config():
     return SamplerConfig(
         step=0.01,
         beta=1.0,
         init=np.zeros(2),
-        kernel=Kernel(family, 0.8, 2),
+        kernel=Kernel(0.8, 2),
         init_density=InitDensity(np.zeros(2), np.full(2, 2.0)),
         pool_size=8,
         conditional_std=0.3,
@@ -103,13 +103,12 @@ SHARED = [pytest.param(variant, False, id=variant) for variant in sorted(VARIANT
 OWN = [pytest.param(variant, True, id=f"{variant}-own-sources") for variant in sorted(VARIANTS)]
 
 
-@pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("variant, own_sources", SHARED + OWN)
-def test_batch_matches_chains_run_one_at_a_time(variant, own_sources, family):
+def test_batch_matches_chains_run_one_at_a_time(variant, own_sources):
     # With own sources, per-step lists of one sample or pool per chain, or a
     # list of one oracle per chain, give each chain in the batch a source of
     # its own; 2-D float variants then take the NumPy steps.
-    cfg = config(family)
+    cfg = config()
     if own_sources:
         source = combined(per_chain_sources(variant))
         sources = per_chain_sources(variant)
@@ -154,11 +153,10 @@ def numpy_steps_only(chains=None):
     return mock.patch.dict(irl.VARIANTS, rows)
 
 
-@pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("variant", [PASSIVE_GENERALIZED, PASSIVE_GATED])
-def test_numpy_batch_beyond_the_float_cap_matches_float_chains(variant, family):
+def test_numpy_batch_beyond_the_float_cap_matches_float_chains(variant):
     # Thirteen chains stepped one by one in NumPy against each chain alone in floats.
-    cfg = config(family)
+    cfg = config()
     with numpy_steps_only():
         batch = run_chains(variant, corpus(), cfg, MANY_INITS, STEPS, chain_rngs(len(MANY_INITS)))
     alone = [run_sampler(variant, corpus(), started(cfg, start), STEPS, rng)
@@ -267,7 +265,7 @@ SHARED_ORACLE_GOLDEN = {
 @pytest.mark.parametrize("variant", sorted(SHARED_ORACLE_GOLDEN))
 def test_chains_on_one_shared_noisy_oracle_keep_their_hashes(variant):
     oracle = synthetic.quadratic_oracle(1.5, 0.25, 0.3, RngStream(9))
-    cfg = SamplerConfig(step=0.03, beta=1.2, init=np.zeros(3), kernel=Kernel(GAUSSIAN, 0.7, 3), conditional_std=0.3)
+    cfg = SamplerConfig(step=0.03, beta=1.2, init=np.zeros(3), kernel=Kernel(0.7, 3), conditional_std=0.3)
     starts = [[0.4 * c - 0.3, 0.1 * c + 0.2, -0.2 * c] for c in range(3)]
     trajs = run_chains(variant, oracle, cfg, starts, STEPS, [RngStream(60 + c) for c in range(3)])
     digest = hashlib.sha256(b"".join(t.samples.tobytes() for t in trajs)).hexdigest()

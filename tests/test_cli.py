@@ -39,7 +39,7 @@ from langirl.irl import (
     run_sampler,
     save_trajectory,
 )
-from langirl.kernels import GAUSSIAN, Kernel
+from langirl.kernels import Kernel
 from langirl.problems import cmdp, mixture, synthetic
 from reference import make_angle_pool_source
 from test_bench_artifacts import assert_digest_table
@@ -582,7 +582,7 @@ def quadratic_corpus(root):
 
 def corpus_chains(root):
     corpus, density = quadratic_corpus(root)
-    cfg = SamplerConfig(step=0.2, beta=1.0, init=np.zeros(2), kernel=Kernel(GAUSSIAN, 0.5, 2),
+    cfg = SamplerConfig(step=0.2, beta=1.0, init=np.zeros(2), kernel=Kernel(0.5, 2),
                         init_density=density)
     return {
         f"trajectory_c{chain}": run_sampler(PASSIVE_GENERALIZED, corpus, cfg, len(corpus), root.child(10 + chain))
@@ -614,7 +614,7 @@ def classical_chains(root):
 
 def active_chains(root):
     model = mixture.MixtureModel(np.array([-1.0, 2.0]))
-    cfg = SamplerConfig(step=0.05, beta=1.0, init=np.array([0.5, -0.5]), kernel=Kernel(GAUSSIAN, 0.5, 2),
+    cfg = SamplerConfig(step=0.05, beta=1.0, init=np.array([0.5, -0.5]), kernel=Kernel(0.5, 2),
                         conditional_std=0.5)
     return {
         f"trajectory_c{chain}": run_sampler(
@@ -931,6 +931,50 @@ def test_a_pooled_variance_overflow_is_a_failure(tmp_path, capsys):
     assert failure["message"].startswith("pooled mean ")
     assert not (out / "metrics.json").exists()
     assert "run complete" not in capsys.readouterr().out
+
+
+def test_a_chain_that_never_moved_has_variance_zero(tmp_path):
+    # Sixteen rows of 1e300: their mean is an ulp off, and the squared
+    # residual about it overflows although the true variance is 0.
+    out = tmp_path / "run"
+    config = quadratic_config(out, variant="classical", init=[1e300, 1e300], num_steps=15, burn_in=0, step=1e-30)
+    assert main(["run", write_config(tmp_path, config)]) == 0
+    assert (load_trajectory(out)[0].samples == 1e300).all()
+    assert read_json(out / "metrics.json")["variance"] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("init", [[-1e300, -1e300], [1e300, 0.0]], ids=["negative", "one-coordinate"])
+def test_only_a_coordinate_whose_variance_overflows_is_recomputed(tmp_path, init):
+    # A coordinate that starts at 0 moves by noise of size 1e-15; its variance is today's, to the bit.
+    out = tmp_path / "run"
+    config = quadratic_config(out, variant="classical", init=init, num_steps=15, burn_in=0, step=1e-30)
+    assert main(["run", write_config(tmp_path, config)]) == 0
+    samples = load_trajectory(out)[0].samples
+    variance = read_json(out / "metrics.json")["variance"]
+    with np.errstate(over="ignore"):
+        today = samples.var(axis=0)
+    for axis, start in enumerate(init):
+        if start:
+            assert (samples[:, axis] == start).all() and variance[axis] == 0.0
+        else:
+            assert variance[axis] == today[axis] > 0.0
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.0])
+def test_the_baseline_runs_at_the_sampler_beta(tmp_path, beta):
+    # The baseline is the reference chain for the sampler's law, which beta sets.
+    out = tmp_path / "run"
+    assert main(["run", write_config(tmp_path, quadratic_config(out, beta=beta))]) == 0
+    assert read_json(out / "baseline.json")["config"]["beta"] == beta
+    assert read_json(out / "trajectory.json")["config"]["beta"] == beta
+
+
+def test_a_multikernel_conditional_std_whose_square_is_normal_runs(tmp_path):
+    # 1e-150 squares to 1e-300: no division by 0, although every step's weights underflow and reset.
+    out = tmp_path / "run"
+    config = quadratic_config(out, variant=MULTIKERNEL, pool_size=4, num_steps=10, conditional_std=1e-150)
+    assert main(["run", write_config(tmp_path, config)]) == 0
+    assert read_json(out / "trajectory.json")["underflow_resets"] == 10
 
 
 def test_a_cmdp_chain_off_the_angle_box_is_a_failure(tmp_path, capsys):
@@ -1279,7 +1323,10 @@ def two_state_model_with(**fields):
                      id="sampler-num-step-misspelled"),
         pytest.param(quadratic_config, "baseline.burn_in", 5, "baseline.burn_in: unknown field",
                      id="baseline-burn-in-unknown"),
-        pytest.param(quadratic_config, "baseline.beta", "x", "baseline.beta", id="baseline-beta-string"),
+        # The baseline samples the sampler's law, at the sampler's beta.
+        pytest.param(quadratic_config, "baseline.beta", 2.0, "baseline.beta: unknown field", id="baseline-beta-unknown"),
+        pytest.param(quadratic_config, "baseline.beta", 1.0, "baseline.beta: unknown field",
+                     id="baseline-beta-at-the-sampler-beta-unknown"),
         pytest.param(quadratic_config, "analysis.grid", [1, 2], "analysis.grid", id="grid-not-triples"),
         pytest.param(quadratic_config, "forward.step", MISSING, "forward.step: missing",
                      id="forward-step-missing"),
@@ -1378,6 +1425,13 @@ def two_state_model_with(**fields):
         # Re-reading the corpus is gone: a longer run needs a larger corpus.
         pytest.param(quadratic_config, "forward.sweeps", 2, "forward.sweeps: unknown field",
                      id="forward-sweeps-unknown"),
+        # The kernel is the Gaussian; a config names no family, not even that one.
+        pytest.param(quadratic_config, "sampler.kernel.family", "box", "sampler.kernel.family: unknown field",
+                     id="kernel-family-unknown"),
+        pytest.param(quadratic_config, "sampler.kernel.family", "gaussian", "sampler.kernel.family: unknown field",
+                     id="kernel-family-gaussian-unknown"),
+        pytest.param(quadratic_config, "sampler.kernel.family", "truncated-gaussian",
+                     "sampler.kernel.family: unknown field", id="kernel-family-truncated-unknown"),
         pytest.param(quadratic_config, "forward.init.mean", [0.0],
                      "forward.init: dimension does not match problem dimension 2", id="forward-init-1d"),
         pytest.param(cmdp_config, "sampler.init", "sample",
@@ -1386,8 +1440,6 @@ def two_state_model_with(**fields):
         pytest.param(mixture_config, "sampler.num_steps", MISSING,
                      "sampler.num_steps: required for variant 'classical'", id="oracle-num-steps-missing"),
         # Errors of the library constructors name the section whose fields they were given.
-        pytest.param(quadratic_config, "sampler.kernel.family", "box",
-                     "sampler.kernel: unknown kernel family 'box'", id="kernel-family-unknown"),
         pytest.param(quadratic_config, "forward.init.variances", [0, 1],
                      "forward.init: variances must be strictly positive", id="forward-init-variance-0"),
         pytest.param(quadratic_config, "forward.run_length", 0, "forward: run_length must be at least 1",
@@ -1480,6 +1532,10 @@ def two_state_model_with(**fields):
                      "sampler.conditional_std", 0.01,
                      "sampler: conditional_std 0.01 is too small for variant 'active' in 155 dimensions",
                      id="active-conditional-std-0.01-dim-155"),
+        # `normalized_weights` divides by conditional_std squared, which would be 0: every step a reset.
+        pytest.param(functools.partial(quadratic_config, variant=MULTIKERNEL, pool_size=4, num_steps=10),
+                     "sampler.conditional_std", 1e-200, "sampler: conditional_std 1e-200 is too small for variant "
+                     "'multikernel': its square underflows to 0", id="multikernel-conditional-std-1e-200"),
         *UNREAD_SAMPLER_FIELD_ROWS,
     ],
 )
@@ -1536,6 +1592,51 @@ def test_samples_all_off_the_grid_report_no_modes(tmp_path):
     metrics = read_json(out / "metrics.json")
     assert metrics["modes"] == []
     assert metrics["out_of_range_fraction"] == 1.0
+
+
+def modules_loaded_by(script, *args):
+    """Run `script` in a fresh interpreter; it prints a JSON list of the modules it found loaded."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+# scipy is a test-only dependency, and every run pays for what `import langirl.cli` loads before its setup ends.
+SCIPY_LOADED = """
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+"""
+
+
+def test_importing_the_cli_loads_no_scipy_orjson_or_numpy_ma():
+    script = """
+import json, sys
+import langirl.cli
+print(json.dumps(sorted(m for m in ("scipy", "orjson", "numpy.ma") if m in sys.modules)))
+"""
+    assert modules_loaded_by(script) == []
+
+
+def test_no_module_under_src_imports_scipy():
+    script = """
+import importlib, json, pkgutil, sys
+import langirl
+for info in pkgutil.walk_packages(langirl.__path__, "langirl."):
+    importlib.import_module(info.name)
+"""
+    assert modules_loaded_by(script + SCIPY_LOADED) == []
+
+
+def test_a_logistic_run_loads_no_scipy(tmp_path):
+    config = write_config(tmp_path, bundled_logistic_config(tmp_path / "run"))
+    script = """
+import json, sys
+import langirl.cli
+assert langirl.cli.main(["run", sys.argv[1]]) == 0
+"""
+    assert modules_loaded_by(script + SCIPY_LOADED, config) == []
+    assert (tmp_path / "run" / "metrics.json").is_file()
 
 
 @pytest.mark.parametrize("make_config", [quadratic_config, cmdp_config], ids=["quadratic", "cmdp"])

@@ -49,7 +49,7 @@ from langirl.irl import (
     step_passive_gated,
     step_passive_generalized,
 )
-from langirl.kernels import FAMILIES, GAUSSIAN, TRUNCATED_GAUSSIAN, Kernel
+from langirl.kernels import Kernel
 from langirl.problems import logistic, mixture, synthetic
 from langirl.problems.mixture import MixtureModel
 from strategies import EDGE_FLOATS
@@ -87,7 +87,7 @@ def stream_of(pairs):
 class TestStepFormulas:
     """Each variant's one-step update against a hand-expanded expectation."""
 
-    kernel = Kernel(GAUSSIAN, 0.5, 1)
+    kernel = Kernel(0.5, 1)
 
     def cfg(self, **kw):
         base = dict(step=0.1, beta=2.0, init=np.zeros(1), kernel=self.kernel,
@@ -131,7 +131,7 @@ class TestStepFormulas:
 
     def test_nonreversible_premultiplies_gradient(self):
         skew = np.array([[0.0, 0.4], [-0.4, 0.0]])
-        kernel = Kernel(GAUSSIAN, 0.5, 2)
+        kernel = Kernel(0.5, 2)
         cfg = SamplerConfig(step=0.1, beta=2.0, init=np.zeros(2), kernel=kernel,
                             init_density=InitDensity.standard(2), skew=skew)
         est = np.array([0.1, -0.2])
@@ -245,7 +245,6 @@ class TestFloatPath:
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(
         variant=st.sampled_from([PASSIVE_GENERALIZED, PASSIVE_GATED]),
-        family=st.sampled_from(FAMILIES),
         est=arrays(np.float64, st.tuples(st.integers(1, 4), st.just(2)), elements=NEAR_OR_EDGE),
         points=arrays(np.float64, st.tuples(st.integers(1, 5), st.just(2)), elements=NEAR_OR_EDGE),
         gradients=arrays(np.float64, (5, 2), elements=EDGE_FLOATS),
@@ -257,9 +256,9 @@ class TestFloatPath:
         seed=st.integers(0, 2**32 - 8),
     )
     def test_matches_the_numpy_form_bit_for_bit(
-        self, variant, family, est, points, gradients, bandwidth, mean, variances, beta, step, seed
+        self, variant, est, points, gradients, bandwidth, mean, variances, beta, step, seed
     ):
-        cfg = SamplerConfig(step=step, beta=beta, init=np.zeros(2), kernel=Kernel(family, bandwidth, 2),
+        cfg = SamplerConfig(step=step, beta=beta, init=np.zeros(2), kernel=Kernel(bandwidth, 2),
                             init_density=InitDensity(mean, variances))
         items = [GradientSample(p, g) for p, g in zip(points, gradients)]
         row, rngs = VARIANTS[variant], chain_rngs(seed, len(est))
@@ -339,7 +338,7 @@ def small_corpus(dim):
 
 
 def dim_config(dim):
-    return SamplerConfig(step=0.01, beta=1.0, init=np.zeros(dim), kernel=Kernel(GAUSSIAN, 0.7, dim),
+    return SamplerConfig(step=0.01, beta=1.0, init=np.zeros(dim), kernel=Kernel(0.7, dim),
                          init_density=InitDensity.standard(dim))
 
 
@@ -380,28 +379,24 @@ def test_seeded_2d_classical_runs_keep_their_hashes(problem, chains, block_noise
 
 # sha256 of seeded 300-step runs, computed before the float path existed.
 GOLDEN = {
-    (PASSIVE_GENERALIZED, GAUSSIAN, 1): "f074ac7e99cdb1570a21aecf0be10df369db6e4b4bdb5a36237aec4e858d844b",
-    (PASSIVE_GENERALIZED, GAUSSIAN, 3): "ba21f5f8ec31459b48e0559f3f0f7cd1af5adf08a9718213a1f2fc6d015f7624",
-    (PASSIVE_GENERALIZED, TRUNCATED_GAUSSIAN, 1): "06ebdcf7d8b7042c0a3e8d8f41771696dad1e4606c7fc298208834d7333a2358",
-    (PASSIVE_GENERALIZED, TRUNCATED_GAUSSIAN, 3): "b7326efed35a8600ff65f399b02448dee9a9bd7b52fa9d11dce9f9cc37119844",
-    (PASSIVE_GATED, GAUSSIAN, 1): "43e9d162bcb17b54085bfd4c0e62299c845f13d98ed6dd904a8ad99c76eb5517",
-    (PASSIVE_GATED, GAUSSIAN, 3): "4cc859c81a36c318e39ad9910c349a6396064f0cf0d5d1fef7f0fab11e84fb2a",
-    (PASSIVE_GATED, TRUNCATED_GAUSSIAN, 1): "a7c0979f949c6cb4428c7a654c23baf057a97175536ac961f11c5d16525366d2",
-    (PASSIVE_GATED, TRUNCATED_GAUSSIAN, 3): "ffc45878ac8b41ba15bbe489f8da4f4267034c7cff4530bd2c1ae26ba55229c6",
+    (PASSIVE_GENERALIZED, 1): "f074ac7e99cdb1570a21aecf0be10df369db6e4b4bdb5a36237aec4e858d844b",
+    (PASSIVE_GENERALIZED, 3): "ba21f5f8ec31459b48e0559f3f0f7cd1af5adf08a9718213a1f2fc6d015f7624",
+    (PASSIVE_GATED, 1): "43e9d162bcb17b54085bfd4c0e62299c845f13d98ed6dd904a8ad99c76eb5517",
+    (PASSIVE_GATED, 3): "4cc859c81a36c318e39ad9910c349a6396064f0cf0d5d1fef7f0fab11e84fb2a",
 }
 
 
-@pytest.mark.parametrize("variant, family, chains", sorted(GOLDEN))
-def test_seeded_2d_passive_runs_keep_their_hashes(variant, family, chains):
+@pytest.mark.parametrize("variant, chains", sorted(GOLDEN))
+def test_seeded_2d_passive_runs_keep_their_hashes(variant, chains):
     rng = RngStream(5)
     points = 1.2 * rng.standard_normal((300, 2))
     corpus = [GradientSample(p, -2.0 * p) for p in points]
-    cfg = SamplerConfig(step=0.02, beta=1.5, init=np.zeros(2), kernel=Kernel(family, 0.6, 2),
+    cfg = SamplerConfig(step=0.02, beta=1.5, init=np.zeros(2), kernel=Kernel(0.6, 2),
                         init_density=InitDensity(np.array([0.1, -0.2]), np.array([1.5, 0.8])))
     starts = [[0.3 * c, -0.2 * c] for c in range(chains)]
     trajs = run_chains(variant, corpus, cfg, starts, 300, [RngStream(40 + c) for c in range(chains)])
     digest = hashlib.sha256(b"".join(t.samples.tobytes() for t in trajs)).hexdigest()
-    assert digest == GOLDEN[variant, family, chains]
+    assert digest == GOLDEN[variant, chains]
 
 
 class TestNormalizedWeights:
@@ -448,13 +443,13 @@ class TestSkewReduction:
 
     def base_cfg(self, skew):
         return SamplerConfig(step=5e-3, beta=1.0, init=np.zeros(2),
-                             kernel=Kernel(GAUSSIAN, 0.8, 2),
+                             kernel=Kernel(0.8, 2),
                              init_density=InitDensity.standard(2), skew=skew)
 
     def test_zero_skew_is_bitwise_identical_to_passive_classical(self):
         stream = self.quadratic_stream(400, seed=11)
         plain_cfg = SamplerConfig(step=5e-3, beta=1.0, init=np.zeros(2),
-                                  kernel=Kernel(GAUSSIAN, 0.8, 2),
+                                  kernel=Kernel(0.8, 2),
                                   init_density=InitDensity.standard(2))
         a = run_sampler(NONREVERSIBLE, stream, self.base_cfg(np.zeros((2, 2))), 400, RngStream(7))
         b = run_sampler(PASSIVE_CLASSICAL, stream, plain_cfg, 400, RngStream(7))
@@ -471,7 +466,7 @@ class TestSkewReduction:
 class TestRunSampler:
     def small_cfg(self):
         return SamplerConfig(step=1e-3, beta=2.0, init=np.zeros(1),
-                             kernel=Kernel(GAUSSIAN, 0.5, 1),
+                             kernel=Kernel(0.5, 1),
                              init_density=InitDensity.standard(1))
 
     def test_records_initial_point_and_length(self):
@@ -536,7 +531,7 @@ class TestRunSampler:
     )
     def test_missing_config_piece_is_named(self, variant, missing):
         full = dict(step=1e-3, beta=2.0, init=np.zeros(1),
-                    kernel=Kernel(GAUSSIAN, 0.5, 1),
+                    kernel=Kernel(0.5, 1),
                     init_density=InitDensity.standard(1),
                     conditional_std=0.2, skew=np.zeros((1, 1)))
         full[missing] = None
@@ -546,16 +541,43 @@ class TestRunSampler:
     @pytest.mark.parametrize("sigma, dim", [(1e-200, 2), (0.01, 155)])
     def test_active_conditional_std_whose_power_overflows_is_refused_before_any_step(self, sigma, dim):
         # `step_active` takes sigma**-dim as a Python float, which raises OverflowError past the float range.
-        cfg = SamplerConfig(step=1e-3, beta=2.0, init=np.zeros(dim), kernel=Kernel(GAUSSIAN, 0.5, dim),
+        cfg = SamplerConfig(step=1e-3, beta=2.0, init=np.zeros(dim), kernel=Kernel(0.5, dim),
                             conditional_std=sigma)
         queried = []
         with pytest.raises(ConfigError, match=rf"conditional_std {sigma} is too small .* overflows"):
             run_sampler(ACTIVE, lambda point: queried.append(point) or np.zeros(dim), cfg, 5, RngStream(0))
         assert queried == []
 
+    def test_multikernel_conditional_std_whose_square_underflows_is_refused_before_any_step(self):
+        # `normalized_weights` divides by -2 * sigma * sigma: at 0 every step's weights would reset.
+        taken = []
+
+        def pools():
+            while True:
+                taken.append(1)
+                yield GradientPool(np.zeros((4, 2)), np.zeros((4, 2)))
+
+        cfg = SamplerConfig(step=1e-3, beta=2.0, init=np.zeros(2), pool_size=4, conditional_std=1e-200)
+        with pytest.raises(ConfigError, match=r"conditional_std 1e-200 is too small for variant 'multikernel'"):
+            run_sampler(MULTIKERNEL, pools(), cfg, 10, RngStream(0))
+        assert taken == []
+        traj = run_sampler(MULTIKERNEL, pools(), dataclasses.replace(cfg, conditional_std=1e-150), 10, RngStream(0))
+        assert np.isfinite(traj.samples).all() and len(taken) == 10
+
+    # 1.5e-162 squares to 0; 1.6e-162 squares to the least subnormal, 5e-324.
+    @pytest.mark.parametrize("sigma, refused", [(1e-200, True), (1.5e-162, True), (1.6e-162, False), (1e-150, False)])
+    def test_multikernel_conditional_std_is_refused_exactly_where_its_square_underflows(self, sigma, refused):
+        cfg = SamplerConfig(step=1e-3, beta=2.0, init=np.zeros(2), pool_size=4, conditional_std=sigma)
+        assert (sigma * sigma == 0) == refused
+        if refused:
+            with pytest.raises(ConfigError, match=rf"conditional_std {sigma} is too small .* underflows to 0"):
+                check_run(MULTIKERNEL, cfg, 10)
+        else:
+            assert check_run(MULTIKERNEL, cfg, 10) is VARIANTS[MULTIKERNEL]
+
     def test_gated_gain_ratio_warning(self):
         cfg = SamplerConfig(step=0.3, beta=2.0, init=np.zeros(1),
-                            kernel=Kernel(GAUSSIAN, 0.5, 1),
+                            kernel=Kernel(0.5, 1),
                             init_density=InitDensity.standard(1))
         assert cfg.gain_ratio == pytest.approx(0.6)
         stream = stream_of([(0.1, -0.1)] * 5)
@@ -597,7 +619,7 @@ class TestSamplerConfig:
         with pytest.raises(ConfigError):
             SamplerConfig(step=0.1, beta=0.0, init=np.zeros(1))
         with pytest.raises(ConfigError):
-            SamplerConfig(step=0.1, beta=1.0, init=np.zeros(2), kernel=Kernel(GAUSSIAN, 1.0, 1))
+            SamplerConfig(step=0.1, beta=1.0, init=np.zeros(2), kernel=Kernel(1.0, 1))
         with pytest.raises(ConfigError):
             SamplerConfig(step=0.1, beta=1.0, init=np.zeros(2), init_density=InitDensity.standard(1))
         with pytest.raises(ConfigError):
@@ -615,11 +637,11 @@ class TestSamplerConfig:
 
     def test_to_dict_round_trips_fields(self):
         cfg = SamplerConfig(step=0.1, beta=1.0, init=np.array([1.0, 2.0]),
-                            kernel=Kernel(GAUSSIAN, 0.3, 2), pool_size=4,
+                            kernel=Kernel(0.3, 2), pool_size=4,
                             conditional_std=0.2,
                             skew=np.array([[0.0, 1.0], [-1.0, 0.0]]))
         d = cfg.to_dict()
-        assert d["kernel"] == {"family": GAUSSIAN, "bandwidth": 0.3, "dim": 2}
+        assert d["kernel"] == {"family": "gaussian", "bandwidth": 0.3, "dim": 2}
         assert d["pool_size"] == 4
         assert d["skew"] == [[0.0, 1.0], [-1.0, 0.0]]
 

@@ -3,9 +3,11 @@
 import importlib.resources
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from langirl.core import ConfigError, RngStream
 from langirl.problems.logistic import (
@@ -123,6 +125,30 @@ class TestGradient:
         theta = np.array([50.0, 50.0, 0.0])  # margin 75 on row 0, label 1
         got = reward_grad(model, theta, 0)
         np.testing.assert_allclose(got, -np.sign(theta), atol=1e-20)
+
+    def test_sigmoid_is_scipy_expit_within_an_ulp_and_never_warns(self):
+        # Label 0 and theta (0, m) against features (1, 1): the first gradient entry is exactly -sigmoid(m).
+        model = LogisticModel(features=np.ones((1, 2)), labels=np.zeros(1), likelihood_weight=1.0)
+        edges = [-800.0, -745.0, -709.8, -1e-300, 0.0, 1e-300, 709.8, 745.0, 800.0]
+        margins = np.concatenate([40.0 * RngStream(33).standard_normal(20_000), edges])
+        thetas = np.stack([np.zeros_like(margins), margins], axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = -reward_grad(model, thetas, 0)[:, 0]
+            one = [-reward_grad(model, theta, 0)[0] for theta in thetas[-len(edges):]]
+        assert np.abs(batch - expit(margins)).max() <= 2.3e-16
+        assert one == batch[-len(edges):].tolist()
+
+    # Past +-709.8 exp(-margin) overflows or 1 + exp(-margin) rounds to 1; past 37 the sigmoid rounds to 1.
+    @pytest.mark.parametrize("margin", [-800.0, -710.0, -709.0, -37.0, -1e-300, 0.0, 1e-300, 37.0, 710.0, 800.0])
+    def test_label_one_residual_is_expit_of_the_negated_margin(self, margin):
+        # Label 1 and theta (0, m) against features (1, 1): the first gradient entry is 1 - sigmoid(m).
+        model = LogisticModel(features=np.ones((1, 2)), labels=np.ones(1), likelihood_weight=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = reward_grad(model, np.array([0.0, margin]), 0)[0]
+        assert 0.0 <= got <= 1.0
+        assert abs(got - expit(-margin)) <= 2.3e-16
 
     def test_row_wraps_around(self):
         model = self.model()

@@ -9,7 +9,7 @@ from langirl.analysis import GridSpec
 from langirl.core import ConfigError, NonFiniteError, RngStream
 from langirl.forward import InitDensity
 from langirl.irl import CLASSICAL, MULTIKERNEL, PASSIVE_GATED, PASSIVE_GENERALIZED, SamplerConfig
-from langirl.kernels import GAUSSIAN, Kernel
+from langirl.kernels import Kernel
 from langirl.problems.switching import SwitchingReward
 from langirl.tracking import (
     TrackingConfig,
@@ -172,7 +172,7 @@ class TestRunTracking:
         reward = two_mode_reward()
         cfg = SamplerConfig(
             step=0.005, beta=2.0, init=np.zeros(1),
-            kernel=Kernel(GAUSSIAN, 0.5, 1), init_density=InitDensity.standard(1),
+            kernel=Kernel(0.5, 1), init_density=InitDensity.standard(1),
         )
         result = run_tracking(
             PASSIVE_GENERALIZED, reward, cfg,
@@ -199,7 +199,7 @@ class TestRunTracking:
         reward = two_mode_reward()
         cfg = SamplerConfig(
             step=0.005, beta=2.0, init=np.zeros(1),
-            kernel=Kernel(GAUSSIAN, 0.5, 1), init_density=InitDensity.standard(1),
+            kernel=Kernel(0.5, 1), init_density=InitDensity.standard(1),
         )
         with pytest.raises(ConfigError, match="forward_step"):
             run_tracking(PASSIVE_GENERALIZED, reward, cfg,
@@ -230,7 +230,7 @@ class TestRunTracking:
     def test_gated_gain_ratio_warning(self):
         cfg = SamplerConfig(
             step=0.3, beta=2.0, init=np.zeros(1),
-            kernel=Kernel(GAUSSIAN, 0.5, 1), init_density=InitDensity.standard(1),
+            kernel=Kernel(0.5, 1), init_density=InitDensity.standard(1),
         )
         assert cfg.gain_ratio == pytest.approx(0.6)
         with pytest.warns(RuntimeWarning, match="not small"):
